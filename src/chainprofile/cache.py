@@ -1,10 +1,14 @@
 """On-disk result cache with verification on reload.
 
-One JSON file per cache directory.  Entries are keyed by the skeleton
-fingerprint plus the query and budget, so a changed input or a changed cap
-never aliases an old answer.  Witnesses stored with profile entries are
-re-checked against the boundary operator before a hit is trusted; entries
-that fail are evicted and recomputed.
+One JSON file per entry, named by the sha256 of its key and holding
+{"key", "value"}; it is replaced atomically, so concurrent runs never lose
+each other's entries, and a file that cannot be read or holds another key
+is a miss.  A `cache.json` left by older versions is ignored.  Keys hold
+the skeleton fingerprint plus the query and budget.  Stored witnesses are
+re-checked before a hit is trusted, and entries that fail are evicted and
+recomputed.  A filling that passes proves FV(cycle) <= value; minimality
+rests on the exhaustive search that wrote it.  phi is not cached: it is
+derived from the cached psi table.
 """
 
 from __future__ import annotations
@@ -15,11 +19,15 @@ import logging
 import os
 import tempfile
 
+from .errors import ChainProfileError
+from .profiles import _finite_unit_boundary
 from .skeleton import boundary, chain_from_json, chains_equal, norm
 
 logger = logging.getLogger(__name__)
 
-_FILE = "cache.json"
+# what a malformed or inconsistent entry raises while it is checked; any
+# other exception is a bug in the checks and propagates
+_BAD_ENTRY = (ChainProfileError, KeyError, TypeError, ValueError)
 
 
 def default_cache_dir() -> str:
@@ -30,57 +38,49 @@ def default_cache_dir() -> str:
 
 
 class ResultCache:
-    """Tiny key-value store backed by one JSON file."""
+    """Key-value store backed by one JSON file per key."""
 
     def __init__(self, directory: str):
         self.directory = directory
-        self.path = os.path.join(directory, _FILE)
-        self._data = None
 
-    def _load(self) -> dict:
-        if self._data is not None:
-            return self._data
-        try:
-            with open(self.path) as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict) or data.get("version") != 1:
-                raise ValueError("unsupported cache layout")
-            if not isinstance(data.get("entries"), dict):
-                raise ValueError("missing entries table")
-        except FileNotFoundError:
-            data = {"version": 1, "entries": {}}
-        except (ValueError, json.JSONDecodeError) as e:
-            logger.warning("discarding unreadable cache at %s (%s)", self.path, e)
-            data = {"version": 1, "entries": {}}
-        self._data = data
-        return data
+    def _path(self, key: str) -> str:
+        name = hashlib.sha256(key.encode()).hexdigest() + ".json"
+        return os.path.join(self.directory, name)
 
     def get(self, key: str):
-        return self._load()["entries"].get(key)
+        path = self._path(key)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError) as e:
+            logger.warning("ignoring unreadable cache entry %s (%s)", path, e)
+            return None
+        if not isinstance(data, dict) or data.get("key") != key:
+            logger.warning("ignoring cache entry %s stored under another key", path)
+            return None
+        return data.get("value")
 
     def put(self, key: str, value) -> None:
-        data = self._load()
-        data["entries"][key] = value
-        self._write(data)
-
-    def evict(self, key: str) -> None:
-        data = self._load()
-        if data["entries"].pop(key, None) is not None:
-            self._write(data)
-
-    def _write(self, data) -> None:
         os.makedirs(self.directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(data, fh, sort_keys=True)
-            os.replace(tmp, self.path)
+                json.dump({"key": key, "value": value}, fh, sort_keys=True)
+            os.replace(tmp, self._path(key))
         except BaseException:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
             raise
+
+    def evict(self, key: str) -> None:
+        try:
+            os.unlink(self._path(key))
+        except FileNotFoundError:
+            pass
 
 
 def profile_key(kind: str, fingerprint: str, n: int, budget) -> str:
@@ -100,59 +100,77 @@ def _values_ok(values, n) -> bool:
             and (not values or values[0] == 0))
 
 
+# A witness check returns (cycle norm, filling norm) when the stored filling
+# bounds the stored cycle, else None.
+
+def _psi_witness(wit, s, oracle):
+    cyc = chain_from_json(wit["cycle"], s, oracle)
+    fill = chain_from_json(wit["filling"], s, oracle)
+    if not chains_equal(boundary(fill, s, oracle), cyc, oracle):
+        return None
+    return norm(cyc), norm(fill)
+
+
+def _finite_chain(terms, dim, s, oracle) -> dict:
+    """Stored cells of the finite cover as {(element, base cell): coeff}."""
+    out = {}
+    for t in terms:
+        cdim, base = s.index[t["base"]]
+        coeff = t["coeff"]
+        if cdim != dim or not isinstance(coeff, int):
+            raise ValueError(f"malformed finite witness cell {t!r}")
+        cell = (oracle.elements.index(t["element"]), base)
+        out[cell] = out.get(cell, 0) + coeff
+    return {cell: c for cell, c in out.items() if c}
+
+
+def _finite_witness(wit, s, oracle):
+    cyc = _finite_chain(wit["cycle"], s.q - 1, s, oracle)
+    fill = _finite_chain(wit["filling"], s.q, s, oracle)
+    bnd = {}
+    for (elem, base), c in fill.items():
+        for cell, b in _finite_unit_boundary(s, oracle, s.q, elem, base).items():
+            bnd[cell] = bnd.get(cell, 0) + c * b
+    if {cell: c for cell, c in bnd.items() if c} != cyc:
+        return None
+    return sum(map(abs, cyc.values())), sum(map(abs, fill.values()))
+
+
+_WITNESS_CHECKS = {"psi": _psi_witness, "finite": _finite_witness}
+
+
 def verify_profile_entry(entry, kind: str, n: int, s, oracle) -> bool:
-    """Structural and witness checks on a cached profile before reuse."""
+    """Structural and witness checks on a cached profile before reuse: the
+    witness for size k is a filling that bounds a cycle of norm at most k
+    and has norm values[k]."""
+    check = _WITNESS_CHECKS.get(kind)
+    if check is None:
+        return False
+    if kind == "finite" and getattr(oracle, "kind", None) != "finite-table":
+        return False
     try:
         values = entry["values"]
         witnesses = entry["witnesses"]
         if not _values_ok(values, n) or len(witnesses) != n + 1:
             return False
-        if kind == "psi":
-            for k in range(1, n + 1):
-                wit = witnesses[k]
-                if wit is None:
-                    if values[k] != 0:
-                        return False
-                    continue
-                cyc = chain_from_json(wit["cycle"], s, oracle)
-                fill = chain_from_json(wit["filling"], s, oracle)
-                if norm(cyc) > k or norm(fill) != values[k]:
+        for k in range(1, n + 1):
+            wit = witnesses[k]
+            if wit is None:
+                if values[k] != 0:
                     return False
-                if not chains_equal(boundary(fill, s, oracle), cyc, oracle):
-                    return False
-        elif kind == "phi":
-            for k in range(1, n + 1):
-                wit = witnesses[k]
-                if wit is None or sum(wit["partition"]) != k:
-                    return False
-                if sum(wit["psi"]) != values[k]:
-                    return False
-        elif kind == "finite":
-            for k in range(1, n + 1):
-                wit = witnesses[k]
-                if wit is None:
-                    if values[k] != 0:
-                        return False
-                    continue
-                if sum(abs(t["coeff"]) for t in wit["filling"]) != values[k]:
-                    return False
-                if sum(abs(t["coeff"]) for t in wit["cycle"]) > k:
-                    return False
-        else:
-            return False
+                continue
+            norms = check(wit, s, oracle)
+            if norms is None or norms[0] > k or norms[1] != values[k]:
+                return False
         return True
-    except (KeyError, TypeError, ValueError):
-        return False
-    except Exception:
-        logger.warning("cached entry failed verification with an error")
+    except _BAD_ENTRY:
         return False
 
 
 def verify_fv_entry(entry, target, s, oracle) -> bool:
     try:
         fill = chain_from_json(entry["filling"], s, oracle)
-        if norm(fill) != entry["value"]:
-            return False
-        return chains_equal(boundary(fill, s, oracle), target, oracle)
-    except Exception:
+        return (norm(fill) == entry["value"]
+                and chains_equal(boundary(fill, s, oracle), target, oracle))
+    except _BAD_ENTRY:
         return False

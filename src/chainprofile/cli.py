@@ -83,23 +83,30 @@ def _emit_table(table: ProfileTable, fmt: str, notes=()):
             print(f"note: {note}")
 
 
-def _cached_profile(args, kind, s, oracle, n, budget, compute):
+def _cached(args, key, verify, compute):
+    """The cache entry under key if it passes verify, else compute()'s entry,
+    which is then stored.  A failing entry is evicted with a notice."""
     cache = _cache_for(args)
-    fingerprint = skeleton_fingerprint(s, oracle)
     if cache is None:
         return compute()
-    key = profile_key(kind, fingerprint, n, budget)
     entry = cache.get(key)
     if entry is not None:
-        if verify_profile_entry(entry, kind, n, s, oracle):
-            return ProfileTable(kind, fingerprint, entry["budget"],
-                                entry["values"], entry["witnesses"])
+        if verify(entry):
+            return entry
         cache.evict(key)
         print("cached result failed verification; recomputing", file=sys.stderr)
-    table = compute()
-    cache.put(key, {"values": table.values, "witnesses": table.witnesses,
-                    "budget": table.budget})
-    return table
+    entry = compute()
+    cache.put(key, entry)
+    return entry
+
+
+def _cached_profile(args, kind, s, oracle, n, budget, compute):
+    fingerprint = skeleton_fingerprint(s, oracle)
+    entry = _cached(args, profile_key(kind, fingerprint, n, budget),
+                    lambda e: verify_profile_entry(e, kind, n, s, oracle),
+                    lambda: compute().to_json_dict())
+    return ProfileTable(kind, fingerprint, budget.to_json_dict(),
+                        entry["values"], entry["witnesses"])
 
 
 _DIM4_NOTE = ("in dimension 4 and above this table equals the manifold-type "
@@ -169,22 +176,15 @@ def cmd_fv(args) -> int:
     s, oracle = _load(args)
     target = parse_chain(args.chain, s, oracle)
     budget = _budget(args)
-    cache = _cache_for(args)
-    fingerprint = skeleton_fingerprint(s, oracle)
-    target_json = chain_to_json(target, s)
-    entry = None
-    if cache is not None:
-        key = fv_key(fingerprint, target_json, budget)
-        entry = cache.get(key)
-        if entry is not None and not verify_fv_entry(entry, target, s, oracle):
-            cache.evict(key)
-            print("cached result failed verification; recomputing", file=sys.stderr)
-            entry = None
-    if entry is None:
+
+    def compute():
         filling = minimal_filling(target, s, oracle, budget=budget)
-        entry = {"value": norm(filling), "filling": chain_to_json(filling, s)}
-        if cache is not None:
-            cache.put(key, entry)
+        return {"value": norm(filling), "filling": chain_to_json(filling, s)}
+
+    entry = _cached(
+        args, fv_key(skeleton_fingerprint(s, oracle), chain_to_json(target, s),
+                     budget),
+        lambda e: verify_fv_entry(e, target, s, oracle), compute)
     if args.format == "json":
         _print_json(entry)
     elif args.format == "csv":
@@ -197,24 +197,17 @@ def cmd_fv(args) -> int:
     return 0
 
 
-def cmd_psi(args) -> int:
+def cmd_psi_phi(args) -> int:
+    """psi, or phi derived from the cached psi table by the partition
+    recurrence."""
     s, oracle = _load(args)
     budget = _budget(args)
     table = _cached_profile(
         args, "psi", s, oracle, args.max_size, budget,
         lambda: psi_table(s, oracle, args.max_size, budget=budget,
                           workers=args.workers))
-    _emit_table(table, args.format, notes=[_DIM4_NOTE] if s.q >= 4 else [])
-    return 0
-
-
-def cmd_phi(args) -> int:
-    s, oracle = _load(args)
-    budget = _budget(args)
-    table = _cached_profile(
-        args, "phi", s, oracle, args.max_size, budget,
-        lambda: phi_table(s, oracle, args.max_size, budget=budget,
-                          workers=args.workers))
+    if args.command == "phi":
+        table = phi_table(s, oracle, args.max_size, psi=table)
     _emit_table(table, args.format, notes=[_DIM4_NOTE] if s.q >= 4 else [])
     return 0
 
@@ -308,12 +301,12 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("psi", parents=[common],
                         help="worst filling volume of one connected cycle, by size")
     sp.add_argument("-n", "--max-size", type=int, required=True)
-    sp.set_defaults(func=cmd_psi)
+    sp.set_defaults(func=cmd_psi_phi)
 
     sp = sub.add_parser("phi", parents=[common],
                         help="profile over all cycle sizes via partitions")
     sp.add_argument("-n", "--max-size", type=int, required=True)
-    sp.set_defaults(func=cmd_phi)
+    sp.set_defaults(func=cmd_psi_phi)
 
     sp = sub.add_parser("finite-profile", parents=[common],
                         help="exact profile over a finite multiplication table")

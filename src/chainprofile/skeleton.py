@@ -49,10 +49,6 @@ class LiftedCell:
     word: Word
 
 
-def cell_key(c: LiftedCell):
-    return (c.dim, c.base, word_key(c.word))
-
-
 @dataclass(frozen=True)
 class Chain:
     """Canonical integer chain: sorted merged terms with nonzero coefficients."""

@@ -577,14 +577,6 @@ class BoundedBFSOracle(WordOracle):
         return OracleVerdict.TRIVIAL if verdict else OracleVerdict.NONTRIVIAL
 
 
-_ORACLE_KINDS = {
-    "free": FreeOracle,
-    "abelian": FreeAbelianOracle,
-    "finite-table": FiniteTableOracle,
-    "bounded-bfs": BoundedBFSOracle,
-}
-
-
 def oracle_from_config(presentation: Presentation, config: dict) -> WordOracle:
     """Build an oracle from its JSON configuration {"kind": ..., params}."""
     cfg = dict(config)

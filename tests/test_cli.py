@@ -2,7 +2,11 @@
 
 import json
 
+from chainprofile.cache import ResultCache, profile_key
 from chainprofile.cli import main
+from chainprofile.inputs import load_example
+from chainprofile.profiles import Budget
+from chainprofile.skeleton import skeleton_fingerprint
 
 SQUARE = "(1, e_a) + (a, e_b) - (b, e_a) - (1, e_b)"
 
@@ -67,17 +71,15 @@ def test_tampered_cache_is_recomputed(tmp_path, capsys):
             "--format", "json")
     code, first, _ = run(capsys, *args)
     assert code == 0
-    cache_file = tmp_path / "cache.json"
-    data = json.loads(cache_file.read_text())
-    (key,) = data["entries"]
-    data["entries"][key]["value"] = 7
-    cache_file.write_text(json.dumps(data))
+    (entry_file,) = tmp_path.glob("*.json")
+    data = json.loads(entry_file.read_text())
+    data["value"]["value"] = 7
+    entry_file.write_text(json.dumps(data))
     code, second, err = run(capsys, *args)
     assert code == 0
     assert json.loads(second)["value"] == 1
     assert "recomputing" in err
-    fresh = json.loads(cache_file.read_text())
-    assert fresh["entries"][key]["value"] == 1
+    assert json.loads(entry_file.read_text())["value"]["value"] == 1
 
 
 def test_psi_output_and_worker_independence(tmp_path, capsys):
@@ -98,6 +100,44 @@ def test_phi_cached_second_run_identical(tmp_path, capsys):
     assert code == code2 == 0
     assert json.loads(second)["values"] == json.loads(first)["values"]
     assert "recomputing" not in err
+
+
+def test_phi_is_derived_from_cached_psi(tmp_path, capsys, monkeypatch):
+    s, oracle = load_example("z2")
+    fingerprint = skeleton_fingerprint(s, oracle)
+    # a self-consistent fake phi entry must never be printed
+    ResultCache(str(tmp_path)).put(profile_key("phi", fingerprint, 6, Budget()), {
+        "values": list(range(7)), "budget": Budget().to_json_dict(),
+        "witnesses": [None] + [{"partition": [1] * k, "psi": [1] * k}
+                               for k in range(1, 7)]})
+    code, out, _ = run(capsys, "phi", "--input", "z2", "-n", "6",
+                       "--cache", str(tmp_path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["values"] == [0, 0, 0, 0, 1, 1, 2]
+
+    def no_psi(*args, **kwargs):
+        raise AssertionError("psi recomputed despite a cached table")
+
+    monkeypatch.setattr("chainprofile.cli.psi_table", no_psi)
+    code, out, err = run(capsys, "psi", "--input", "z2", "-n", "6",
+                         "--cache", str(tmp_path), "--format", "csv")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "6,2"
+    assert "recomputing" not in err
+
+
+def test_cached_profile_reports_the_budget_of_the_query(tmp_path, capsys):
+    args = ("psi", "--input", "z2", "-n", "4", "--cache", str(tmp_path),
+            "--format", "json")
+    code, first, _ = run(capsys, *args)
+    assert code == 0
+    (entry_file,) = tmp_path.glob("*.json")
+    data = json.loads(entry_file.read_text())
+    data["value"]["budget"] = {"fill_volume_cap": 999, "node_cap": 5}
+    entry_file.write_text(json.dumps(data))
+    code, second, _ = run(capsys, *args)
+    assert code == 0
+    assert second == first
 
 
 def test_finite_profile_command(capsys):

@@ -1,6 +1,8 @@
 """Input loading, chain literals, and the verified result cache."""
 
+import copy
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -22,7 +24,7 @@ from chainprofile.inputs import (
     parse_chain,
     read_delta,
 )
-from chainprofile.profiles import Budget, minimal_filling, psi_table
+from chainprofile.profiles import Budget, finite_profile, minimal_filling, psi_table
 from chainprofile.skeleton import (
     boundary,
     chain_to_json,
@@ -138,14 +140,66 @@ def test_cache_round_trip(tmp_path):
     assert ResultCache(str(tmp_path / "c")).get("k") is None
 
 
-def test_corrupt_cache_is_discarded(tmp_path):
+def test_corrupt_cache_is_discarded(tmp_path, caplog):
+    d = tmp_path / "c"
+    ResultCache(str(d)).put("k", 0)
+    (entry,) = d.glob("*.json")
+    entry.write_text("{broken")
+    cache = ResultCache(str(d))
+    with caplog.at_level("WARNING", logger="chainprofile.cache"):
+        assert cache.get("k") is None
+    assert "unreadable" in caplog.text
+    cache.put("k", 1)
+    assert json.loads(entry.read_text())["value"] == 1
+    assert ResultCache(str(d)).get("k") == 1
+
+
+def test_foreign_files_are_misses(tmp_path):
     d = tmp_path / "c"
     d.mkdir()
-    (d / "cache.json").write_text("{broken")
+    (d / "cache.json").write_text(json.dumps(
+        {"version": 1, "entries": {"a": 1, "b": 2}}))
     cache = ResultCache(str(d))
-    assert cache.get("k") is None
-    cache.put("k", 1)
-    assert json.loads((d / "cache.json").read_text())["entries"]["k"] == 1
+    assert cache.get("a") is None
+    cache.put("a", 1)
+    (entry_a,) = set(d.glob("*.json")) - {d / "cache.json"}
+    cache.put("b", 2)
+    (entry_b,) = set(d.glob("*.json")) - {d / "cache.json", entry_a}
+    entry_b.write_text(entry_a.read_text())
+    assert cache.get("b") is None
+    assert cache.get("a") == 1
+
+
+def test_two_handles_keep_both_puts(tmp_path):
+    c1 = ResultCache(str(tmp_path))
+    c2 = ResultCache(str(tmp_path))
+    assert c1.get("a") is None and c2.get("b") is None
+    c1.put("a", 1)
+    c2.put("b", 2)
+    fresh = ResultCache(str(tmp_path))
+    assert (fresh.get("a"), fresh.get("b")) == (1, 2)
+
+
+def _put_keys(directory, worker):
+    cache = ResultCache(directory)
+    for i in range(25):
+        cache.put(f"{worker}:{i}", [worker, i])
+
+
+def test_concurrent_processes_keep_every_entry(tmp_path):
+    ctx = multiprocessing.get_context("spawn")
+    procs = [ctx.Process(target=_put_keys, args=(str(tmp_path), w))
+             for w in range(4)]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=60)
+    assert not any(p.is_alive() for p in procs)
+    assert all(p.exitcode == 0 for p in procs)
+    cache = ResultCache(str(tmp_path))
+    for w in range(4):
+        for i in range(25):
+            assert cache.get(f"{w}:{i}") == [w, i]
 
 
 def test_default_cache_dir_env(monkeypatch):
@@ -177,6 +231,21 @@ def test_profile_entry_verification_catches_tampering():
     assert not verify_profile_entry(entry, "unknown", 6, s, oracle)
 
 
+def test_finite_entry_verification_recomputes_boundary():
+    s, oracle = load_example("zmod2")
+    table = finite_profile(s, oracle, 4)
+    entry = {"values": table.values, "witnesses": table.witnesses,
+             "budget": table.budget}
+    assert verify_profile_entry(entry, "finite", 4, s, oracle)
+    moved = copy.deepcopy(entry)
+    for wit in moved["witnesses"]:
+        for term in (wit["cycle"] + wit["filling"]) if wit else ():
+            term["element"] = "e"
+    assert not verify_profile_entry(moved, "finite", 4, s, oracle)
+    z2, z2_oracle = load_example("z2")
+    assert not verify_profile_entry(entry, "finite", 4, z2, z2_oracle)
+
+
 def test_fv_entry_verification(tmp_path):
     s, oracle = load_example("z2")
     cyc = parse_chain("(1, e_a) + (a, e_b) - (b, e_a) - (1, e_b)", s, oracle)
@@ -188,3 +257,16 @@ def test_fv_entry_verification(tmp_path):
                                cyc, s, oracle)
     other = parse_chain("2*(1, e_a)", s, oracle)
     assert not verify_fv_entry(entry, other, s, oracle)
+
+
+def test_verifier_errors_propagate(monkeypatch):
+    s, oracle = load_example("z2")
+    cyc = parse_chain("(1, e_a) + (a, e_b) - (b, e_a) - (1, e_b)", s, oracle)
+    entry = {"value": 1, "filling": chain_to_json(minimal_filling(cyc, s, oracle), s)}
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in the verifier")
+
+    monkeypatch.setattr("chainprofile.cache.boundary", broken)
+    with pytest.raises(RuntimeError):
+        verify_fv_entry(entry, cyc, s, oracle)
