@@ -1,7 +1,6 @@
 """Chain isoperimetric profiles of group presentations."""
 
 from .enumeration import (
-    chain_signature,
     connected_chains_up_to_action,
     connected_cycles_up_to_action,
     equal_up_to_translation,

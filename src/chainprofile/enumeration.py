@@ -1,20 +1,25 @@
 """Connected chains and cycles of the cover, enumerated up to the deck action.
 
-Chains grow one unit at a time from single-cell seeds: a unit may raise the
-magnitude of a coefficient already present (same sign), or sit on a new cell
-provided its boundary strictly cancels part of the current boundary.
-Disconnected intermediates are kept while growing; connectivity is filtered
-at output.  Representatives are deduplicated up to translation through an
-anchor signature.
+Connected 1-cycles are simple closed walks in the 1-skeleton: by flow
+decomposition (Ahuja, Magnanti, Orlin, Network Flows, 3.5) a connected
+integer 1-cycle is one simple circuit with coefficients +-1, and its deck
+orbit is the rotation class of its step labels, walked once as the least.
 
-Oracles with normal forms run on an integer-interned engine (words become
+Chains, and cycles of dimension 2 and up, grow one unit at a time from
+single-cell seeds: a unit may raise the magnitude of a coefficient already
+present (same sign), or sit on a new cell provided its boundary strictly
+cancels part of the current boundary.  Disconnected intermediates are kept
+while growing; connectivity is filtered at output.  Representatives are
+deduplicated up to translation through an anchor signature.
+
+Oracles with normal forms grow on an integer-interned engine (words become
 ids, composition is memoized); everything else falls back to chain objects
 with bucketed pairwise orbit comparison.
 """
 
 from __future__ import annotations
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, OracleUndecidedError
 from .skeleton import (
     Chain,
     LiftedCell,
@@ -28,29 +33,14 @@ from .skeleton import (
     norm,
     translate,
 )
-from .words import compose, invert, word_key
-
-
-def chain_signature(a: Chain, oracle):
-    """Translation-invariant serialization of a chain's deck orbit.
-
-    Re-anchors the chain at every support cell of least base index and keeps
-    the least serialization; anchors are preserved by translation, so equal
-    orbits give equal signatures.  Requires an oracle with normal forms (the
-    serialization must not depend on how group elements happen to be spelled).
-    """
-    if not a.terms:
-        return ()
-    least = min(c.base for c, _ in a.terms)
-    best = None
-    for c, _ in a.terms:
-        if c.base != least:
-            continue
-        moved = translate(invert(c.word), a, oracle)
-        ser = tuple((mc.base, mc.word.letters, n) for mc, n in moved.terms)
-        if best is None or ser < best:
-            best = ser
-    return best
+from .words import (
+    OracleVerdict,
+    compose,
+    exponent_vector,
+    invert,
+    word_key,
+    words_equal,
+)
 
 
 def equal_up_to_translation(a: Chain, b: Chain, oracle) -> bool:
@@ -81,11 +71,9 @@ class _IdEngine:
     element under the oracle's normal form."""
 
     def __init__(self, s, oracle, dim: int):
-        self.s = s
         self.oracle = oracle
         self.dim = dim
         self.words = []
-        self.lengths = []
         self.ids = {}
         self._compose = {}
         self._invert = {}
@@ -97,12 +85,6 @@ class _IdEngine:
             self.base_bnd.append(tuple(
                 (bc.base, self.intern(bc.word), n)
                 for bc, n in s.boundary_chain(dim, base).terms))
-        if dim < s.q:
-            self.up_bnd = [tuple((bc.base, self.intern(bc.word), n)
-                                 for bc, n in s.boundary_chain(dim + 1, base).terms)
-                           for base in range(s.n_cells(dim + 1))]
-        else:
-            self.up_bnd = []
         # cells of dimension dim reachable through a shared boundary cell:
         # for each base cell, its stored boundary terms grouped for the scan
         self._down = {}
@@ -117,12 +99,7 @@ class _IdEngine:
             wid = len(self.words)
             self.ids[w.letters] = wid
             self.words.append(w)
-            self.lengths.append(len(w.letters))
         return wid
-
-    def distance(self, a: int, b: int) -> int:
-        """Word-metric distance; exact when normal forms are geodesic."""
-        return self.lengths[self.compose(self.invert(a), b)]
 
     def compose(self, a: int, b: int) -> int:
         key = (a, b)
@@ -163,9 +140,6 @@ class _IdEngine:
             out = tuple(found)
             self._cob[bcell] = out
         return out
-
-    def seed(self, base: int, sign: int):
-        return (((base, self.e), sign),)
 
     def add_unit(self, chain, cell, sign):
         """chain + sign on cell, keeping terms sorted by cell."""
@@ -208,35 +182,15 @@ class _IdEngine:
 def _grow_interned(s, oracle, dim, max_norm, node_cap, cycle_target):
     eng = _IdEngine(s, oracle, dim)
     beta = _unit_boundary_norm(s, dim)
-    # Distance pruning toward cycles.  The units still to be added form a
-    # chain T with boundary -dB; each component of T is a chain of units
-    # linked through shared boundary cells, so any boundary cell it covers
-    # lies within (norm of the component) * spread of an opposite-sign cell,
-    # where spread bounds how far apart one unit's boundary elements sit.
-    # Sound when unit boundary coefficients sum to zero (each component must
-    # balance signs) and normalized lengths are true distances.
-    balanced = all(sum(c for _, _, c in eng.base_bnd[b]) == 0
-                   for b in range(s.n_cells(dim)))
-    use_distance = (cycle_target and balanced
-                    and getattr(oracle, "geodesic_normal_forms", False))
-    spread = 1
-    for b in range(s.n_cells(dim)):
-        offs = [wid for _, wid, _ in eng.base_bnd[b]]
-        for i in range(len(offs)):
-            for j in range(i + 1, len(offs)):
-                spread = max(spread, eng.distance(offs[i], offs[j]))
     seen = set()
     frontier = []
     for base in range(s.n_cells(dim)):
         for sign in (1, -1):
-            chain = eng.seed(base, sign)
+            chain = (((base, eng.e), sign),)
             sig = eng.signature(chain)
             if sig not in seen:
                 seen.add(sig)
-                bnd = {}
-                for cell, n in eng.unit_boundary(base, eng.e):
-                    if n * sign:
-                        bnd[cell] = n * sign
+                bnd = {cell: n * sign for cell, n in eng.unit_boundary(base, eng.e)}
                 frontier.append((chain, bnd, sum(abs(v) for v in bnd.values())))
     out = {}
     processed = 0
@@ -251,7 +205,8 @@ def _grow_interned(s, oracle, dim, max_norm, node_cap, cycle_target):
             processed += 1
             if node_cap is not None and processed > node_cap:
                 raise BudgetExceededError(
-                    f"enumeration expanded more than {node_cap} chains")
+                    f"chain enumeration expanded more than {node_cap} chains, "
+                    f"reaching norm {n} of {max_norm}")
             support = dict(chain)
             cands = {}
             for cell, coeff in chain:
@@ -281,21 +236,6 @@ def _grow_interned(s, oracle, dim, max_norm, node_cap, cycle_target):
                     continue
                 if cycle_target and new_norm > beta * (max_norm - n - 1):
                     continue
-                if use_distance and new_bnd:
-                    remaining = max_norm - n - 1
-                    plus = [c for c, v in new_bnd.items() if v > 0]
-                    minus = [c for c, v in new_bnd.items() if v < 0]
-                    if not plus or not minus:
-                        continue
-                    need = 0
-                    for (_, wa) in plus:
-                        nearest = min(eng.distance(wa, wb) for (_, wb) in minus)
-                        need = max(need, -(-nearest // spread))
-                    for (_, wb) in minus:
-                        nearest = min(eng.distance(wc, wb) for (_, wc) in plus)
-                        need = max(need, -(-nearest // spread))
-                    if need > remaining:
-                        continue
                 grown = eng.add_unit(chain, cell, sign)
                 sig = eng.signature(grown)
                 if sig not in seen:
@@ -353,7 +293,8 @@ def _grow_objects(s, oracle, dim, max_norm, node_cap, cycle_target):
             processed += 1
             if node_cap is not None and processed > node_cap:
                 raise BudgetExceededError(
-                    f"enumeration expanded more than {node_cap} chains")
+                    f"chain enumeration expanded more than {node_cap} chains, "
+                    f"reaching norm {n} of {max_norm}")
             bnorm = norm(bnd)
             cands = {}
             for c, coeff in a.terms:
@@ -387,6 +328,79 @@ def _grow_objects(s, oracle, dim, max_norm, node_cap, cycle_target):
     return out
 
 
+# ------------------------------------------------- closed walks (1-cycles)
+
+def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
+    """Connected 1-cycles up to translation, as simple closed walks.
+
+    An edge with boundary -(w0, v0) + (w1, v1) steps from v0 to v1 by the
+    word w0^-1 w1 under label (edge, +1), and back under (edge, -1).  A walk
+    ends at the first vertex it meets again; it is kept when that is its
+    start and its labels are their own least rotation.
+    """
+    e = identity_word(s.presentation.generators)
+    loop = [(LiftedCell(0, 0, e), 0)] * 2  # ends merged at load; any vertex will do
+    steps = {}  # vertex -> [(label, next vertex, step word, edge offset)]
+    for edge in range(s.n_cells(1)):
+        ends = sorted(s.boundary_chain(1, edge).terms, key=lambda t: t[1])
+        (tail, _), (head, _) = ends or loop
+        for label, a, b in (((edge, 1), tail, head), ((edge, -1), head, tail)):
+            off = invert(a.word)
+            steps.setdefault(a.base, []).append((label, b.base, compose(off, b.word), off))
+    # closing cut: a step moves the exponent vector by at most `reach` in l1
+    # norm, and the vector is a group invariant when no relator moves it
+    reach = 0
+    if not any(any(exponent_vector(r)) for r in s.presentation.relators):
+        reach = max((sum(map(abs, exponent_vector(w)))
+                     for moves in steps.values() for _, _, w, _ in moves), default=0)
+    out = {n: [] for n in range(1, max_norm + 1)}
+    labels, cells, path = [], [], []
+    expanded = deepest = 0
+
+    def meets(key, q):
+        """Position on the walk of the vertex q, whose key is given, or None."""
+        for i, (k, r) in enumerate(path):
+            if k == key:
+                verdict = words_equal(oracle, r, q)
+                if verdict is OracleVerdict.UNDECIDED:
+                    raise OracleUndecidedError("oracle could not decide a vertex match")
+                if verdict is OracleVerdict.TRIVIAL:
+                    return i
+        return None
+
+    def extend(p, v):
+        nonlocal expanded, deepest
+        expanded += 1
+        deepest = max(deepest, len(labels))
+        if node_cap is not None and expanded > node_cap:
+            raise BudgetExceededError(
+                f"cycle enumeration expanded more than {node_cap} walks, "
+                f"reaching walk length {deepest} of {max_norm}")
+        for label, nv, w, off in steps.get(v, ()):
+            if labels and (label < labels[0] or label == (labels[-1][0], -labels[-1][1])):
+                continue
+            q = compose(p, w)
+            key = (nv, oracle.invariant_key(q))
+            at = meets(key, q)
+            labels.append(label)
+            cells.append((LiftedCell(1, label[0], compose(p, off)), label[1]))
+            n = len(labels)
+            if at == 0 and all(labels <= labels[i:] + labels[:i] for i in range(1, n)):
+                out[n].append(build_chain(1, cells, oracle))
+            elif at is None and n < max_norm and (
+                    not reach or -(-sum(map(abs, exponent_vector(q))) // reach) <= max_norm - n):
+                path.append((key, q))
+                extend(q, nv)
+                path.pop()
+            labels.pop()
+            cells.pop()
+
+    for v in sorted(steps):
+        path[:] = [((v, oracle.invariant_key(e)), e)]
+        extend(e, v)
+    return {n: sorted(reps, key=_chain_sort_key) for n, reps in out.items()}
+
+
 # ----------------------------------------------------------------- public API
 
 def _chain_sort_key(a: Chain):
@@ -405,22 +419,15 @@ def reachable_chains(s, oracle, dim: int, max_norm: int,
         raise InputError(f"enumeration dimension {dim} outside 1..{s.q}")
     if getattr(oracle, "has_normal_forms", False):
         eng, reached = _grow_interned(s, oracle, dim, max_norm, node_cap, cycle_target)
-        out = {}
-        for n, triples in reached.items():
-            pairs = []
-            for chain, bnd, _ in triples:
-                a = eng.to_chain(chain)
-                b = build_chain(dim - 1,
-                                [(LiftedCell(dim - 1, base, eng.words[wid]), c)
-                                 for (base, wid), c in bnd.items()], oracle)
-                pairs.append((a, b))
-            pairs.sort(key=lambda ab: _chain_sort_key(ab[0]))
-            out[n] = pairs
-        return out
-    out = _grow_objects(s, oracle, dim, max_norm, node_cap, cycle_target)
-    for n in out:
-        out[n] = sorted(out[n], key=lambda ab: _chain_sort_key(ab[0]))
-    return out
+        out = {n: [(eng.to_chain(chain),
+                    build_chain(dim - 1, [(LiftedCell(dim - 1, base, eng.words[wid]), c)
+                                          for (base, wid), c in bnd.items()], oracle))
+                   for chain, bnd, _ in triples]
+               for n, triples in reached.items()}
+    else:
+        out = _grow_objects(s, oracle, dim, max_norm, node_cap, cycle_target)
+    return {n: sorted(pairs, key=lambda ab: _chain_sort_key(ab[0]))
+            for n, pairs in out.items()}
 
 
 def connected_chains_up_to_action(s, oracle, dim: int, max_norm: int,
@@ -434,6 +441,8 @@ def connected_chains_up_to_action(s, oracle, dim: int, max_norm: int,
 def connected_cycles_up_to_action(s, oracle, dim: int, max_norm: int,
                                   node_cap: int | None = None):
     """Connected cycles up to translation, as dict norm -> representatives."""
+    if dim == 1:
+        return _closed_walks(s, oracle, max_norm, node_cap)
     reached = reachable_chains(s, oracle, dim, max_norm,
                                node_cap=node_cap, cycle_target=True)
     return {n: [a for a, b in pairs if not b.terms and is_connected(a, s, oracle)]

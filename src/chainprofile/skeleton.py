@@ -58,9 +58,6 @@ class Chain:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def support(self):
-        return tuple(c for c, _ in self.terms)
-
     def coeff(self, cell: LiftedCell) -> int:
         for c, n in self.terms:
             if c == cell:
@@ -82,7 +79,8 @@ class SkeletonSpec:
     """Base cells of the complex, with stored boundary chains.
 
     cells: iterable of (dim, id, boundary) where boundary lists
-    (word, base_id, coeff) triples over cells one dimension down.
+    (word, base_id, coeff) triples over cells one dimension down.  An edge
+    has one vertex term with -1 and one with +1; ends that merge are a loop.
     """
 
     def __init__(self, q: int, presentation: Presentation, cells):
@@ -112,6 +110,9 @@ class SkeletonSpec:
                     raise InvalidSkeletonError(f"vertex {cid!r} has a boundary")
                 self.boundaries[0].append(zero_chain(-1))
                 continue
+            if dim == 1 and sorted(coeff for _, _, coeff in bnd) != [-1, 1]:
+                raise InvalidSkeletonError(
+                    f"edge {cid!r} needs a boundary of one vertex with -1 and one with +1")
             acc: dict[tuple, int] = {}
             words_seen: dict[tuple, Word] = {}
             for word, base_id, coeff in bnd:
@@ -268,10 +269,6 @@ def build_chain(dim: int, pairs, oracle) -> Chain:
         if n
     )
     return Chain(dim, terms)
-
-
-def canonicalize(a: Chain, oracle) -> Chain:
-    return build_chain(a.dim, a.terms, oracle)
 
 
 def add_chains(a: Chain, b: Chain, oracle) -> Chain:

@@ -283,10 +283,6 @@ class WordOracle:
 
     kind = "abstract"
     has_normal_forms = False
-    # normal forms realize shortest spellings (length of normalize(w) is the
-    # word-metric distance from the identity); lets callers use lengths as
-    # exact distances
-    geodesic_normal_forms = False
 
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
@@ -319,7 +315,6 @@ class FreeOracle(WordOracle):
 
     kind = "free"
     has_normal_forms = True
-    geodesic_normal_forms = True
 
     def is_trivial(self, w: Word) -> OracleVerdict:
         if free_reduce(w).letters:
@@ -338,7 +333,6 @@ class FreeAbelianOracle(WordOracle):
 
     kind = "abelian"
     has_normal_forms = True
-    geodesic_normal_forms = True
 
     def is_trivial(self, w: Word) -> OracleVerdict:
         if any(exponent_vector(w)):
@@ -367,7 +361,6 @@ class FiniteTableOracle(WordOracle):
 
     kind = "finite-table"
     has_normal_forms = True
-    geodesic_normal_forms = True
 
     def __init__(self, presentation, elements, table, generator_map):
         super().__init__(presentation)

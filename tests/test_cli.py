@@ -44,6 +44,14 @@ def test_enumerate_counts(capsys):
     assert rows["6"] == "4"
 
 
+def test_cycle_budget_is_reported(capsys):
+    code, _, err = run(capsys, "enumerate", "--input", "z2", "--no-cache",
+                       "--chain-dim", "1", "--max-norm", "8", "--cycles",
+                       "--node-cap", "5")
+    assert code == 4
+    assert "cycle enumeration" in err
+
+
 def test_enumerate_listing_round_trips(capsys):
     code, out, _ = run(capsys, "enumerate", "--input", "z2", "--no-cache",
                        "--chain-dim", "1", "--max-norm", "4", "--cycles",

@@ -6,24 +6,28 @@ import pytest
 import window_oracle as win
 
 from chainprofile.enumeration import (
-    chain_signature,
     connected_chains_up_to_action,
     connected_cycles_up_to_action,
     equal_up_to_translation,
     reachable_chains,
 )
-from chainprofile.errors import BudgetExceededError, InputError
+from chainprofile.errors import BudgetExceededError, InputError, OracleUndecidedError
+from chainprofile.inputs import load_example
 from chainprofile.skeleton import (
     LiftedCell,
+    SkeletonSpec,
     boundary,
     build_chain,
+    identity_word,
     is_connected,
     is_cycle,
     norm,
     presentation_complex,
     translate,
+    validate,
 )
 from chainprofile.words import (
+    BoundedBFSOracle,
     FiniteTableOracle,
     FreeAbelianOracle,
     FreeOracle,
@@ -132,7 +136,6 @@ def test_signature_is_translation_invariant():
             continue
         g = parse_word(rng.choice(["a^3", "b^-2 a", "a b a"]), GENS)
         moved = translate(g, a, oracle)
-        assert chain_signature(a, oracle) == chain_signature(moved, oracle)
         assert equal_up_to_translation(a, moved, oracle)
 
 
@@ -147,9 +150,109 @@ def test_distinct_orbits_are_not_identified():
     assert equal_up_to_translation(a, shifted, oracle)
 
 
+def counts(got):
+    return {n: len(v) for n, v in got.items() if v}
+
+
+def grown_cycles(s, oracle, max_norm):
+    """Connected cycles by the generic grower, the reference for the walks."""
+    reached = reachable_chains(s, oracle, 1, max_norm, cycle_target=True)
+    return {n: [a for a, b in pairs if not b.terms and is_connected(a, s, oracle)]
+            for n, pairs in reached.items()}
+
+
+def assert_same_orbits(got, want, oracle):
+    assert counts(got) == counts(want)
+    for n, reps in want.items():
+        for b in reps:
+            assert sum(equal_up_to_translation(a, b, oracle) for a in got[n]) == 1
+
+
+def test_grid_cycle_counts_are_twice_the_polygon_counts():
+    # self-avoiding polygons on the square lattice by perimeter (OEIS A002931)
+    # are 1, 2, 7, 28, 124 for 4..12; each appears once per orientation
+    s, oracle = z2()
+    got = connected_cycles_up_to_action(s, oracle, 1, 12)
+    assert counts(got) == {4: 2, 6: 4, 8: 14, 10: 56, 12: 248}
+
+
+@pytest.mark.parametrize("name,max_norm", [("z2", 8), ("zmod2", 6), ("surface2", 4)])
+def test_walks_agree_with_growth(name, max_norm):
+    s, oracle = load_example(name)
+    got = connected_cycles_up_to_action(s, oracle, 1, max_norm)
+    assert_same_orbits(got, grown_cycles(s, oracle, max_norm), oracle)
+
+
+def subdivided_z2():
+    """The grid with every horizontal edge split at a midpoint vertex m."""
+    p = parse_presentation("<a, b | a b a^-1 b^-1>")
+    w = lambda text: parse_word(text, p.generators)
+    s = SkeletonSpec(2, p, [
+        (0, "v", []),
+        (0, "m", []),
+        (1, "e_a1", [(w("1"), "v", -1), (w("1"), "m", 1)]),
+        (1, "e_a2", [(w("1"), "m", -1), (w("a"), "v", 1)]),
+        (1, "e_b", [(w("1"), "v", -1), (w("b"), "v", 1)]),
+        (2, "f", [(w("1"), "e_a1", 1), (w("1"), "e_a2", 1), (w("a"), "e_b", 1),
+                  (w("b"), "e_a2", -1), (w("b"), "e_a1", -1), (w("1"), "e_b", -1)]),
+    ])
+    return s, FreeAbelianOracle(p)
+
+
+def test_walks_cross_several_vertices():
+    s, oracle = subdivided_z2()
+    assert validate(s, oracle)
+    got = connected_cycles_up_to_action(s, oracle, 1, 8)
+    # the unit square has perimeter 6, the vertical domino 8
+    assert counts(got) == {6: 2, 8: 2}
+    assert_same_orbits(got, grown_cycles(s, oracle, 8), oracle)
+    for reps in got.values():
+        for a in reps:
+            assert is_cycle(a, s, oracle) and is_connected(a, s, oracle)
+
+
+def test_loop_edges_are_norm_one_cycles():
+    p = parse_presentation("<a |>")
+    e = identity_word(p.generators)
+    s = SkeletonSpec(2, p, [(0, "v", []), (1, "loop", [(e, "v", -1), (e, "v", 1)])])
+    oracle = FreeOracle(p)
+    got = connected_cycles_up_to_action(s, oracle, 1, 4)
+    assert counts(got) == {1: 2}
+    assert sorted(n for a in got[1] for _, n in a.terms) == [-1, 1]
+    assert_same_orbits(got, grown_cycles(s, oracle, 4), oracle)
+
+
+def cyclic3():
+    p = parse_presentation("<a | a^3>")
+    return presentation_complex(p), p
+
+
+def test_torsion_relator_closes_early():
+    # a a has l1 exponent norm 2 yet closes in one step, so the l1 closing
+    # cut must stay off when a relator has a nonzero exponent vector
+    s, p = cyclic3()
+    table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    for oracle in (BoundedBFSOracle(p),
+                   FiniteTableOracle(p, ["e", "a", "a2"], table, {"a": 1})):
+        got = connected_cycles_up_to_action(s, oracle, 1, 3)
+        assert counts(got) == {3: 2}
+
+
+def test_undecided_vertex_match_is_reported():
+    s, p = cyclic3()
+    with pytest.raises(OracleUndecidedError):
+        connected_cycles_up_to_action(s, BoundedBFSOracle(p, radius=1), 1, 3)
+
+
+def test_cycle_budget_names_the_phase():
+    s, oracle = z2()
+    with pytest.raises(BudgetExceededError, match="cycle enumeration .* of 8"):
+        connected_cycles_up_to_action(s, oracle, 1, 8, node_cap=5)
+
+
 def test_node_cap_is_enforced():
     s, oracle = z2()
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="chain enumeration .* norm 2 of 8"):
         reachable_chains(s, oracle, 1, 8, node_cap=10)
 
 

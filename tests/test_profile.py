@@ -6,6 +6,7 @@ import pytest
 import window_oracle as win
 
 from chainprofile.errors import BudgetExceededError, InputError, WrongAlgorithmError
+from chainprofile.inputs import load_example
 from chainprofile.profiles import (
     Budget,
     chain2_bound,
@@ -161,6 +162,19 @@ def test_free_group_profiles_vanish():
     s = presentation_complex(parse_presentation("<a, b |>"))
     assert psi_table(s, oracle, 8).values == [0] * 9
     assert phi_table(s, oracle, 8).values == [0] * 9
+
+
+def test_surface_psi_to_eight():
+    # the shortest connected cycles of the genus-two surface are the two
+    # orientations of the relator octagon, each filled by one face
+    s, oracle = load_example("surface2")
+    table = psi_table(s, oracle, 8)
+    assert table.values == [0, 0, 0, 0, 0, 0, 0, 0, 1]
+    wit = table.witnesses[8]
+    cycle = chain_from_json(wit["cycle"], s, oracle)
+    filling = chain_from_json(wit["filling"], s, oracle)
+    assert norm(cycle) == 8 and norm(filling) == 1
+    assert chains_equal(boundary(filling, s, oracle), cycle, oracle)
 
 
 def test_finite_profile_of_order_two():

@@ -13,7 +13,6 @@ from chainprofile.skeleton import (
     add_chains,
     boundary,
     build_chain,
-    canonicalize,
     chain_from_json,
     chain_to_json,
     chains_equal,
@@ -83,7 +82,7 @@ def test_relator_lift_boundary_z2():
         ("1", "e_a", 1), ("a b a^-1", "e_a", -1),
         ("a", "e_b", 1), ("a b a^-1 b^-1", "e_b", -1),
     ]
-    assert chain_repr(s, canonicalize(stored, o)) == [
+    assert chain_repr(s, build_chain(stored.dim, stored.terms, o)) == [
         ("1", "e_a", 1), ("b", "e_a", -1),
         ("1", "e_b", -1), ("a", "e_b", 1),
     ]
@@ -93,7 +92,7 @@ def test_relator_lift_boundary_torsion():
     s, o = zmod2()
     stored = s.boundary_chain(2, 0)
     assert chain_repr(s, stored) == [("1", "e_a", 1), ("a", "e_a", 1)]
-    assert norm(canonicalize(stored, o)) == 2
+    assert norm(build_chain(stored.dim, stored.terms, o)) == 2
 
 
 def test_validate_bundled_complexes():
@@ -121,6 +120,14 @@ def test_skeleton_structural_errors():
         SkeletonSpec(2, p, [(0, "v", []), (2, "f", [(e, "v", 1)])])
     with pytest.raises(InvalidSkeletonError):
         SkeletonSpec(1, p, [(0, "v", [])])
+    a = parse_word("a", p.generators)
+    for bnd in ([],                                        # no ends
+                [(a, "v", 1)],                             # one end
+                [(e, "v", 1), (a, "v", 1)],                # two heads
+                [(e, "v", -2), (a, "v", 2)],               # doubled
+                [(e, "v", -1), (a, "v", 1), (a, "v", 0)]):  # a third term
+        with pytest.raises(InvalidSkeletonError):
+            SkeletonSpec(2, p, [(0, "v", []), (1, "e_a", bnd)])
 
 
 def test_validate_rejects_broken_boundary():
