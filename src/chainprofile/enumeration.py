@@ -9,15 +9,21 @@ Chains, and cycles of dimension 2 and up, grow one unit at a time from
 single-cell seeds: a unit may raise the magnitude of a coefficient already
 present (same sign), or sit on a new cell provided its boundary strictly
 cancels part of the current boundary.  Disconnected intermediates are kept
-while growing; connectivity is filtered at output.  Representatives are
-deduplicated up to translation through an anchor signature.
+while growing; connectivity is filtered at output.  One loop,
+`chain_levels`, runs this rule and yields one norm level at a time, so a
+caller can resume growth where it stopped.
 
-Oracles with normal forms grow on an integer-interned engine (words become
-ids, composition is memoized); everything else falls back to chain objects
-with bucketed pairwise orbit comparison.
+The loop runs over an engine, which holds the chains and decides when two of
+them lie in one orbit.  Oracles with normal forms use an integer-interned
+engine: words become ids, composition is memoized, and an orbit is a
+translation-invariant signature.  Every other oracle uses chain objects,
+compared pairwise up to translation within groups of equal (base, coeff)
+multisets.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .errors import BudgetExceededError, InputError, OracleUndecidedError
 from .skeleton import (
@@ -64,6 +70,18 @@ def _unit_boundary_norm(s, dim: int) -> int:
     return max((norm(s.boundary_chain(dim, b)) for b in range(s.n_cells(dim))), default=0)
 
 
+def _moves(terms, touching):
+    """Growth moves {(cell, sign): on support}: each support cell in the sign
+    it has, and each cell off the support that touches the boundary in both
+    signs."""
+    out = {(cell, 1 if n > 0 else -1): True for cell, n in terms}
+    support = {cell for cell, _ in terms}
+    for cell in touching:
+        if cell not in support:
+            out[(cell, 1)] = out[(cell, -1)] = False
+    return out
+
+
 # ------------------------------------------------------- interned fast engine
 
 class _IdEngine:
@@ -79,6 +97,7 @@ class _IdEngine:
         self._invert = {}
         self._unit_bnd = {}
         self._cob = {}
+        self.seen = set()
         self.e = self.intern(identity_word(s.presentation.generators))
         self.base_bnd = []
         for base in range(s.n_cells(dim)):
@@ -141,27 +160,39 @@ class _IdEngine:
             self._cob[bcell] = out
         return out
 
-    def add_unit(self, chain, cell, sign):
-        """chain + sign on cell, keeping terms sorted by cell."""
-        out = []
-        placed = False
-        for c, n in chain:
-            if c == cell:
-                m = n + sign
-                if m:
-                    out.append((c, m))
-                placed = True
-            elif not placed and c > cell:
-                out.append((cell, sign))
-                placed = True
-                out.append((c, n))
-            else:
-                out.append((c, n))
-        if not placed:
-            out.append((cell, sign))
-        return tuple(out)
+    def seed(self, base: int, sign: int):
+        bnd = {cell: n * sign for cell, n in self.unit_boundary(base, self.e)}
+        return (((base, self.e), sign),), bnd, sum(abs(v) for v in bnd.values())
 
-    def signature(self, chain):
+    def candidates(self, chain, bnd):
+        """Sorted ((cell, sign), on support) moves."""
+        touching = (cell for bcell in bnd for cell in self.adjacent_cells(bcell))
+        return sorted(_moves(chain, touching).items())
+
+    def add_boundary(self, bnd, move):
+        """bnd plus the boundary of the move, with its norm and the move's."""
+        cell, sign = move
+        out = dict(bnd)
+        unit_norm = 0
+        for bcell, c in self.unit_boundary(*cell):
+            c *= sign
+            unit_norm += abs(c)
+            v = out.get(bcell, 0) + c
+            if v:
+                out[bcell] = v
+            else:
+                out.pop(bcell, None)
+        return out, sum(abs(v) for v in out.values()), unit_norm
+
+    def add_unit(self, chain, move):
+        """chain + sign on cell, keeping terms sorted by cell."""
+        cell, sign = move
+        out = dict(chain)
+        out[cell] = out.get(cell, 0) + sign
+        return tuple(sorted((c, n) for c, n in out.items() if n))
+
+    def is_new(self, chain) -> bool:
+        """Record the orbit of chain; False if it was seen before."""
         least = min(c[0] for c, _ in chain)
         best = None
         for (base, wid), _ in chain:
@@ -171,161 +202,120 @@ class _IdEngine:
             ser = tuple(sorted(((b, self.compose(g, w)), n) for (b, w), n in chain))
             if best is None or ser < best:
                 best = ser
-        return best
+        if best in self.seen:
+            return False
+        self.seen.add(best)
+        return True
 
-    def to_chain(self, chain) -> Chain:
-        pairs = [(LiftedCell(self.dim, base, self.words[wid]), n)
-                 for (base, wid), n in chain]
-        return build_chain(self.dim, pairs, self.oracle)
+    def to_pair(self, chain, bnd):
+        """The chain and its boundary as Chain objects."""
+        return self._chain(self.dim, chain), self._chain(self.dim - 1, bnd.items())
+
+    def _chain(self, d: int, terms) -> Chain:
+        return build_chain(d, [(LiftedCell(d, base, self.words[wid]), n)
+                               for (base, wid), n in terms], self.oracle)
 
 
-def _grow_interned(s, oracle, dim, max_norm, node_cap, cycle_target):
-    eng = _IdEngine(s, oracle, dim)
+# ------------------------------------------------------ object-chain engine
+
+class _ObjectEngine:
+    """Chains as Chain objects, for oracles without normal forms; orbits are
+    told apart by pairwise equal_up_to_translation among the chains sharing
+    a multiset of (base, coeff)."""
+
+    def __init__(self, s, oracle, dim: int):
+        self.s = s
+        self.oracle = oracle
+        self.dim = dim
+        self.e = identity_word(s.presentation.generators)
+        self.seen = {}
+        self._cob = {}
+
+    def seed(self, base: int, sign: int):
+        a = build_chain(self.dim, [(LiftedCell(self.dim, base, self.e), sign)], self.oracle)
+        bnd = boundary(a, self.s, self.oracle)
+        return a, bnd, norm(bnd)
+
+    def candidates(self, a: Chain, bnd: Chain):
+        """Sorted (signed unit chain, on support) moves."""
+        touching = (tc for bc, _ in bnd.terms for tc, _ in self._coboundary(bc).terms)
+        moves = _moves(a.terms, touching)
+        order = sorted(moves, key=lambda cs: (cs[0].base, word_key(cs[0].word), cs[1]))
+        return ((build_chain(self.dim, [cs], self.oracle), moves[cs]) for cs in order)
+
+    def _coboundary(self, bc):
+        key = (bc.base, bc.word.letters)
+        hit = self._cob.get(key)
+        if hit is None:
+            hit = self._cob[key] = coboundary(bc, self.s, self.oracle)
+        return hit
+
+    def add_boundary(self, bnd: Chain, unit: Chain):
+        ubnd = boundary(unit, self.s, self.oracle)
+        out = add_chains(bnd, ubnd, self.oracle)
+        return out, norm(out), norm(ubnd)
+
+    def add_unit(self, a: Chain, unit: Chain) -> Chain:
+        return add_chains(a, unit, self.oracle)
+
+    def is_new(self, a: Chain) -> bool:
+        bucket = self.seen.setdefault(tuple(sorted((c.base, n) for c, n in a.terms)), [])
+        if any(equal_up_to_translation(b, a, self.oracle) for b in bucket):
+            return False
+        bucket.append(a)
+        return True
+
+    def to_pair(self, a: Chain, bnd: Chain):
+        return a, bnd
+
+
+# ------------------------------------------------------------ the growth loop
+
+def chain_levels(s, oracle, dim: int, max_norm: int | None = None,
+                 node_cap: int | None = None, cycle_target: bool = False):
+    """Grow chains one norm level at a time, one per orbit.
+
+    Yields (n, [(chain, boundary), ...]) sorted, for n = 1 .. max_norm, or
+    without end when max_norm is None.  Level n does not depend on max_norm
+    unless cycle_target is set (it then needs max_norm): chains whose
+    boundary norm exceeds what the units left can cancel are dropped.
+    """
+    eng = (_IdEngine if getattr(oracle, "has_normal_forms", False)
+           else _ObjectEngine)(s, oracle, dim)
     beta = _unit_boundary_norm(s, dim)
-    seen = set()
     frontier = []
     for base in range(s.n_cells(dim)):
         for sign in (1, -1):
-            chain = (((base, eng.e), sign),)
-            sig = eng.signature(chain)
-            if sig not in seen:
-                seen.add(sig)
-                bnd = {cell: n * sign for cell, n in eng.unit_boundary(base, eng.e)}
-                frontier.append((chain, bnd, sum(abs(v) for v in bnd.values())))
-    out = {}
+            chain, bnd, bnorm = eng.seed(base, sign)
+            if eng.is_new(chain):
+                frontier.append((chain, bnd, bnorm))
     processed = 0
-    for n in range(1, max_norm + 1):
+    for n in itertools.count(1) if max_norm is None else range(1, max_norm + 1):
         if cycle_target:
             frontier = [f for f in frontier if f[2] <= beta * (max_norm - n)]
-        out[n] = frontier
+        yield n, sorted((eng.to_pair(chain, bnd) for chain, bnd, _ in frontier),
+                        key=lambda ab: _chain_sort_key(ab[0]))
         if n == max_norm:
-            break
+            return
+        eng.seen.clear()  # every chain grown next has norm n + 1
         nxt = []
         for chain, bnd, bnorm in frontier:
             processed += 1
             if node_cap is not None and processed > node_cap:
+                of = "" if max_norm is None else f" of {max_norm}"
                 raise BudgetExceededError(
                     f"chain enumeration expanded more than {node_cap} chains, "
-                    f"reaching norm {n} of {max_norm}")
-            support = dict(chain)
-            cands = {}
-            for cell, coeff in chain:
-                cands[(cell, 1 if coeff > 0 else -1)] = True
-            for bcell in bnd:
-                for cell in eng.adjacent_cells(bcell):
-                    existing = support.get(cell)
-                    if existing is None:
-                        cands.setdefault((cell, 1), False)
-                        cands.setdefault((cell, -1), False)
-                    else:
-                        cands.setdefault((cell, 1 if existing > 0 else -1), True)
-            for (cell, sign), increments in sorted(cands.items()):
-                ub = eng.unit_boundary(*cell)
-                new_bnd = dict(bnd)
-                ub_norm = 0
-                for bcell, c in ub:
-                    c *= sign
-                    ub_norm += abs(c)
-                    v = new_bnd.get(bcell, 0) + c
-                    if v:
-                        new_bnd[bcell] = v
-                    else:
-                        new_bnd.pop(bcell, None)
-                new_norm = sum(abs(v) for v in new_bnd.values())
-                if not increments and new_norm >= bnorm + ub_norm:
+                    f"reaching norm {n}{of}")
+            for move, on_support in eng.candidates(chain, bnd):
+                new_bnd, new_norm, unit_norm = eng.add_boundary(bnd, move)
+                if not on_support and new_norm >= bnorm + unit_norm:
                     continue
                 if cycle_target and new_norm > beta * (max_norm - n - 1):
                     continue
-                grown = eng.add_unit(chain, cell, sign)
-                sig = eng.signature(grown)
-                if sig not in seen:
-                    seen.add(sig)
+                grown = eng.add_unit(chain, move)
+                if eng.is_new(grown):
                     nxt.append((grown, new_bnd, new_norm))
         frontier = nxt
-    return eng, out
-
-
-# ------------------------------------------------------ object-based fallback
-
-def _orbit_bucket(a: Chain):
-    """Cheap translation invariant used to group pairwise comparisons."""
-    return tuple(sorted((c.base, n) for c, n in a.terms))
-
-
-class _OrbitSet:
-    """Chains seen so far, one per deck orbit, compared pairwise."""
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self.buckets = {}
-
-    def add(self, a: Chain) -> bool:
-        bucket = self.buckets.setdefault(_orbit_bucket(a), [])
-        for other in bucket:
-            if equal_up_to_translation(other, a, self.oracle):
-                return False
-        bucket.append(a)
-        return True
-
-
-def _grow_objects(s, oracle, dim, max_norm, node_cap, cycle_target):
-    beta = _unit_boundary_norm(s, dim)
-    e = identity_word(s.presentation.generators)
-    seen = _OrbitSet(oracle)
-    cob_cache = {}
-    frontier = []
-    for base in range(s.n_cells(dim)):
-        for sign in (1, -1):
-            a = build_chain(dim, [(LiftedCell(dim, base, e), sign)], oracle)
-            if seen.add(a):
-                frontier.append((a, boundary(a, s, oracle)))
-    out = {}
-    processed = 0
-    for n in range(1, max_norm + 1):
-        if cycle_target:
-            frontier = [(a, b) for a, b in frontier
-                        if norm(b) <= beta * (max_norm - n)]
-        out[n] = frontier
-        if n == max_norm:
-            break
-        nxt = []
-        for a, bnd in frontier:
-            processed += 1
-            if node_cap is not None and processed > node_cap:
-                raise BudgetExceededError(
-                    f"chain enumeration expanded more than {node_cap} chains, "
-                    f"reaching norm {n} of {max_norm}")
-            bnorm = norm(bnd)
-            cands = {}
-            for c, coeff in a.terms:
-                cands[(c, 1 if coeff > 0 else -1)] = None
-            for bc, _ in bnd.terms:
-                key = (bc.base, bc.word.letters)
-                hit = cob_cache.get(key)
-                if hit is None:
-                    hit = coboundary(bc, s, oracle)
-                    cob_cache[key] = hit
-                for tc, _ in hit.terms:
-                    existing = a.coeff(tc)
-                    if existing == 0:
-                        cands.setdefault((tc, 1), None)
-                        cands.setdefault((tc, -1), None)
-                    else:
-                        cands.setdefault((tc, 1 if existing > 0 else -1), None)
-            for cell, sign in sorted(cands, key=lambda cs: (cs[0].base, word_key(cs[0].word), cs[1])):
-                unit = build_chain(dim, [(cell, sign)], oracle)
-                ubnd = boundary(unit, s, oracle)
-                new_bnd = add_chains(bnd, ubnd, oracle)
-                on_support = a.coeff(cell) != 0
-                if not on_support and norm(new_bnd) >= bnorm + norm(ubnd):
-                    continue
-                if cycle_target and norm(new_bnd) > beta * (max_norm - n - 1):
-                    continue
-                grown = add_chains(a, unit, oracle)
-                if seen.add(grown):
-                    nxt.append((grown, new_bnd))
-        frontier = nxt
-    return out
 
 
 # ------------------------------------------------- closed walks (1-cycles)
@@ -417,17 +407,7 @@ def reachable_chains(s, oracle, dim: int, max_norm: int,
     """
     if dim < 1 or dim > s.q:
         raise InputError(f"enumeration dimension {dim} outside 1..{s.q}")
-    if getattr(oracle, "has_normal_forms", False):
-        eng, reached = _grow_interned(s, oracle, dim, max_norm, node_cap, cycle_target)
-        out = {n: [(eng.to_chain(chain),
-                    build_chain(dim - 1, [(LiftedCell(dim - 1, base, eng.words[wid]), c)
-                                          for (base, wid), c in bnd.items()], oracle))
-                   for chain, bnd, _ in triples]
-               for n, triples in reached.items()}
-    else:
-        out = _grow_objects(s, oracle, dim, max_norm, node_cap, cycle_target)
-    return {n: sorted(pairs, key=lambda ab: _chain_sort_key(ab[0]))
-            for n, pairs in out.items()}
+    return dict(chain_levels(s, oracle, dim, max_norm, node_cap, cycle_target))
 
 
 def connected_chains_up_to_action(s, oracle, dim: int, max_norm: int,

@@ -3,10 +3,13 @@
 The filling search runs iterative deepening on the filling norm: a minimal
 filling splits into connected components, each with nonzero boundary that is
 a subchain of the target cycle, so fillings of norm v are sums of connected
-chains drawn from the enumeration pool, placed by translation.  Each search
-node branches on which component covers the least remaining boundary cell,
-which some component always must.  Witnesses are re-verified against the
-boundary operator before anything is returned.
+chains drawn from the component pool, placed by translation.  The pool holds
+one growth run of the chain enumeration and pulls a further norm level from
+it only when a deeper search needs one, so no level is grown twice; psi
+shares one pool across all its cycles (forked workers inherit it).  Each
+search node branches on which component covers the least remaining boundary
+cell, which some component always must.  Witnesses are re-verified against
+the boundary operator before anything is returned.
 
 Profiles: psi(n) maximizes filling volume over connected cycles of norm at
 most n; phi(n) maximizes the sum of psi over partitions of n, computed by
@@ -18,12 +21,13 @@ other's inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import get_context
 
 from .enumeration import (
     _unit_boundary_norm,
+    chain_levels,
     connected_cycles_up_to_action,
-    reachable_chains,
 )
 from .errors import (
     BudgetExceededError,
@@ -89,29 +93,33 @@ class _PoolRep:
 
 
 class _ComponentPool:
-    """Connected chains with nonzero boundary, one per orbit, grown lazily."""
+    """Connected chains with nonzero boundary, one per orbit, grown lazily.
+
+    One growth run feeds the pool level by level; a budget or oracle error
+    it raises is raised again by every later ensure, as the run cannot
+    resume.
+    """
 
     def __init__(self, s, oracle, dim, node_cap):
         self.s = s
         self.oracle = oracle
-        self.dim = dim
-        self.node_cap = node_cap
+        self.levels = chain_levels(s, oracle, dim, node_cap=node_cap)
+        self.error = None
         self.upto = 0
         self.by_norm = {}
 
     def ensure(self, v: int):
-        if v <= self.upto:
-            return
-        reached = reachable_chains(self.s, self.oracle, self.dim, v,
-                                   node_cap=self.node_cap)
-        self.by_norm = {}
-        for n, pairs in reached.items():
-            keep = []
-            for a, b in pairs:
-                if b.terms and is_connected(a, self.s, self.oracle):
-                    keep.append(_PoolRep(a, b))
-            self.by_norm[n] = keep
-        self.upto = v
+        if self.error is not None:
+            raise self.error
+        while self.upto < v:
+            try:
+                n, pairs = next(self.levels)
+            except ChainProfileError as exc:
+                self.error = exc
+                raise
+            self.by_norm[n] = [_PoolRep(a, b) for a, b in pairs
+                               if b.terms and is_connected(a, self.s, self.oracle)]
+            self.upto = n
 
 
 def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None,
@@ -184,26 +192,13 @@ def filling_volume(cycle: Chain, s, oracle, budget: Budget | None = None,
 
 # ------------------------------------------------------- psi and phi profiles
 
-_WORKER_STATE: dict = {}
+# psi_table's fill with its pool, set around the fork: Pool.map sends the
+# task by name, so workers reach the inherited pool through this module
+_FORKED_FILL = None
 
 
-def _fv_init(s, oracle, budget):
-    _WORKER_STATE["s"] = s
-    _WORKER_STATE["oracle"] = oracle
-    _WORKER_STATE["budget"] = budget
-    _WORKER_STATE["pool"] = None
-
-
-def _fv_task(cycle: Chain):
-    s = _WORKER_STATE["s"]
-    oracle = _WORKER_STATE["oracle"]
-    budget = _WORKER_STATE["budget"]
-    if _WORKER_STATE["pool"] is None:
-        _WORKER_STATE["pool"] = _ComponentPool(s, oracle, cycle.dim + 1,
-                                               budget.node_cap)
-    filling = minimal_filling(cycle, s, oracle, budget=budget,
-                              pool=_WORKER_STATE["pool"])
-    return norm(filling), filling
+def _forked_fill(cycle: Chain) -> Chain:
+    return _FORKED_FILL(cycle)
 
 
 def _check_infinite_route(oracle):
@@ -225,24 +220,27 @@ def psi_table(s, oracle, n: int, budget: Budget | None = None,
     cycles = connected_cycles_up_to_action(s, oracle, dim, n,
                                            node_cap=budget.node_cap) if n else {}
     flat = [(k, a) for k in sorted(cycles) for a in cycles[k]]
+    pool = _ComponentPool(s, oracle, s.q, budget.node_cap)
+    fill = partial(minimal_filling, s=s, oracle=oracle, budget=budget, pool=pool)
     if workers > 1 and len(flat) > 1:
-        ctx = get_context("fork")
-        with ctx.Pool(workers, initializer=_fv_init,
-                      initargs=(s, oracle, budget)) as p:
-            results = p.map(_fv_task, [a for _, a in flat])
+        global _FORKED_FILL
+        _FORKED_FILL = fill
+        try:
+            with get_context("fork").Pool(workers) as p:
+                fillings = p.map(_forked_fill, [a for _, a in flat])
+        finally:
+            _FORKED_FILL = None
     else:
-        _fv_init(s, oracle, budget)
-        results = [_fv_task(a) for _, a in flat]
-        _WORKER_STATE.clear()
+        fillings = [fill(a) for _, a in flat]
     values = [0] * (n + 1)
     witnesses = [None] * (n + 1)
     best, best_wit = 0, None
     i = 0
     for k in range(1, n + 1):
         while i < len(flat) and flat[i][0] <= k:
-            vol, filling = results[i]
-            if vol > best:
-                best = vol
+            filling = fillings[i]
+            if norm(filling) > best:
+                best = norm(filling)
                 best_wit = {"cycle": chain_to_json(flat[i][1], s),
                             "filling": chain_to_json(filling, s)}
             i += 1

@@ -47,10 +47,6 @@ class Word:
         return f"Word({format_word(self)!r})"
 
 
-def identity(gens: tuple[str, ...]) -> Word:
-    return Word(tuple(gens), ())
-
-
 def _reduce_letters(letters) -> tuple[Letter, ...]:
     out = []
     for g, s in letters:

@@ -168,6 +168,21 @@ def assert_same_orbits(got, want, oracle):
             assert sum(equal_up_to_translation(a, b, oracle) for a in got[n]) == 1
 
 
+@pytest.mark.parametrize("dim,max_norm", [(2, 3), (1, 4)])
+def test_engines_agree_on_the_grid(dim, max_norm):
+    # normal forms select the interned engine; bounded-bfs the object engine
+    p = parse_presentation("<a, b | a b a^-1 b^-1>")
+    s = presentation_complex(p)
+    ids, objects = FreeAbelianOracle(p), BoundedBFSOracle(p, radius=12, sufficient_len=8)
+    assert ids.has_normal_forms and not getattr(objects, "has_normal_forms", False)
+    want = reachable_chains(s, ids, dim, max_norm)
+    got = reachable_chains(s, objects, dim, max_norm)
+    assert {n: len(v) for n, v in got.items()} == {n: len(v) for n, v in want.items()}
+    for n, reps in want.items():
+        for a, _ in reps:
+            assert sum(equal_up_to_translation(a, b, ids) for b, _ in got[n]) == 1
+
+
 def test_grid_cycle_counts_are_twice_the_polygon_counts():
     # self-avoiding polygons on the square lattice by perimeter (OEIS A002931)
     # are 1, 2, 7, 28, 124 for 4..12; each appears once per orientation

@@ -5,10 +5,12 @@ import random
 import pytest
 import window_oracle as win
 
+from chainprofile.enumeration import reachable_chains
 from chainprofile.errors import BudgetExceededError, InputError, WrongAlgorithmError
 from chainprofile.inputs import load_example
 from chainprofile.profiles import (
     Budget,
+    _ComponentPool,
     chain2_bound,
     disk_combination,
     filling_volume,
@@ -23,6 +25,7 @@ from chainprofile.skeleton import (
     build_chain,
     chain_from_json,
     chains_equal,
+    is_connected,
     norm,
     presentation_complex,
     translate,
@@ -106,6 +109,34 @@ def test_tiny_cap_is_reported():
     cyc = square_cycle(s, oracle, scale=3)
     with pytest.raises(BudgetExceededError):
         minimal_filling(cyc, s, oracle, budget=Budget(fill_volume_cap=2))
+
+
+def pool_reps(pool):
+    return {n: [(rep.chain, rep.bnd) for rep in reps] for n, reps in pool.by_norm.items()}
+
+
+@pytest.mark.parametrize("name,max_norm", [("z2", 4), ("surface2", 3)])
+def test_pool_resumes_level_by_level(name, max_norm):
+    # z2 grows on the interned engine, surface2 (bounded-bfs) on chain objects
+    s, oracle = load_example(name)
+    resumed = _ComponentPool(s, oracle, 2, 1_000_000)
+    resumed.ensure(2)
+    resumed.ensure(max_norm)
+    fresh = _ComponentPool(s, oracle, 2, 1_000_000)
+    fresh.ensure(max_norm)
+    reached = reachable_chains(s, oracle, 2, max_norm)
+    want = {n: [(a, b) for a, b in pairs if b.terms and is_connected(a, s, oracle)]
+            for n, pairs in reached.items()}
+    assert pool_reps(resumed) == pool_reps(fresh) == want
+    assert resumed.upto == fresh.upto == max_norm
+
+
+def test_pool_budget_error_sticks():
+    s, oracle = z2()
+    pool = _ComponentPool(s, oracle, 2, 20)
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError, match="chain enumeration .* reaching norm 3"):
+            pool.ensure(4)
 
 
 def test_psi_values_on_the_grid():
