@@ -6,9 +6,11 @@ each other's entries, and a file that cannot be read or holds another key
 is a miss.  A `cache.json` left by older versions is ignored.  Keys hold
 the skeleton fingerprint plus the query and budget.  Stored witnesses are
 re-checked before a hit is trusted, and entries that fail are evicted and
-recomputed.  A filling that passes proves FV(cycle) <= value; minimality
-rests on the exhaustive search that wrote it.  phi is not cached: it is
-derived from the cached psi table.
+recomputed.  A filling that passes proves FV(cycle) <= value.  On the
+aspherical one-relator complexes of the rewriting gate in `profiles` the
+filling is unique, so a passing fv or psi witness is exact there; elsewhere
+it is only an upper bound, and minimality rests on the exhaustive search
+that wrote it.  phi is not cached: it is derived from the cached psi table.
 """
 
 from __future__ import annotations

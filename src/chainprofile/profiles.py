@@ -1,5 +1,21 @@
 """Filling volumes and isoperimetric profiles.
 
+Unique fillings.  When the complex is the presentation complex of one
+cyclically reduced relator r that is not a proper power, the complex is
+aspherical (Lyndon's identity theorem, Ann. of Math. 52, 1950): the
+boundary map is injective on finite 2-chains of the cover, so every 1-cycle
+has exactly one filling and that filling is the least.  The code checks this
+gate once per skeleton.  Inside it the filling is derived without search, in
+the manner of Dehn's algorithm (Lyndon-Schupp, Combinatorial Group Theory,
+V): the cycle splits into closed walks of the Cayley graph, and each walk
+label is rewritten to the empty word by rules p -> q^-1, one for each
+cyclic form p q of r or r^-1 with p longer than q, or as long with q^-1
+shortlex-smaller.  Each step adds one relator cell at the current prefix
+and lowers the word in shortlex order.  The longer-half rules decide C'(1/6)
+groups such as the genus-two surface; the half rules sort grid words.  The
+rules are not complete for every one-relator group: a walk they leave
+nonempty sends the cycle to the search.
+
 The filling search runs iterative deepening on the filling norm: a minimal
 filling splits into connected components, each with nonzero boundary that is
 a subchain of the target cycle, so fillings of norm v are sums of connected
@@ -20,6 +36,7 @@ other's inputs.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import get_context
@@ -37,19 +54,23 @@ from .errors import (
 )
 from .skeleton import (
     Chain,
+    LiftedCell,
+    _canonical_cells,
     add_chains,
     boundary,
+    build_chain,
     chain_to_json,
     chains_equal,
     is_connected,
     is_subchain,
     negate,
     norm,
+    presentation_complex,
     skeleton_fingerprint,
     translate,
     zero_chain,
 )
-from .words import compose, invert
+from .words import Word, _reduce_letters, compose, invert, relator_forms, word_key
 
 
 @dataclass
@@ -124,7 +145,12 @@ class _ComponentPool:
 
 def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None,
                     pool: _ComponentPool | None = None) -> Chain:
-    """A filling of least norm: T one dimension up with boundary the cycle."""
+    """A filling of least norm: T one dimension up with boundary the cycle.
+
+    Inside the aspherical one-relator gate the unique filling is derived by
+    rewriting; everything else, and any walk the rewriting leaves nonempty,
+    goes to the search.
+    """
     budget = budget or Budget()
     dim = cycle.dim + 1
     if dim > s.q:
@@ -134,6 +160,28 @@ def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None,
         raise InputError("filling target is not a cycle")
     if not cycle.terms:
         return zero_chain(dim)
+    rules = _rewriting_rules(s) if cycle.dim == 1 else None
+    total = _rewritten_filling(cycle, s, oracle, rules, budget) if rules else None
+    if total is None:
+        return _search_filling(cycle, s, oracle, budget, pool)
+    _check_filling(total, cycle, s, oracle)
+    if norm(total) > budget.fill_volume_cap:
+        raise BudgetExceededError(
+            f"the unique filling has norm {norm(total)}, above the fill "
+            f"volume cap {budget.fill_volume_cap}")
+    return total
+
+
+def _check_filling(total: Chain, cycle: Chain, s, oracle):
+    if not chains_equal(boundary(total, s, oracle), cycle, oracle):
+        raise ChainProfileError("filling witness failed verification")
+
+
+def _search_filling(cycle: Chain, s, oracle, budget: Budget | None = None,
+                    pool: _ComponentPool | None = None) -> Chain:
+    """Least filling of a nonzero cycle by iterative deepening on its norm."""
+    budget = budget or Budget()
+    dim = cycle.dim + 1
     if pool is None:
         pool = _ComponentPool(s, oracle, dim, budget.node_cap)
     beta = _unit_boundary_norm(s, dim)
@@ -178,11 +226,109 @@ def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None,
             total = zero_chain(dim)
             for rep, g in found:
                 total = add_chains(total, translate(g, rep, oracle), oracle)
-            if not chains_equal(boundary(total, s, oracle), cycle, oracle):
-                raise ChainProfileError("filling witness failed verification")
+            _check_filling(total, cycle, s, oracle)
             return total
     raise BudgetExceededError(
         f"no filling of norm at most {budget.fill_volume_cap} found")
+
+
+# ------------------------------------------------ unique fillings by rewriting
+
+# skeleton -> its rewriting rules, or None outside the gate; filled lazily
+_RULES = weakref.WeakKeyDictionary()
+
+
+def _rewriting_rules(s):
+    """Rules p -> q^-1 of the one relator r, or None outside the gate.
+
+    The gate: s is the presentation complex of a presentation whose one
+    relator is cyclically reduced and not a proper power.  For each cyclic
+    form p q of r or r^-1 with p longer than q, or as long with q^-1
+    shortlex-smaller, p maps to (q^-1, sign, offset) of that form.
+    """
+    if s in _RULES:
+        return _RULES[s]
+    rules = None
+    p = s.presentation
+    if s.q == 2 and len(p.relators) == 1:
+        r = p.relators[0].letters
+        n = len(r)
+        cyclic = r[0] != (r[-1][0], -r[-1][1])
+        power = any(n % d == 0 and r == r[:d] * (n // d) for d in range(1, n))
+        pc = presentation_complex(p)
+        if cyclic and not power and (s.ids, s.boundaries) == (pc.ids, pc.boundaries):
+            rules = {}
+            for form, sign, offset in relator_forms(p.relators[0]):
+                for k in range((n + 1) // 2, n + 1):
+                    head = Word(p.generators, form[:k])
+                    tail = invert(Word(p.generators, form[k:]))
+                    if 2 * k > n or word_key(tail) < word_key(head):
+                        rules.setdefault(head.letters, (tail.letters, sign, offset))
+    _RULES[s] = rules
+    return rules
+
+
+def _rewritten_filling(cycle: Chain, s, oracle, rules, budget: Budget):
+    """The filling of a 1-cycle summed from relator rewriting, or None.
+
+    The cycle splits into closed walks of the Cayley graph (coefficient c
+    is |c| traversals).  Each walk label is rewritten to the empty word:
+    applying p -> q^-1 at prefix u of a walk from x adds sign times the
+    relator cell at x u offset, and free reductions add nothing.  Every step
+    lowers the word in shortlex order, so this ends; a walk left nonempty
+    gives None.
+    """
+    gens = s.presentation.generators
+    lengths = sorted({len(head) for head in rules}, reverse=True)
+    steps = 0
+    cells = []
+    for start, w in _cycle_walks(cycle, oracle, gens):
+        while w:
+            found = _leftmost_rule(w, rules, lengths)
+            if found is None:
+                return None
+            steps += 1
+            if steps > budget.node_cap:
+                raise BudgetExceededError(
+                    f"filling rewriting took more than {budget.node_cap} steps")
+            i, k, (tail, sign, offset) = found
+            cells.append((LiftedCell(2, 0, compose(start, Word(gens, w[:i] + offset))),
+                          sign))
+            w = _reduce_letters(w[:i] + tail + w[i + k:])
+    return build_chain(2, cells, oracle)
+
+
+def _leftmost_rule(w, rules, lengths):
+    """(position, length, rule) of the leftmost match in w, longest first."""
+    for i in range(len(w)):
+        for k in lengths:
+            rule = rules.get(w[i:i + k]) if i + k <= len(w) else None
+            if rule is not None:
+                return i, k, rule
+    return None
+
+
+def _cycle_walks(cycle: Chain, oracle, gens):
+    """Closed walks (start vertex word, letters) that a 1-cycle of a
+    presentation complex splits into; vertices are matched by the oracle.
+    The labels are freely reduced: stepping back along an edge would need a
+    coefficient of the other sign on it."""
+    ends = [(c.word, compose(c.word, Word(gens, ((c.base, 1),)))) for c, _ in cycle.terms]
+    vertex = _canonical_cells(((0, w) for pair in ends for w in pair), oracle)
+    arcs: dict[tuple, list] = {}
+    for (c, n), pair in zip(cycle.terms, ends):
+        a, b = (vertex[(0, w.letters)][1].letters for w in pair)
+        if n < 0:
+            a, b = b, a
+        arcs.setdefault(a, []).extend([(b, (c.base, 1 if n > 0 else -1))] * abs(n))
+    # every vertex is balanced, so a walk from v can only stop back at v
+    for v, out in arcs.items():
+        while out:
+            letters, u = [], v
+            while not letters or u != v:
+                u, letter = arcs[u].pop()
+                letters.append(letter)
+            yield Word(gens, v), tuple(letters)
 
 
 def filling_volume(cycle: Chain, s, oracle, budget: Budget | None = None,

@@ -169,6 +169,24 @@ class Presentation:
         return f"<{', '.join(self.generators)} | {rels}>"
 
 
+def relator_forms(r: Word):
+    """The cyclic forms of r and r^-1, each with the relator cell it bounds.
+
+    Returns (form, sign, offset) letter triples, one per rotation: the closed
+    path reading `form` from the vertex x is sign times the boundary of the
+    relator cell at x * offset, where the relator cell at u is bounded by r
+    read from u (the lift of `presentation_complex`).  Reading r^-1 from x
+    walks that loop backwards, hence sign -1; rotating by a prefix u of r or
+    r^-1 starts the same loop u later, hence offset u^-1.
+    """
+    out = []
+    for sign, base in ((1, r.letters), (-1, invert(r).letters)):
+        for i in range(len(base)):
+            offset = tuple((g, -s) for g, s in reversed(base[:i]))
+            out.append((_reduce_letters(base[i:] + base[:i]), sign, offset))
+    return out
+
+
 def make_presentation(generators, relator_texts) -> Presentation:
     gens = tuple(generators)
     if len(set(gens)) != len(gens):
@@ -494,14 +512,8 @@ class BoundedBFSOracle(WordOracle):
         return state
 
     def _symmetrized_forms(self):
-        forms = set()
-        for r in self.presentation.relators:
-            for base in (r.letters, tuple((g, -s) for g, s in reversed(r.letters))):
-                for i in range(len(base)):
-                    rot = _reduce_letters(base[i:] + base[:i])
-                    if rot:
-                        forms.add(rot)
-        return tuple(sorted(forms))
+        return tuple(sorted({form for r in self.presentation.relators
+                             for form, _, _ in relator_forms(r) if form}))
 
     def invariant_key(self, w: Word):
         return self._lattice.residue(exponent_vector(w))

@@ -168,6 +168,18 @@ def test_worker_count_does_not_change_results():
     assert one.witnesses == two.witnesses
 
 
+def test_worker_count_does_not_change_searched_results():
+    # two relators put the grid outside the rewriting gate, so the forked
+    # workers run the filling search
+    p = parse_presentation("<a, b | a b a^-1 b^-1, b a b^-1 a^-1>")
+    s, oracle = presentation_complex(p), FreeAbelianOracle(p)
+    one = psi_table(s, oracle, 6, workers=1)
+    two = psi_table(s, oracle, 6, workers=2)
+    assert one.values == [0, 0, 0, 0, 1, 1, 2]
+    assert one.values == two.values
+    assert one.witnesses == two.witnesses
+
+
 def test_phi_recurrence_on_the_grid():
     s, oracle = z2()
     table = phi_table(s, oracle, 8)
