@@ -7,10 +7,11 @@ is a miss.  A `cache.json` left by older versions is ignored.  Keys hold
 the skeleton fingerprint plus the query and budget.  Stored witnesses are
 re-checked before a hit is trusted, and entries that fail are evicted and
 recomputed.  A filling that passes proves FV(cycle) <= value.  On the
-aspherical one-relator complexes of the rewriting gate in `profiles` the
-filling is unique, so a passing fv or psi witness is exact there; elsewhere
-it is only an upper bound, and minimality rests on the exhaustive search
-that wrote it.  phi is not cached: it is derived from the cached psi table.
+aspherical one-relator complexes of the rewriting gate in `profiles`, with
+an oracle for the presented group itself (not a finite table, which may be a
+quotient), the complex is the universal cover and the filling is unique, so
+a passing fv or psi witness is exact there; elsewhere it is only an upper
+bound, and minimality rests on the exhaustive search that wrote it.  phi is not cached: it is derived from the cached psi table.
 """
 
 from __future__ import annotations

@@ -5,12 +5,14 @@ cyclically reduced relator r that is not a proper power, the complex is
 aspherical (Lyndon's identity theorem, Ann. of Math. 52, 1950): the
 boundary map is injective on finite 2-chains of the cover, so every 1-cycle
 has exactly one filling and that filling is the least.  The code checks this
-gate once per skeleton.  Inside it the filling is derived without search, in
-the manner of Dehn's algorithm (Lyndon-Schupp, Combinatorial Group Theory,
-V): the cycle splits into closed walks of the Cayley graph, and each walk
-label is rewritten to the empty word by rules p -> q^-1, one for each
-cyclic form p q of r or r^-1 with p longer than q, or as long with q^-1
-shortlex-smaller.  Each step adds one relator cell at the current prefix
+gate once per skeleton, and on every call that the oracle's group is the
+presented one rather than a quotient (a finite table may be one), so that
+the complex is the universal cover.  Inside it the filling is derived
+without search, in the manner of Dehn's algorithm (Lyndon-Schupp,
+Combinatorial Group Theory, V): the cycle splits into closed walks of the
+Cayley graph, and each walk label is rewritten to the empty word by rules
+p -> q^-1, one for each cyclic form p q of r or r^-1 with p longer than q,
+or as long with q^-1 shortlex-smaller.  Each step adds one relator cell at the current prefix
 and lowers the word in shortlex order.  The longer-half rules decide C'(1/6)
 groups such as the genus-two surface; the half rules sort grid words.  The
 rules are not complete for every one-relator group: a walk they leave
@@ -70,7 +72,15 @@ from .skeleton import (
     translate,
     zero_chain,
 )
-from .words import Word, _reduce_letters, compose, invert, relator_forms, word_key
+from .words import (
+    Word,
+    _reduce_letters,
+    compose,
+    exponent_vector,
+    invert,
+    relator_forms,
+    word_key,
+)
 
 
 @dataclass
@@ -147,9 +157,10 @@ def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None,
                     pool: _ComponentPool | None = None) -> Chain:
     """A filling of least norm: T one dimension up with boundary the cycle.
 
-    Inside the aspherical one-relator gate the unique filling is derived by
-    rewriting; everything else, and any walk the rewriting leaves nonempty,
-    goes to the search.
+    Inside the aspherical one-relator gate, and when the oracle's group is
+    the presented one, the unique filling is derived by rewriting;
+    everything else, and any walk the rewriting leaves nonempty, goes to
+    the search.
     """
     budget = budget or Budget()
     dim = cycle.dim + 1
@@ -160,7 +171,9 @@ def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None,
         raise InputError("filling target is not a cycle")
     if not cycle.terms:
         return zero_chain(dim)
-    rules = _rewriting_rules(s) if cycle.dim == 1 else None
+    rules = None
+    if cycle.dim == 1 and _oracle_is_the_group(s, oracle):
+        rules = _rewriting_rules(s)
     total = _rewritten_filling(cycle, s, oracle, rules, budget) if rules else None
     if total is None:
         return _search_filling(cycle, s, oracle, budget, pool)
@@ -266,6 +279,28 @@ def _rewriting_rules(s):
                         rules.setdefault(head.letters, (tail.letters, sign, offset))
     _RULES[s] = rules
     return rules
+
+
+def _oracle_is_the_group(s, oracle) -> bool:
+    """Whether the oracle's group is the presented group, not a quotient.
+
+    Only then is the complex the universal cover, where fillings are
+    unique: a finite quotient makes it a finite cover with nonzero H2 (the
+    torus of Z/4 x Z/4 for the grid).  A finite table is only checked to
+    satisfy the relators, so it may be a quotient; the free oracle does not
+    satisfy the one relator; the free abelian oracle is the group only when
+    the relator is a commutator of the two generators.  Any other oracle
+    answers for the presented group by the `WordOracle` contract.
+    """
+    kind = getattr(oracle, "kind", None)
+    if kind in ("finite-table", "free"):
+        return False
+    if kind == "abelian":
+        p = s.presentation
+        return (len(p.generators) == 2 and len(p.relators) == 1
+                and len(p.relators[0].letters) == 4
+                and not any(exponent_vector(p.relators[0])))
+    return True
 
 
 def _rewritten_filling(cycle: Chain, s, oracle, rules, budget: Budget):

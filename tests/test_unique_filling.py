@@ -2,7 +2,8 @@
 
 The rewriting path of `minimal_filling` must agree with the filling search
 and with the independent grid model, keep the fill cap, refuse every input
-outside its gate, and hand a walk it cannot finish to the search.
+outside its gate (a finite-quotient oracle included), and hand a walk it
+cannot finish to the search.
 """
 
 from fractions import Fraction
@@ -15,6 +16,8 @@ from chainprofile.errors import BudgetExceededError
 from chainprofile.inputs import load_example, parse_chain
 from chainprofile.profiles import (
     Budget,
+    _ComponentPool,
+    _oracle_is_the_group,
     _rewriting_rules,
     _rewritten_filling,
     _search_filling,
@@ -32,6 +35,7 @@ from chainprofile.skeleton import (
 )
 from chainprofile.words import (
     BoundedBFSOracle,
+    FiniteTableOracle,
     FreeAbelianOracle,
     OracleVerdict,
     Word,
@@ -81,6 +85,42 @@ def test_gate_refuses_explicit_cells_that_differ():
     got = minimal_filling(cyc, s, oracle)
     assert norm(got) == 2
     assert chain_to_json(got, s) == chain_to_json(_search_filling(cyc, s, oracle), s)
+
+
+def test_finite_quotient_oracle_takes_the_search():
+    # with a Z/4 x Z/4 table the cover is a finite torus, where H2 != 0: the
+    # 3 x 3 block has the same boundary as the other 7 cells, negated
+    p = parse_presentation("<a, b | a b a^-1 b^-1>")
+    elements = [(x, y) for x in range(4) for y in range(4)]
+    table = [[elements.index(((x + u) % 4, (y + v) % 4)) for u, v in elements]
+             for x, y in elements]
+    s = presentation_complex(p)
+    oracle = FiniteTableOracle(p, elements, table,
+                               {"a": elements.index((1, 0)), "b": elements.index((0, 1))})
+    cyc = face_boundary(s, oracle, [f"a^{x} b^{y}" for x in range(3) for y in range(3)])
+    assert norm(cyc) == 12
+    assert norm(_rewritten_filling(cyc, s, oracle, _rewriting_rules(s), Budget())) == 9
+    pool = _ComponentPool(s, oracle, 2, Budget().node_cap)
+    got = minimal_filling(cyc, s, oracle, pool=pool)
+    assert norm(got) == 7
+    assert (chain_to_json(got, s)
+            == chain_to_json(_search_filling(cyc, s, oracle, pool=pool), s))
+
+
+def test_abelian_oracle_is_the_group_only_for_a_commutator():
+    # the free abelian oracle on a non-abelian one-relator group is a
+    # quotient, so the gate leaves it to the search
+    for text, faithful in (("<a, b | a b a^-1 b^-1>", True),
+                           ("<a, b | b a^-1 b^-1 a>", True),
+                           ("<a, b | a^2 b a^-2 b^-1>", False),
+                           ("<a, b, c | a b a^-1 b^-1>", False)):
+        p = parse_presentation(text)
+        s = presentation_complex(p)
+        assert _rewriting_rules(s)
+        assert _oracle_is_the_group(s, FreeAbelianOracle(p)) is faithful
+    s, oracle = load_example("surface2")
+    assert _oracle_is_the_group(s, oracle)
+    assert not _oracle_is_the_group(s, FreeAbelianOracle(s.presentation))
 
 
 def test_rewriting_equals_search_on_the_grid_to_norm_8():
