@@ -34,10 +34,27 @@ most n; phi(n) maximizes the sum of psi over partitions of n, computed by
 the standard recurrence.  Finite presentations backed by a multiplication
 table use the exact finite sweep instead and the two routes refuse each
 other's inputs.
+
+The exact finite sweep.  The cover of a finite presentation is finite.  Its
+cycles of norm at most n are listed by a depth-first search over the
+(q-1)-cells with two sound cuts: the partial boundary has norm at most beta
+times the norm left (beta the largest norm of a cell's boundary), and a face
+whose incident cells are all assigned already has coefficient 0.  A q-chain
+x is a sum of |x|_1 signed unit cells, so FV(z) is the word length of z in
+the lattice of boundaries over the steps +-(boundary of a cell), Gersten's
+l1 view of Dehn functions (MSRI Publ. 23, 1992): a breadth-first search
+from 0 over distinct boundary vectors first reaches z at depth exactly
+FV(z), and walking back down the levels rebuilds a least filling.  Each
+vector is one int, coordinate i in a signed digit of w bits.  Every vector
+compared has coordinates of size at most max(n, cap * c_max), with cap the
+fill volume cap and c_max the largest coefficient of a cell's boundary; w is
+the least width with 2^(w-1) above that bound, so distinct vectors have
+distinct ints and adding ints adds vectors.
 """
 
 from __future__ import annotations
 
+import logging
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
@@ -81,6 +98,8 @@ from .words import (
     relator_forms,
     word_key,
 )
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -488,39 +507,146 @@ def _finite_unit_boundary(s, oracle, dim, elem, base):
     return out
 
 
-def _enumerate_chains(cells, unit_bnds, total):
-    """All coefficient assignments of given total norm over the cells."""
-    m = len(cells)
+def _finite_cycles(s, oracle, n: int, node_cap: int) -> tuple[dict, int]:
+    """Chains of norm at most n with zero boundary on the finite cover, as
+    {sorted ((element, base), coeff) tuple: norm}, and the nodes visited.
 
-    def rec(i, left, acc, bnd):
-        if i == m:
-            if left == 0:
-                yield dict(acc), dict(bnd)
-            return
+    Depth-first over the cells in `_finite_cells` order, choosing the next
+    nonzero cell and its coefficient; the partial boundary is updated and
+    undone in place.  A branch is cut when its boundary norm exceeds beta
+    times the norm left, or when a face whose last incident cell is passed
+    has a nonzero coefficient."""
+    dim = s.q - 1
+    cells = _finite_cells(s, oracle, dim)
+    faces: dict = {}
+    bnds = [[(faces.setdefault(f, len(faces)), c)
+             for f, c in _finite_unit_boundary(s, oracle, dim, e, b).items()]
+            for e, b in cells]
+    closing = [[] for _ in cells]
+    last = {f: i for i, bnd in enumerate(bnds) for f, _ in bnd}
+    for f, i in last.items():
+        closing[i].append(f)
+    beta = max((sum(abs(c) for _, c in bnd) for bnd in bnds), default=0)
+    vec = [0] * len(faces)
+    picked: list = []
+    cycles: dict = {}
+    nodes = reached = 0
+
+    def visit(i, left, bnorm):
+        nonlocal nodes, reached
+        nodes += 1
+        reached = max(reached, n - left)
+        if nodes > node_cap:
+            raise BudgetExceededError(
+                f"finite cycle enumeration passed {node_cap} nodes, with "
+                f"partial chains reaching norm {reached} of {n} and "
+                f"{len(cycles)} cycles found")
+        if bnorm == 0:
+            cycles[tuple(picked)] = n - left
         if left == 0:
-            yield dict(acc), dict(bnd)
             return
-        # zero on this cell
-        yield from rec(i + 1, left, acc, bnd)
-        for mag in range(1, left + 1):
-            for sign in (1, -1):
-                acc[cells[i]] = mag * sign
-                nb = dict(bnd)
-                for cell, c in unit_bnds[i].items():
-                    v = nb.get(cell, 0) + c * mag * sign
-                    if v:
-                        nb[cell] = v
-                    else:
-                        nb.pop(cell, None)
-                yield from rec(i + 1, left - mag, acc, nb)
-                del acc[cells[i]]
+        for j in range(i, len(cells)):
+            for mag in range(1, left + 1):
+                for c in (mag, -mag):
+                    nb = bnorm
+                    for f, d in bnds[j]:
+                        old = vec[f]
+                        vec[f] = old + c * d
+                        nb += abs(vec[f]) - abs(old)
+                    if nb <= beta * (left - mag) and not any(vec[f] for f in closing[j]):
+                        picked.append((cells[j], c))
+                        visit(j + 1, left - mag, nb)
+                        picked.pop()
+                    for f, d in bnds[j]:
+                        vec[f] -= c * d
+            # cell j stays zero from here on: its closing faces are final
+            if any(vec[f] for f in closing[j]):
+                break
 
-    yield from rec(0, total, {}, {})
+    visit(0, n, 0)
+    return cycles, nodes
+
+
+def _finite_fillings(s, oracle, cycles: dict, n: int, budget: Budget,
+                     nodes: int) -> tuple[dict, object]:
+    """FV of every cycle by breadth-first search from 0 over boundary
+    vectors, with steps +-(boundary of a unit q-cell); returns {cycle: FV}
+    and a function that rebuilds a least filling of a cycle as
+    {(element, base): coeff}."""
+    dim = s.q - 1
+    n_faces = s.n_cells(dim)
+    fill_cells = _finite_cells(s, oracle, s.q)
+    fill_bnds = [_finite_unit_boundary(s, oracle, s.q, e, b) for e, b in fill_cells]
+    cap = budget.fill_volume_cap
+    c_max = max((abs(c) for bnd in fill_bnds for c in bnd.values()), default=0)
+    # a vector is one int, coordinate i in a signed digit of `width` bits.
+    # Cycles have coordinates of size at most n, and vectors within `cap`
+    # steps at most cap * c_max, so the least width with 2^(width-1) above
+    # both makes the encoding injective and addition exact on every vector
+    # the sweep compares
+    width = max(n, cap * c_max).bit_length() + 1
+
+    def encode(items):
+        return sum(c << (width * (e * n_faces + base)) for (e, base), c in items)
+
+    steps: dict = {}
+    for cell, bnd in zip(fill_cells, fill_bnds):
+        d = encode(bnd.items())
+        if d:
+            steps.setdefault(d, (cell, 1))
+            steps.setdefault(-d, (cell, -1))
+    pending = {encode(key): key for key in cycles}
+    fv = {pending.pop(0): 0}    # the zero chain, always a cycle
+    levels = [set(), {0}]       # levels[v + 1]: the vectors at distance v
+    while pending:
+        v = len(levels) - 2
+        if v >= cap or not levels[-1]:
+            raise BudgetExceededError(
+                f"some cycles admit no filling of norm at most {cap}: "
+                f"{len(pending)} cycles unfilled after the finite filling sweep")
+        prev, cur = levels[-2], levels[-1]
+        new: set = set()
+        for x in cur:
+            for d in steps:
+                y = x + d
+                if y not in new and y not in cur and y not in prev:
+                    new.add(y)
+            if nodes + len(new) > budget.node_cap:
+                raise BudgetExceededError(
+                    f"finite filling sweep passed {budget.node_cap} nodes at "
+                    f"level {v + 1}, with {len(pending)} cycles unfilled")
+        nodes += len(new)
+        for y in new.intersection(pending):
+            fv[pending.pop(y)] = v + 1
+        levels.append(new)
+        logger.debug("finite filling sweep level %d: %d new states, %d cycles "
+                     "pending", v + 1, len(new), len(pending))
+
+    bnd_of = dict(zip(fill_cells, fill_bnds))
+
+    def filling(key):
+        # walk back down the levels from the cycle's own
+        x, fill = encode(key), {}
+        for k in range(fv[key], 0, -1):
+            for d, (cell, sign) in steps.items():
+                if x - d in levels[k]:
+                    x -= d
+                    fill[cell] = fill.get(cell, 0) + sign
+                    break
+        out = {}
+        for cell, c in fill.items():
+            for f, b in bnd_of[cell].items():
+                out[f] = out.get(f, 0) + c * b
+        if {f: c for f, c in out.items() if c} != dict(key):
+            raise ChainProfileError("finite filling witness failed verification")
+        return fill
+
+    return fv, filling
 
 
 def finite_profile(s, oracle, n: int, budget: Budget | None = None) -> ProfileTable:
-    """Exact profile for a finite presentation: sweep fillings by norm and
-    flag each cycle of the finite cover the first time its boundary shows up."""
+    """Exact profile for a finite presentation: list the cycles of the finite
+    cover up to norm n, then reach each by a breadth-first sweep of boundaries."""
     if getattr(oracle, "kind", None) != "finite-table":
         raise WrongAlgorithmError(
             "the exact finite profile needs a finite-table oracle")
@@ -528,69 +654,32 @@ def finite_profile(s, oracle, n: int, budget: Budget | None = None) -> ProfileTa
     if n < 0:
         raise InputError("profile length must be nonnegative")
     dim = s.q - 1
-    cyc_cells = _finite_cells(s, oracle, dim)
-    cyc_bnds = [_finite_unit_boundary(s, oracle, dim, e, b) for e, b in cyc_cells]
-    fill_cells = _finite_cells(s, oracle, s.q)
-    fill_bnds = [_finite_unit_boundary(s, oracle, s.q, e, b) for e, b in fill_cells]
-
-    def freeze(chain):
-        return tuple(sorted(chain.items()))
-
-    cycles = {}
-    count = 0
-    for total in range(n + 1):
-        for chain, bnd in _enumerate_chains(cyc_cells, cyc_bnds, total):
-            count += 1
-            if count > budget.node_cap:
-                raise BudgetExceededError(
-                    f"finite cycle enumeration passed {budget.node_cap} chains")
-            if not bnd:
-                cycles[freeze(chain)] = total
-    flagged = {}
-    witness_fill = {}
-    pending = set(cycles)
-    for v in range(0, budget.fill_volume_cap + 1):
-        if not pending:
-            break
-        for chain, bnd in _enumerate_chains(fill_cells, fill_bnds, v):
-            count += 1
-            if count > budget.node_cap:
-                raise BudgetExceededError(
-                    f"finite filling sweep passed {budget.node_cap} chains")
-            key = freeze(bnd)
-            if key in pending:
-                flagged[key] = v
-                witness_fill[key] = dict(chain)
-                pending.discard(key)
-                if not pending:
-                    break
-    if pending:
-        raise BudgetExceededError(
-            f"some cycles admit no filling of norm at most {budget.fill_volume_cap}")
+    cycles, nodes = _finite_cycles(s, oracle, n, budget.node_cap)
+    logger.debug("finite cycle enumeration: %d cycles of norm at most %d, "
+                 "%d nodes", len(cycles), n, nodes)
+    fv, filling = _finite_fillings(s, oracle, cycles, n, budget, nodes)
 
     def cell_json(cell, d):
         e, base = cell
         return {"element": oracle.elements[e], "base": s.cell_id(d, base)}
 
     values = [0] * (n + 1)
-    witnesses = [None] * (n + 1)
+    best_keys = [None] * (n + 1)
     best, best_key = 0, None
     by_norm = sorted(cycles.items(), key=lambda kv: (kv[1], kv[0]))
     i = 0
     for k in range(n + 1):
         while i < len(by_norm) and by_norm[i][1] <= k:
             key = by_norm[i][0]
-            if flagged[key] > best:
-                best, best_key = flagged[key], key
+            if fv[key] > best:
+                best, best_key = fv[key], key
             i += 1
-        values[k] = best
-        if best_key is not None:
-            witnesses[k] = {
-                "cycle": [dict(cell_json(cell, dim), coeff=c)
-                          for cell, c in best_key],
-                "filling": [dict(cell_json(cell, s.q), coeff=c)
-                            for cell, c in sorted(witness_fill[best_key].items())],
-            }
+        values[k], best_keys[k] = best, best_key
+    fills = {key: sorted(filling(key).items()) for key in set(best_keys) - {None}}
+    witnesses = [None if key is None else {
+        "cycle": [dict(cell_json(cell, dim), coeff=c) for cell, c in key],
+        "filling": [dict(cell_json(cell, s.q), coeff=c) for cell, c in fills[key]],
+    } for key in best_keys]
     return ProfileTable("finite", skeleton_fingerprint(s, oracle),
                         budget.to_json_dict(), values, witnesses)
 

@@ -369,8 +369,8 @@ class FiniteTableOracle(WordOracle):
 
     elements: names; table[i][j] = index of elements[i] * elements[j];
     generator_map: generator name -> element index.  The table is checked to
-    be a quasigroup with a two-sided identity under which every relator
-    evaluates to the identity.
+    be a group (a quasigroup with a two-sided identity that is associative)
+    under which every relator evaluates to the identity.
     """
 
     kind = "finite-table"
@@ -395,6 +395,11 @@ class FiniteTableOracle(WordOracle):
         if len(ident) != 1:
             raise InputError("table has no two-sided identity")
         self.identity_index = ident[0]
+        for row in self.table:
+            for j in range(n):
+                # (i j) k == i (j k) for every k
+                if self.table[row[j]] != tuple(row[x] for x in self.table[j]):
+                    raise InputError("multiplication table is not associative")
         self.generator_map = dict(generator_map)
         for name in presentation.generators:
             if name not in self.generator_map:

@@ -1,0 +1,132 @@
+"""The exact finite sweep against the exhaustive model and frozen values."""
+
+import itertools
+import json
+import logging
+import time
+
+import finite_model
+import pytest
+
+from chainprofile.cache import verify_profile_entry
+from chainprofile.cli import main
+from chainprofile.errors import BudgetExceededError
+from chainprofile.inputs import load_example, load_input
+from chainprofile.profiles import (
+    Budget,
+    _finite_cycles,
+    _finite_fillings,
+    finite_profile,
+)
+
+# <a | a^4> over Z/2: every 2-cell has boundary 2 (e, e_a) + 2 (a, e_a), so
+# the cycle (e, e_a) + (a, e_a) has no filling at all
+UNFILLABLE = {"dim": 2, "presentation": "<a | a^4>",
+              "oracle": {"kind": "finite-table", "elements": ["e", "a"],
+                         "table": [[0, 1], [1, 0]], "generator_map": {"a": 1}}}
+
+
+def _group_input(elements, mul, gens, presentation):
+    idx = {g: k for k, g in enumerate(elements)}
+    return {"dim": 2, "presentation": presentation,
+            "oracle": {"kind": "finite-table",
+                       "elements": [f"x{k}" for k in range(len(elements))],
+                       "table": [[idx[mul(p, q)] for q in elements] for p in elements],
+                       "generator_map": {g: idx[e] for g, e in gens.items()}}}
+
+
+def klein():
+    return load_input(_group_input(
+        [(i, j) for i in (0, 1) for j in (0, 1)],
+        lambda p, q: ((p[0] + q[0]) % 2, (p[1] + q[1]) % 2),
+        {"a": (1, 0), "b": (0, 1)}, "<a, b | a^2, b^2, a b a^-1 b^-1>"))
+
+
+def s3():
+    return load_input(_group_input(
+        list(itertools.permutations(range(3))),
+        lambda p, q: tuple(p[q[i]] for i in range(3)),
+        {"a": (1, 0, 2), "b": (0, 2, 1)}, "<a, b | a^2, b^2, a b a b a b>"))
+
+
+GROUPS = {"zmod2": lambda: load_example("zmod2"), "klein": klein, "s3": s3}
+
+
+def _witness_cycle(cycles, fv, k):
+    """The least (norm, sorted cells) cycle of norm <= k with the largest FV."""
+    best = max((fv[c] for c, m in cycles.items() if m <= k), default=0)
+    if best == 0:
+        return None
+    return min((m, c) for c, m in cycles.items() if m <= k and fv[c] == best)[1]
+
+
+@pytest.mark.parametrize("group, n", [("zmod2", 6), ("klein", 6), ("s3", 5)])
+def test_sweep_matches_exhaustive_model(group, n):
+    s, oracle = GROUPS[group]()
+    cycles, nodes = _finite_cycles(s, oracle, n, Budget().node_cap)
+    fv, _ = _finite_fillings(s, oracle, cycles, n, Budget(), nodes)
+    model_cycles, model_fv = finite_model.sweep(s, oracle, n)
+    assert cycles == model_cycles
+    assert fv == model_fv
+    table = finite_profile(s, oracle, n)
+    for k, wit in enumerate(table.witnesses):
+        key = _witness_cycle(model_cycles, model_fv, k)
+        if key is None:
+            assert wit is None and table.values[k] == 0
+            continue
+        assert table.values[k] == model_fv[key]
+        assert wit["cycle"] == [{"element": oracle.elements[e],
+                                 "base": s.cell_id(1, base), "coeff": c}
+                                for (e, base), c in key]
+
+
+@pytest.mark.parametrize("group, n, values", [
+    ("klein", 8, [0, 0, 1, 1, 3, 3, 4, 4, 6]),
+    ("s3", 6, [0, 0, 1, 1, 2, 2, 4]),
+])
+def test_frozen_profiles_with_verified_witnesses(group, n, values):
+    s, oracle = GROUPS[group]()
+    table = finite_profile(s, oracle, n)
+    assert table.values == values
+    entry = {"values": table.values, "witnesses": table.witnesses,
+             "budget": table.budget}
+    assert verify_profile_entry(entry, "finite", n, s, oracle)
+
+
+def test_node_cap_in_cycle_enumeration():
+    s, oracle = klein()
+    with pytest.raises(BudgetExceededError,
+                       match=r"finite cycle enumeration passed 100 nodes, "
+                             r"with partial chains reaching norm \d+ of 8"):
+        finite_profile(s, oracle, 8, Budget(node_cap=100))
+
+
+def test_node_cap_in_filling_sweep():
+    s, oracle = klein()
+    _, nodes = _finite_cycles(s, oracle, 8, Budget().node_cap)
+    with pytest.raises(BudgetExceededError,
+                       match=r"finite filling sweep passed \d+ nodes at level "
+                             r"\d+, with \d+ cycles unfilled"):
+        finite_profile(s, oracle, 8, Budget(node_cap=nodes + 50))
+
+
+def test_unfillable_cycle_exits_4_quickly(tmp_path, capsys):
+    path = tmp_path / "a4.json"
+    path.write_text(json.dumps(UNFILLABLE))
+    t0 = time.perf_counter()
+    code = main(["finite-profile", "--input", str(path), "-n", "2", "--no-cache"])
+    elapsed = time.perf_counter() - t0
+    assert code == 4
+    assert "some cycles admit no filling of norm at most 24" in capsys.readouterr().err
+    assert elapsed < 1.0
+
+
+def test_debug_progress_one_record_per_level(caplog):
+    s, oracle = load_example("zmod2")
+    with caplog.at_level(logging.DEBUG, logger="chainprofile.profiles"):
+        table = finite_profile(s, oracle, 6)
+    messages = [r.getMessage() for r in caplog.records]
+    assert sum(m.startswith("finite cycle enumeration: 7 cycles") for m in messages) == 1
+    levels = [m for m in messages if m.startswith("finite filling sweep level")]
+    assert len(levels) == table.values[-1] == 3
+    assert levels[-1].endswith(" 0 cycles pending")

@@ -189,6 +189,16 @@ def test_finite_table_validation():
                           [[0, 1], [1, 0]], {"a": 0})
 
 
+def test_finite_table_rejects_non_associative_loop():
+    # a loop of order 5 with identity 0 and every element its own inverse;
+    # it satisfies a^2 = b^2 = 1, but (a b) b is element 4, not a
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    p = parse_presentation("<a, b | a^2, b^2>")
+    with pytest.raises(InputError, match="not associative"):
+        FiniteTableOracle(p, list("01234"), loop, {"a": 1, "b": 2})
+
+
 def test_bounded_bfs_commutator_examples():
     p = parse_presentation("<a, b | a b a^-1 b^-1>")
     o = BoundedBFSOracle(p, radius=12, sufficient_len=8)
