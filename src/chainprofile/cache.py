@@ -11,7 +11,8 @@ aspherical one-relator complexes of the rewriting gate in `profiles`, with
 an oracle for the presented group itself (not a finite table, which may be a
 quotient), the complex is the universal cover and the filling is unique, so
 a passing fv or psi witness is exact there; elsewhere it is only an upper
-bound, and minimality rests on the exhaustive search that wrote it.  phi is not cached: it is derived from the cached psi table.
+bound, and minimality rests on the exhaustive search that wrote it.  phi is
+not cached: it is derived from the cached psi table.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 import tempfile
 
 from .errors import ChainProfileError
-from .profiles import _finite_unit_boundary
+from .profiles import _finite_boundary
 from .skeleton import boundary, chain_from_json, chains_equal, norm
 
 logger = logging.getLogger(__name__)
@@ -130,11 +131,7 @@ def _finite_chain(terms, dim, s, oracle) -> dict:
 def _finite_witness(wit, s, oracle):
     cyc = _finite_chain(wit["cycle"], s.q - 1, s, oracle)
     fill = _finite_chain(wit["filling"], s.q, s, oracle)
-    bnd = {}
-    for (elem, base), c in fill.items():
-        for cell, b in _finite_unit_boundary(s, oracle, s.q, elem, base).items():
-            bnd[cell] = bnd.get(cell, 0) + c * b
-    if {cell: c for cell, c in bnd.items() if c} != cyc:
+    if _finite_boundary(s, oracle, fill) != cyc:
         return None
     return sum(map(abs, cyc.values())), sum(map(abs, fill.values()))
 

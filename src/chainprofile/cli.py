@@ -46,11 +46,10 @@ from .skeleton import (
 
 
 def _load(args):
-    override = getattr(args, "oracle_radius", None)
     if os.path.exists(args.input):
-        return load_input(args.input, radius_override=override)
+        return load_input(args.input)
     if args.input in bundled_examples():
-        return load_example(args.input, radius_override=override)
+        return load_example(args.input)
     raise InputError(f"input {args.input!r} is neither a file nor a bundled name")
 
 
@@ -264,8 +263,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="largest number of search states per query")
     common.add_argument("--workers", type=int, default=1,
                         help="worker processes for independent fillings")
-    common.add_argument("--oracle-radius", type=int, default=None,
-                        help="override the search radius of a bounded-bfs oracle")
 
     p = argparse.ArgumentParser(
         prog="chainprofile",

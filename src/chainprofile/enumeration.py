@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import BudgetExceededError, InputError, OracleUndecidedError
+from .errors import BudgetExceededError, InputError
 from .skeleton import (
     Chain,
     LiftedCell,
@@ -40,12 +40,11 @@ from .skeleton import (
     translate,
 )
 from .words import (
-    OracleVerdict,
     compose,
     exponent_vector,
     invert,
+    same_element,
     word_key,
-    words_equal,
 )
 
 
@@ -350,12 +349,8 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
     def meets(key, q):
         """Position on the walk of the vertex q, whose key is given, or None."""
         for i, (k, r) in enumerate(path):
-            if k == key:
-                verdict = words_equal(oracle, r, q)
-                if verdict is OracleVerdict.UNDECIDED:
-                    raise OracleUndecidedError("oracle could not decide a vertex match")
-                if verdict is OracleVerdict.TRIVIAL:
-                    return i
+            if k == key and same_element(oracle, r, q):
+                return i
         return None
 
     def extend(p, v):

@@ -35,7 +35,7 @@ def _presentation_from(value):
     raise InputError("presentation must be a string or an object")
 
 
-def load_input(source, radius_override=None):
+def load_input(source):
     """Build (skeleton, oracle) from a description dict or a JSON file path.
 
     The description holds "dim", "presentation", "oracle", and, above
@@ -64,8 +64,6 @@ def load_input(source, radius_override=None):
     cfg = data["oracle"]
     if not isinstance(cfg, dict):
         raise InputError("oracle config must be an object")
-    if radius_override is not None and cfg.get("kind") == "bounded-bfs":
-        cfg = dict(cfg, radius=radius_override)
     oracle = oracle_from_config(p, cfg)
     if "cells" in data:
         cells = []
@@ -197,9 +195,9 @@ def bundled_examples() -> dict:
     return out
 
 
-def load_example(name: str, radius_override=None):
+def load_example(name: str):
     examples = bundled_examples()
     if name not in examples:
         raise InputError(f"no bundled input named {name!r}; "
                          f"available: {', '.join(sorted(examples))}")
-    return load_input(examples[name], radius_override=radius_override)
+    return load_input(examples[name])

@@ -432,22 +432,26 @@ def psi_table(s, oracle, n: int, budget: Budget | None = None,
             _FORKED_FILL = None
     else:
         fillings = [fill(a) for _, a in flat]
-    values = [0] * (n + 1)
-    witnesses = [None] * (n + 1)
-    best, best_wit = 0, None
-    i = 0
-    for k in range(1, n + 1):
-        while i < len(flat) and flat[i][0] <= k:
-            filling = fillings[i]
-            if norm(filling) > best:
-                best = norm(filling)
-                best_wit = {"cycle": chain_to_json(flat[i][1], s),
-                            "filling": chain_to_json(filling, s)}
-            i += 1
-        values[k] = best
-        witnesses[k] = best_wit
+    values, holders = _running_max(
+        [(flat[i][0], norm(f), i) for i, f in enumerate(fillings)], n)
+    witnesses = [None if i is None else {"cycle": chain_to_json(flat[i][1], s),
+                                         "filling": chain_to_json(fillings[i], s)}
+                 for i in holders]
     return ProfileTable("psi", skeleton_fingerprint(s, oracle),
                         budget.to_json_dict(), values, witnesses)
+
+
+def _running_max(items, n: int):
+    """For sizes k = 0..n, the largest value over the (size, value, holder)
+    items of size at most k, and the first holder to reach it (None while it
+    is 0): (values, holders)."""
+    values, holders = [0] * (n + 1), [None] * (n + 1)
+    for size, value, holder in items:
+        for k in range(size, n + 1):
+            if value <= values[k]:
+                break
+            values[k], holders[k] = value, holder
+    return values, holders
 
 
 def _partition_recurrence(delta):
@@ -505,6 +509,16 @@ def _finite_unit_boundary(s, oracle, dim, elem, base):
         if not out[key]:
             del out[key]
     return out
+
+
+def _finite_boundary(s, oracle, fill: dict) -> dict:
+    """Boundary of a q-chain {(element, base): coeff} of the finite cover, in
+    the same form, zero coefficients dropped."""
+    out = {}
+    for (elem, base), c in fill.items():
+        for cell, b in _finite_unit_boundary(s, oracle, s.q, elem, base).items():
+            out[cell] = out.get(cell, 0) + c * b
+    return {cell: c for cell, c in out.items() if c}
 
 
 def _finite_cycles(s, oracle, n: int, node_cap: int) -> tuple[dict, int]:
@@ -622,8 +636,6 @@ def _finite_fillings(s, oracle, cycles: dict, n: int, budget: Budget,
         logger.debug("finite filling sweep level %d: %d new states, %d cycles "
                      "pending", v + 1, len(new), len(pending))
 
-    bnd_of = dict(zip(fill_cells, fill_bnds))
-
     def filling(key):
         # walk back down the levels from the cycle's own
         x, fill = encode(key), {}
@@ -633,11 +645,7 @@ def _finite_fillings(s, oracle, cycles: dict, n: int, budget: Budget,
                     x -= d
                     fill[cell] = fill.get(cell, 0) + sign
                     break
-        out = {}
-        for cell, c in fill.items():
-            for f, b in bnd_of[cell].items():
-                out[f] = out.get(f, 0) + c * b
-        if {f: c for f, c in out.items() if c} != dict(key):
+        if _finite_boundary(s, oracle, fill) != dict(key):
             raise ChainProfileError("finite filling witness failed verification")
         return fill
 
@@ -663,18 +671,8 @@ def finite_profile(s, oracle, n: int, budget: Budget | None = None) -> ProfileTa
         e, base = cell
         return {"element": oracle.elements[e], "base": s.cell_id(d, base)}
 
-    values = [0] * (n + 1)
-    best_keys = [None] * (n + 1)
-    best, best_key = 0, None
     by_norm = sorted(cycles.items(), key=lambda kv: (kv[1], kv[0]))
-    i = 0
-    for k in range(n + 1):
-        while i < len(by_norm) and by_norm[i][1] <= k:
-            key = by_norm[i][0]
-            if fv[key] > best:
-                best, best_key = fv[key], key
-            i += 1
-        values[k], best_keys[k] = best, best_key
+    values, best_keys = _running_max(((size, fv[key], key) for key, size in by_norm), n)
     fills = {key: sorted(filling(key).items()) for key in set(best_keys) - {None}}
     witnesses = [None if key is None else {
         "cycle": [dict(cell_json(cell, dim), coeff=c) for cell, c in key],

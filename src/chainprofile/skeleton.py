@@ -3,10 +3,14 @@
 A skeleton records the finitely many base cells of a complex with one free
 group action orbit per cell.  A lifted cell is a pair (group element, base
 cell); a chain is a finite integer combination of lifted cells of one
-dimension, kept in canonical form: words oracle-normalized when the oracle
-has normal forms (freely reduced class representatives otherwise), equal
-cells merged, zero coefficients dropped, terms sorted by dimension, base
-cell index, then shortlex word.
+dimension, kept in canonical form: each cell spelled by its representative
+word, equal cells merged, zero coefficients dropped, terms sorted by
+dimension, base cell index, then shortlex word.  One index, `_Elements`,
+decides when two words name the same cell.  The representative is the
+oracle's normal form when it has them; otherwise it is the shortlex-least
+freely reduced spelling among the words being merged, and words are matched
+by the oracle only among those of one base cell that share its cheap
+invariant.  An Undecided verdict raises OracleUndecidedError.
 
 Subchains, components, and connectivity follow the coefficient-window
 definitions: B is a subchain of A when, cell by cell, the coefficient of B
@@ -22,13 +26,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import (
-    InputError,
-    InvalidSkeletonError,
-    OracleUndecidedError,
-)
+from .errors import InputError, InvalidSkeletonError
 from .words import (
-    OracleVerdict,
     Presentation,
     Word,
     compose,
@@ -36,8 +35,8 @@ from .words import (
     free_reduce,
     invert,
     parse_word,
+    same_element,
     word_key,
-    words_equal,
 )
 
 
@@ -199,54 +198,69 @@ def identity_word(gens) -> Word:
 
 # ------------------------------------------------------------ canonical form
 
+class _Elements:
+    """The representative word of each lifted cell (base, word).
+
+    With normal forms the representative is the normal form, memoized by
+    spelling and shared across bases.  Otherwise it is the first word added
+    for the cell: a lookup tries the exact spelling, and only then asks the
+    oracle about the same-base words that share the word's invariant key.
+    `cells` are the (base, word) cells of a canonical chain, taken as their
+    own representatives without a check.
+    """
+
+    def __init__(self, oracle, cells=()):
+        self.oracle = oracle
+        self.normal = getattr(oracle, "has_normal_forms", False)
+        # normal forms: letters -> normal form; else (base, letters) -> representative
+        self.known: dict = {}
+        self.buckets: dict[tuple, list[Word]] = {}
+        for base, word in cells:
+            if self.normal:
+                self.known[word.letters] = word
+            else:
+                self._file(base, word, self.oracle.invariant_key(word))
+
+    def _file(self, base, word, key):
+        self.known[(base, word.letters)] = word
+        self.buckets.setdefault((base, key), []).append(word)
+
+    def rep(self, base: int, word: Word, add: bool = True):
+        """The representative of (base, word), word freely reduced.  A cell
+        not seen before gets word as its representative, or None when add is
+        false."""
+        if self.normal:
+            nw = self.known.get(word.letters)
+            if nw is None:
+                nw = self.known[word.letters] = self.oracle.normalize(word)
+            return nw
+        hit = self.known.get((base, word.letters))
+        if hit is not None:
+            return hit
+        key = self.oracle.invariant_key(word)
+        for r in self.buckets.get((base, key), ()):
+            if same_element(self.oracle, r, word):
+                self.known[(base, word.letters)] = r
+                return r
+        if add:
+            self._file(base, word, key)
+            return word
+        return None
+
+
 def _canonical_cells(raw_cells, oracle):
     """Map raw (base, word) pairs of one dimension to canonical cells.
 
-    Returns a dict (base, letters) -> (base, canonical word).  With normal
-    forms this is one rewrite per distinct word; otherwise pairwise equality
-    tests run inside groups sharing the oracle's cheap invariant.
+    Returns a dict (base, letters) -> (base, canonical word).  Without normal
+    forms the words are added shortest first, so each cell keeps its
+    shortlex-least spelling.
     """
-    out = {}
-    if getattr(oracle, "has_normal_forms", False):
-        memo: dict[tuple, Word] = {}
-        for base, word in raw_cells:
-            key = (base, word.letters)
-            if key in out:
-                continue
-            nw = memo.get(word.letters)
-            if nw is None:
-                nw = oracle.normalize(word)
-                memo[word.letters] = nw
-            out[key] = (base, nw)
-        return out
-
-    groups: dict[tuple, list[Word]] = {}
-    seen = set()
-    for base, word in raw_cells:
-        key = (base, word.letters)
-        if key in seen:
-            continue
-        seen.add(key)
-        groups.setdefault((base, oracle.invariant_key(word)), []).append(word)
-    for (base, _), members in groups.items():
-        members.sort(key=word_key)
-        reps: list[Word] = []
-        assign: list[int] = []
-        for w in members:
-            for ri, rep in enumerate(reps):
-                verdict = words_equal(oracle, rep, w)
-                if verdict is OracleVerdict.UNDECIDED:
-                    raise OracleUndecidedError(
-                        f"oracle could not decide {format_word(rep)} vs {format_word(w)}")
-                if verdict is OracleVerdict.TRIVIAL:
-                    assign.append(ri)
-                    break
-            else:
-                assign.append(len(reps))
-                reps.append(w)
-        for w, ri in zip(members, assign):
-            out[(base, w.letters)] = (base, reps[ri])
-    return out
+    elements = _Elements(oracle)
+    cells = {(base, w.letters): (base, w) for base, w in raw_cells}
+    order = cells.values()
+    if not elements.normal:
+        order = sorted(order, key=lambda bw: word_key(bw[1]))
+    return {(base, w.letters): (base, elements.rep(base, w)) for base, w in order}
 
 
 def build_chain(dim: int, pairs, oracle) -> Chain:
@@ -339,35 +353,18 @@ def coboundary(c: LiftedCell, s: SkeletonSpec, oracle) -> Chain:
     dim = c.dim
     if dim >= s.q:
         raise InputError(f"no cells above dimension {s.q}")
+    elements = _Elements(oracle)
     out = []
     for tbase in range(s.n_cells(dim + 1)):
-        bnd = s.boundary_chain(dim + 1, tbase).terms
-        cands = []
-        for bc, bn in bnd:
-            if bc.base != c.base:
-                continue
-            cands.append(compose(c.word, invert(bc.word)))
-        if not cands:
-            continue
-        cellmap = _canonical_cells(((tbase, g) for g in cands), oracle)
-        distinct = {}
-        for g in cands:
-            base, rep = cellmap[(tbase, free_reduce(g).letters)]
-            distinct[(base, rep.letters)] = rep
-        for (_, _), rep in sorted(distinct.items(), key=lambda kv: word_key(kv[1])):
-            total = 0
-            for bc, bn in bnd:
-                if bc.base != c.base:
-                    continue
-                verdict = words_equal(oracle, compose(rep, bc.word), c.word)
-                if verdict is OracleVerdict.UNDECIDED:
-                    raise OracleUndecidedError(
-                        f"oracle could not decide a coboundary match at {format_word(rep)}")
-                if verdict is OracleVerdict.TRIVIAL:
-                    total += bn
-            if total:
-                out.append((LiftedCell(dim + 1, tbase, rep), total))
-    return build_chain(dim + 1, out, oracle)
+        cands = sorted(((compose(c.word, invert(bc.word)), bn)
+                        for bc, bn in s.boundary_chain(dim + 1, tbase).terms
+                        if bc.base == c.base), key=lambda gn: word_key(gn[0]))
+        totals: dict[Word, int] = {}
+        for g, bn in cands:
+            rep = elements.rep(tbase, g)
+            totals[rep] = totals.get(rep, 0) + bn
+        out.extend((LiftedCell(dim + 1, tbase, rep), n) for rep, n in totals.items() if n)
+    return Chain(dim + 1, tuple(sorted(out, key=lambda t: (t[0].base, word_key(t[0].word)))))
 
 
 # ----------------------------------------------------- subchains, components
@@ -399,33 +396,14 @@ def is_subchain(b: Chain, a: Chain, oracle) -> bool:
 
 
 def _coeff_lookup(a: Chain, oracle):
-    """Coefficient accessor handling oracles without normal forms, where the
-    same group element may be spelled differently in different chains."""
+    """Coefficient accessor that matches cells by group element, however the
+    same element is spelled in another chain."""
+    elements = _Elements(oracle, ((c.base, c.word) for c, _ in a.terms))
     table = {(c.base, c.word.letters): n for c, n in a.terms}
-    if getattr(oracle, "has_normal_forms", False):
-        def get(c: LiftedCell) -> int:
-            nw = oracle.normalize(c.word)
-            return table.get((c.base, nw.letters), 0)
-        return get
-
-    by_base: dict[int, list[tuple[LiftedCell, int]]] = {}
-    for c, n in a.terms:
-        by_base.setdefault(c.base, []).append((c, n))
 
     def get(c: LiftedCell) -> int:
-        direct = table.get((c.base, free_reduce(c.word).letters))
-        if direct is not None:
-            return direct
-        key = oracle.invariant_key(c.word)
-        for ac, n in by_base.get(c.base, ()):
-            if key is not None and oracle.invariant_key(ac.word) != key:
-                continue
-            verdict = words_equal(oracle, ac.word, c.word)
-            if verdict is OracleVerdict.UNDECIDED:
-                raise OracleUndecidedError("oracle could not decide a cell match")
-            if verdict is OracleVerdict.TRIVIAL:
-                return n
-        return 0
+        rep = elements.rep(c.base, c.word, add=False)
+        return 0 if rep is None else table.get((c.base, rep.letters), 0)
     return get
 
 
@@ -454,34 +432,23 @@ def _aligned_units(a: Chain, s: SkeletonSpec, oracle):
 
     Returns (unit_vectors, totals) where unit_vectors[i] maps boundary-cell
     index -> coefficient of the boundary of sign(n_i) * cell_i, and totals
-    is the coefficient vector of boundary(a).  Joint canonicalization keeps
-    cell identities consistent across units for any oracle.
+    is the coefficient vector of boundary(a).  One element index keeps cell
+    identities consistent across units for any oracle.
     """
-    raw_units = []
-    for c, n in a.terms:
-        sgn = 1 if n > 0 else -1
-        raw = []
-        for bc, bn in s.boundary_chain(c.dim, c.base).terms:
-            raw.append((bc.base, compose(c.word, bc.word), bn * sgn))
-        raw_units.append(raw)
-    all_cells = [(base, w) for raw in raw_units for base, w, _ in raw]
-    cellmap = _canonical_cells(iter(all_cells), oracle)
+    elements = _Elements(oracle)
     index: dict[tuple, int] = {}
     units = []
-    for raw in raw_units:
+    totals: dict[int, int] = {}
+    for c, n in a.terms:
+        sgn = 1 if n > 0 else -1
         vec: dict[int, int] = {}
-        for base, w, coeff in raw:
-            cbase, rep = cellmap[(base, free_reduce(w).letters)]
-            key = (cbase, rep.letters)
-            if key not in index:
-                index[key] = len(index)
-            i = index[key]
-            vec[i] = vec.get(i, 0) + coeff
+        for bc, bn in s.boundary_chain(c.dim, c.base).terms:
+            rep = elements.rep(bc.base, compose(c.word, bc.word))
+            i = index.setdefault((bc.base, rep.letters), len(index))
+            vec[i] = vec.get(i, 0) + bn * sgn
             if not vec[i]:
                 del vec[i]
         units.append(vec)
-    totals: dict[int, int] = {}
-    for (c, n), vec in zip(a.terms, units):
         for i, d in vec.items():
             totals[i] = totals.get(i, 0) + d * abs(n)
             if not totals[i]:
@@ -489,12 +456,12 @@ def _aligned_units(a: Chain, s: SkeletonSpec, oracle):
     return units, totals
 
 
-def _find_component(a: Chain, s: SkeletonSpec, oracle, target_norm=None):
+def _find_component(a: Chain, s: SkeletonSpec, oracle):
     """Smallest proper nonzero component as a coefficient vector, or None.
 
-    Scans candidate subchains by increasing norm (or only target_norm when
-    given), choosing per-cell magnitudes in canonical term order, pruning on
-    boundary cells whose contributors are all decided.
+    Scans candidate subchains by increasing norm, choosing per-cell
+    magnitudes in canonical term order, pruning on boundary cells whose
+    contributors are all decided.
     """
     k = len(a.terms)
     if k == 0:
@@ -547,8 +514,7 @@ def _find_component(a: Chain, s: SkeletonSpec, oracle, target_norm=None):
                 return (t,) + rest
         return None
 
-    norms = [target_norm] if target_norm is not None else range(1, full)
-    for v in norms:
+    for v in range(1, full):
         found = dfs(0, 0, {}, v)
         if found is not None:
             return found

@@ -20,7 +20,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .errors import AlphabetError, InputError, ParseError
+from .errors import AlphabetError, InputError, OracleUndecidedError, ParseError
 
 Letter = tuple[int, int]
 
@@ -324,6 +324,16 @@ def words_equal(oracle: WordOracle, w1: Word, w2: Word) -> OracleVerdict:
     return oracle.is_trivial(compose(invert(w1), w2))
 
 
+def same_element(oracle: WordOracle, u: Word, v: Word) -> bool:
+    """Whether u and v name one group element; an Undecided verdict raises
+    OracleUndecidedError."""
+    verdict = words_equal(oracle, u, v)
+    if verdict is OracleVerdict.UNDECIDED:
+        raise OracleUndecidedError(
+            f"oracle could not decide {format_word(u)} vs {format_word(v)}")
+    return verdict is OracleVerdict.TRIVIAL
+
+
 class FreeOracle(WordOracle):
     """Sound when the presentation has no relators: trivial = reduces to empty."""
 
@@ -510,11 +520,6 @@ class BoundedBFSOracle(WordOracle):
     def name(self) -> str:
         return (f"bounded-bfs:radius={self.radius}:policy={self.policy}"
                 f":sufficient={self.sufficient_len}:cap={self.node_cap}")
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_known"] = {}
-        return state
 
     def _symmetrized_forms(self):
         return tuple(sorted({form for r in self.presentation.relators

@@ -4,7 +4,7 @@ import json
 
 from chainprofile.cache import ResultCache, profile_key
 from chainprofile.cli import main
-from chainprofile.inputs import load_example
+from chainprofile.inputs import bundled_examples, load_example
 from chainprofile.profiles import Budget
 from chainprofile.skeleton import skeleton_fingerprint
 
@@ -190,6 +190,11 @@ def test_exit_codes(tmp_path, capsys):
                        "--chain", "(1, nope)")
     assert code == 2
 
-    code, _, err = run(capsys, "validate", "--input", "surface2", "--no-cache",
-                       "--oracle-radius", "0")
+    # radius 0 leaves Undecided every nonempty word the abelianization
+    # does not settle
+    undecided = tmp_path / "surface2_radius0.json"
+    data = dict(bundled_examples()["surface2"])
+    data["oracle"] = dict(data["oracle"], radius=0)
+    undecided.write_text(json.dumps(data))
+    code, _, err = run(capsys, "validate", "--input", str(undecided), "--no-cache")
     assert code == 3

@@ -87,11 +87,6 @@ def test_load_input_errors(tmp_path):
         load_example("nope")
 
 
-def test_oracle_radius_override():
-    s, oracle = load_example("surface2", radius_override=4)
-    assert oracle.radius == 4
-
-
 def test_chain_literal_round_trip():
     s, oracle = load_example("z2")
     text = "2*(a b, e_b) - (1, e_a) + 3*(b^-1, e_a)"

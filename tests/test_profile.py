@@ -5,9 +5,9 @@ import random
 import pytest
 import window_oracle as win
 
-from chainprofile.enumeration import reachable_chains
+from chainprofile.enumeration import connected_cycles_up_to_action, reachable_chains
 from chainprofile.errors import BudgetExceededError, InputError, WrongAlgorithmError
-from chainprofile.inputs import load_example
+from chainprofile.inputs import load_example, load_input
 from chainprofile.profiles import (
     Budget,
     _ComponentPool,
@@ -29,6 +29,7 @@ from chainprofile.skeleton import (
     norm,
     presentation_complex,
     translate,
+    validate,
     zero_chain,
 )
 from chainprofile.words import (
@@ -205,6 +206,43 @@ def test_free_group_profiles_vanish():
     s = presentation_complex(parse_presentation("<a, b |>"))
     assert psi_table(s, oracle, 8).values == [0] * 9
     assert phi_table(s, oracle, 8).values == [0] * 9
+
+
+def three_torus():
+    """Cube complex of Z^3: one vertex, three edges, three squares, one cube,
+    with the abelian oracle."""
+    def cell(dim, cid, *terms):
+        return {"dim": dim, "id": cid,
+                "boundary": [{"word": w, "base": b, "coeff": c} for w, b, c in terms]}
+
+    def square(cid, x, y):
+        return cell(2, cid, ("1", f"e_{x}", 1), (x, f"e_{y}", 1),
+                    (y, f"e_{x}", -1), ("1", f"e_{y}", -1))
+
+    cells = [cell(0, "v")]
+    cells += [cell(1, f"e_{x}", ("1", "v", -1), (x, "v", 1)) for x in "abc"]
+    cells += [square("f_ab", "a", "b"), square("f_ac", "a", "c"), square("f_bc", "b", "c")]
+    cells.append(cell(3, "cube", ("a", "f_bc", 1), ("1", "f_bc", -1), ("b", "f_ac", -1),
+                      ("1", "f_ac", 1), ("c", "f_ab", 1), ("1", "f_ab", -1)))
+    return load_input({"dim": 3, "oracle": {"kind": "abelian"}, "cells": cells,
+                       "presentation": "<a, b, c | a b a^-1 b^-1, a c a^-1 c^-1, "
+                                       "b c b^-1 c^-1>"})
+
+
+def test_three_torus_two_cycles_and_psi():
+    # the only connected 2-cycles of norm at most 6 are the two orientations
+    # of the boundary of one cube, which the cube fills
+    s, oracle = three_torus()
+    assert validate(s, oracle)
+    got = connected_cycles_up_to_action(s, oracle, 2, 6)
+    assert {n: len(v) for n, v in got.items() if v} == {6: 2}
+    for workers in (1, 2):
+        table = psi_table(s, oracle, 6, workers=workers)
+        assert table.values == [0, 0, 0, 0, 0, 0, 1]
+        cycle = chain_from_json(table.witnesses[6]["cycle"], s, oracle)
+        filling = chain_from_json(table.witnesses[6]["filling"], s, oracle)
+        assert norm(cycle) == 6
+        assert chains_equal(boundary(filling, s, oracle), cycle, oracle)
 
 
 def test_surface_psi_to_eight():

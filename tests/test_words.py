@@ -1,15 +1,17 @@
 """Word algebra, presentations, and word-problem oracles."""
 
+import itertools
 import random
 
 import pytest
 
-from chainprofile.errors import InputError, ParseError
+from chainprofile.errors import InputError, OracleUndecidedError, ParseError
 from chainprofile.words import (
     BoundedBFSOracle,
     FiniteTableOracle,
     FreeAbelianOracle,
     FreeOracle,
+    IntegerLattice,
     OracleVerdict,
     Word,
     compose,
@@ -22,6 +24,7 @@ from chainprofile.words import (
     oracle_from_config,
     parse_presentation,
     parse_word,
+    same_element,
     word_key,
     words_equal,
 )
@@ -214,6 +217,72 @@ def test_bounded_bfs_radius_zero_is_undecided():
     assert is_trivial(o, w("a b a^-1 b^-1")) is OracleVerdict.UNDECIDED
     # abelianization certificate still fires below the radius
     assert is_trivial(o, w("a b")) is OracleVerdict.NONTRIVIAL
+
+
+def test_same_element_raises_on_undecided():
+    p = parse_presentation("<a, b | a b a^-1 b^-1>")
+    o = BoundedBFSOracle(p, radius=0, sufficient_len="all")
+    assert same_element(o, w("a"), w("a"))
+    assert not same_element(o, w("a"), w("b"))
+    with pytest.raises(OracleUndecidedError):
+        same_element(o, w("a b"), w("b a"))
+
+
+def test_bounded_bfs_default_gate():
+    # the default radius max(2 len, 2 maxrel) meets the default "auto" gate,
+    # so exhausting the component proves Nontrivial (infinite dihedral group)
+    o = BoundedBFSOracle(parse_presentation("<a, b | a^2, b^2>"))
+    assert is_trivial(o, w("a b a b")) is OracleVerdict.NONTRIVIAL
+    assert is_trivial(o, w("a b a^-1 b^-1")) is OracleVerdict.NONTRIVIAL
+    assert is_trivial(o, w("a b b a^-1")) is OracleVerdict.TRIVIAL
+
+
+def _row_lattice_box(rows, width, bound):
+    """Row lattice points of sup norm at most bound, by breadth-first steps
+    of +-row inside a box widened by the sum of the rows' sup norms: a
+    combination of the rows taken in proportional turns stays that close to
+    the segment from 0 to its sum, so every point in range is reached."""
+    edge = bound + sum(max(map(abs, r)) for r in rows)
+    steps = [tuple(s * x for x in r) for r in rows for s in (1, -1)]
+    seen = {(0,) * width}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for d in steps:
+                q = tuple(x + y for x, y in zip(p, d))
+                if q not in seen and max(map(abs, q)) <= edge:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return {p for p in seen if max(map(abs, p)) <= bound}
+
+
+def test_lattice_residue_decides_cosets():
+    # equal residues hold exactly when the difference lies in the row lattice
+    rng = random.Random(5)
+    for case in range(120):
+        width = 2 if case < 90 else 3
+        rows = [[rng.randint(-3, 3) for _ in range(width)]
+                for _ in range(rng.randint(1, 3))]
+        lattice = IntegerLattice(rows, width)
+        members = _row_lattice_box(rows, width, 4)
+        for d in itertools.product(range(-4, 5), repeat=width):
+            u = [rng.randint(-6, 6) for _ in range(width)]
+            same = lattice.residue(u) == lattice.residue([a + b for a, b in zip(u, d)])
+            assert same is (d in members), (rows, u, d)
+
+
+def test_lattice_merges_pivots():
+    # rows (2, 4) and (4, 2) share pivot column 0, which the gcd step merges
+    # into the echelon basis (2, 4), (0, 6): the quotient has order 12
+    lattice = IntegerLattice([(2, 4), (4, 2)], 2)
+    assert lattice.pivots == {0: [2, 4], 1: [0, 6]}
+    residues = {lattice.residue((x, y)) for x in range(12) for y in range(12)}
+    assert len(residues) == 12
+    assert not any(lattice.residue((6, 0))) and any(lattice.residue((3, 0)))
+    o = BoundedBFSOracle(parse_presentation("<a, b | a^2 b^4, a^4 b^2>"))
+    assert is_trivial(o, w("a^3")) is OracleVerdict.NONTRIVIAL
 
 
 def test_bounded_bfs_matches_abelian_on_random_words():
