@@ -17,7 +17,7 @@ from .cache import (
     verify_profile_entry,
 )
 from .enumeration import connected_chains_up_to_action, connected_cycles_up_to_action
-from .errors import ChainProfileError, InputError
+from .errors import ChainProfileError
 from .inputs import (
     bundled_examples,
     format_chain,
@@ -48,9 +48,7 @@ from .skeleton import (
 def _load(args):
     if os.path.exists(args.input):
         return load_input(args.input)
-    if args.input in bundled_examples():
-        return load_example(args.input)
-    raise InputError(f"input {args.input!r} is neither a file nor a bundled name")
+    return load_example(args.input)
 
 
 def _budget(args) -> Budget:

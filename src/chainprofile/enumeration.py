@@ -326,24 +326,30 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
     word w0^-1 w1 under label (edge, +1), and back under (edge, -1).  A walk
     ends at the first vertex it meets again; it is kept when that is its
     start and its labels are their own least rotation.
+
+    Each step carries its word, edge offset and exponent vector, so a step
+    costs one junction-only `compose` and one vector sum.  The edges become
+    lifted cells, each at its vertex word times its offset, only when a walk
+    closes and is kept.
     """
     e = identity_word(s.presentation.generators)
     loop = [(LiftedCell(0, 0, e), 0)] * 2  # ends merged at load; any vertex will do
-    steps = {}  # vertex -> [(label, next vertex, step word, edge offset)]
+    steps = {}  # vertex -> [(label, next vertex, step word, edge offset, step vector)]
     for edge in range(s.n_cells(1)):
         ends = sorted(s.boundary_chain(1, edge).terms, key=lambda t: t[1])
         (tail, _), (head, _) = ends or loop
         for label, a, b in (((edge, 1), tail, head), ((edge, -1), head, tail)):
             off = invert(a.word)
-            steps.setdefault(a.base, []).append((label, b.base, compose(off, b.word), off))
+            w = compose(off, b.word)
+            steps.setdefault(a.base, []).append((label, b.base, w, off, exponent_vector(w)))
     # closing cut: a step moves the exponent vector by at most `reach` in l1
     # norm, and the vector is a group invariant when no relator moves it
     reach = 0
     if not any(any(exponent_vector(r)) for r in s.presentation.relators):
-        reach = max((sum(map(abs, exponent_vector(w)))
-                     for moves in steps.values() for _, _, w, _ in moves), default=0)
+        reach = max((sum(map(abs, vec)) for moves in steps.values()
+                     for *_, vec in moves), default=0)
     out = {n: [] for n in range(1, max_norm + 1)}
-    labels, cells, path = [], [], []
+    labels, offs, path = [], [], []
     expanded = deepest = 0
 
     def meets(key, q):
@@ -353,7 +359,7 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
                 return i
         return None
 
-    def extend(p, v):
+    def extend(p, v, pvec):
         nonlocal expanded, deepest
         expanded += 1
         deepest = max(deepest, len(labels))
@@ -361,28 +367,31 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
             raise BudgetExceededError(
                 f"cycle enumeration expanded more than {node_cap} walks, "
                 f"reaching walk length {deepest} of {max_norm}")
-        for label, nv, w, off in steps.get(v, ()):
+        for label, nv, w, off, vec in steps.get(v, ()):
             if labels and (label < labels[0] or label == (labels[-1][0], -labels[-1][1])):
                 continue
             q = compose(p, w)
             key = (nv, oracle.invariant_key(q))
             at = meets(key, q)
             labels.append(label)
-            cells.append((LiftedCell(1, label[0], compose(p, off)), label[1]))
+            offs.append(off)
             n = len(labels)
             if at == 0 and all(labels <= labels[i:] + labels[:i] for i in range(1, n)):
-                out[n].append(build_chain(1, cells, oracle))
-            elif at is None and n < max_norm and (
-                    not reach or -(-sum(map(abs, exponent_vector(q))) // reach) <= max_norm - n):
-                path.append((key, q))
-                extend(q, nv)
-                path.pop()
+                out[n].append(build_chain(1, [
+                    (LiftedCell(1, edge, compose(r, o)), sign)
+                    for (_, r), o, (edge, sign) in zip(path, offs, labels)], oracle))
+            elif at is None and n < max_norm:
+                qvec = tuple(map(sum, zip(pvec, vec)))
+                if not reach or -(-sum(map(abs, qvec)) // reach) <= max_norm - n:
+                    path.append((key, q))
+                    extend(q, nv, qvec)
+                    path.pop()
             labels.pop()
-            cells.pop()
+            offs.pop()
 
     for v in sorted(steps):
         path[:] = [((v, oracle.invariant_key(e)), e)]
-        extend(e, v)
+        extend(e, v, exponent_vector(e))
     return {n: sorted(reps, key=_chain_sort_key) for n, reps in out.items()}
 
 

@@ -198,6 +198,6 @@ def bundled_examples() -> dict:
 def load_example(name: str):
     examples = bundled_examples()
     if name not in examples:
-        raise InputError(f"no bundled input named {name!r}; "
+        raise InputError(f"input {name!r} is neither a file nor a bundled name; "
                          f"available: {', '.join(sorted(examples))}")
     return load_input(examples[name])

@@ -346,8 +346,8 @@ def _rewritten_filling(cycle: Chain, s, oracle, rules, budget: Budget):
                 raise BudgetExceededError(
                     f"filling rewriting took more than {budget.node_cap} steps")
             i, k, (tail, sign, offset) = found
-            cells.append((LiftedCell(2, 0, compose(start, Word(gens, w[:i] + offset))),
-                          sign))
+            at = compose(Word(gens, w[:i]), Word(gens, offset))
+            cells.append((LiftedCell(2, 0, compose(start, at)), sign))
             w = _reduce_letters(w[:i] + tail + w[i + k:])
     return build_chain(2, cells, oracle)
 

@@ -269,10 +269,11 @@ def build_chain(dim: int, pairs, oracle) -> Chain:
     for c, _ in raw:
         if c.dim != dim:
             raise InputError(f"cell of dimension {c.dim} in a {dim}-chain")
-    cellmap = _canonical_cells(((c.base, free_reduce(c.word)) for c, _ in raw), oracle)
+    raw = [(c.base, free_reduce(c.word), n) for c, n in raw]
+    cellmap = _canonical_cells(((base, w) for base, w, _ in raw), oracle)
     acc: dict[tuple, tuple[Word, int]] = {}
-    for c, n in raw:
-        base, w = cellmap[(c.base, free_reduce(c.word).letters)]
+    for base, w, n in raw:
+        base, w = cellmap[(base, w.letters)]
         key = (base, w.letters)
         prev = acc.get(key)
         acc[key] = (w, n if prev is None else prev[1] + n)

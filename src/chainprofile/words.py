@@ -1,8 +1,11 @@
 """Free-group word algebra, presentations, and word-problem oracles.
 
 Words are tuples of (generator index, sign) letters over a fixed generator
-alphabet.  Every operation returns freely reduced words; callers constructing
-a Word directly are expected to pass reduced letters or reduce afterwards.
+alphabet.  A Word holds freely reduced letters, and `compose` and `invert`
+keep that, cancelling only at the junction.  Letters from outside are
+reduced where they enter: `parse_word`, `make_presentation`, `SkeletonSpec`
+boundary terms, `build_chain` and each oracle's `is_trivial`; an oracle's
+`normalize` must return a reduced word.
 
 Oracles answer the word problem for the group presented by a presentation.
 A verdict is Trivial, Nontrivial, or Undecided; Undecided means the oracle's
@@ -79,13 +82,11 @@ def compose(w1: Word, w2: Word) -> Word:
     if w1.gens != w2.gens:
         raise AlphabetError(
             f"cannot compose words over alphabets {w1.gens} and {w2.gens}")
-    a = _reduce_letters(w1.letters)
-    b = _reduce_letters(w2.letters)
-    return Word(w1.gens, _concat_reduced(a, b))
+    return Word(w1.gens, _concat_reduced(w1.letters, w2.letters))
 
 
 def invert(w: Word) -> Word:
-    return Word(w.gens, tuple((g, -s) for g, s in reversed(_reduce_letters(w.letters))))
+    return Word(w.gens, tuple((g, -s) for g, s in reversed(w.letters)))
 
 
 def word_key(w: Word):
@@ -346,10 +347,10 @@ class FreeOracle(WordOracle):
         return OracleVerdict.TRIVIAL
 
     def normalize(self, w: Word) -> Word:
-        return free_reduce(w)
+        return w
 
     def invariant_key(self, w: Word):
-        return free_reduce(w).letters
+        return w.letters
 
 
 class FreeAbelianOracle(WordOracle):

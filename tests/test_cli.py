@@ -169,6 +169,13 @@ def test_bound_commands(tmp_path, capsys):
     assert out.strip().splitlines()[-1] == "4,3"
 
 
+def test_unknown_input_lists_the_bundled_names(capsys):
+    code, _, err = run(capsys, "validate", "--input", "missing", "--no-cache")
+    assert code == 2
+    assert "'missing' is neither a file nor a bundled name" in err
+    assert ", ".join(sorted(bundled_examples())) in err
+
+
 def test_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "validate", "--input", "missing", "--no-cache")
     assert code == 2 and "error:" in err

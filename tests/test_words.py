@@ -14,6 +14,7 @@ from chainprofile.words import (
     IntegerLattice,
     OracleVerdict,
     Word,
+    _reduce_letters,
     compose,
     exponent_vector,
     format_word,
@@ -24,6 +25,7 @@ from chainprofile.words import (
     oracle_from_config,
     parse_presentation,
     parse_word,
+    relator_forms,
     same_element,
     word_key,
     words_equal,
@@ -99,6 +101,28 @@ def test_compose_cancels_at_junction():
 def test_invert():
     assert invert(w("a b^-1")) == w("b a^-1")
     assert compose(w("a b a"), invert(w("a b a"))).letters == ()
+
+
+def _reduced_words(gens, maxlen):
+    """Every freely reduced word over gens of length at most maxlen."""
+    letters = [(g, s) for g in range(len(gens)) for s in (1, -1)]
+    out = level = [()]
+    for _ in range(maxlen):
+        level = [u + (x,) for u in level for x in letters
+                 if not u or u[-1] != (x[0], -x[1])]
+        out = out + level
+    return [Word(gens, u) for u in out]
+
+
+def test_kernel_on_all_short_reduced_words():
+    words = _reduced_words(AB, 4)
+    assert len(words) == 161
+    empty = Word(AB, ())
+    for u in words:
+        assert invert(invert(u)) == u
+        assert compose(u, invert(u)) == empty
+        for v in words:
+            assert compose(u, v).letters == _reduce_letters(u.letters + v.letters)
 
 
 def test_compose_rejects_mixed_alphabets():
@@ -340,3 +364,66 @@ def test_oracle_names_distinguish_configs():
     b = BoundedBFSOracle(p, radius=8)
     assert a.name != b.name
     assert FreeAbelianOracle(p).name != FreeOracle(parse_presentation("<a, b>")).name
+
+
+# --------------------------------------------------- the reduced-word contract
+
+def _is_reduced(letters):
+    return all(x != (y[0], -y[1]) for x, y in zip(letters, letters[1:]))
+
+
+def _recording_build_chain(monkeypatch, module):
+    """Record every cell word the module hands to build_chain."""
+    seen = []
+    real = module.build_chain
+
+    def build(dim, pairs, oracle):
+        pairs = list(pairs)
+        seen.extend(c.word.letters for c, _ in pairs)
+        return real(dim, pairs, oracle)
+    monkeypatch.setattr(module, "build_chain", build)
+    return seen
+
+
+def test_word_producers_hand_out_reduced_words(monkeypatch):
+    from chainprofile import enumeration, profiles
+    from chainprofile.inputs import load_example
+    from chainprofile.skeleton import presentation_complex
+
+    for text in ("<a, b | a b a^-1 b^-1>", "<a, b, c, d | a b a^-1 b^-1 c d c^-1 d^-1>",
+                 "<a, b | a^2 b^4, a^4 b^2>"):
+        p = parse_presentation(text)
+        s = presentation_complex(p)
+        for dim in (1, 2):
+            for base in range(s.n_cells(dim)):
+                assert all(_is_reduced(c.word.letters)
+                           for c, _ in s.boundary_chain(dim, base).terms)
+        for r in p.relators:
+            for form, _, offset in relator_forms(r):
+                assert _is_reduced(form) and _is_reduced(offset)
+
+    zmod2 = load_example("zmod2")[1]
+    klein = FiniteTableOracle(parse_presentation("<a, b | a^2, b^2, a b a^-1 b^-1>"),
+                              range(4), [[i ^ j for j in range(4)] for i in range(4)],
+                              {"a": 1, "b": 2})
+    for o in (zmod2, klein):
+        assert all(_is_reduced(o.element_word(i).letters) for i in range(len(o.elements)))
+
+    abelian = FreeAbelianOracle(parse_presentation("<a, b | a b a^-1 b^-1>"))
+    for u in _reduced_words(AB, 4):
+        assert _is_reduced(abelian.normalize(u).letters)
+
+    walked = _recording_build_chain(monkeypatch, enumeration)
+    filled = _recording_build_chain(monkeypatch, profiles)
+    for name, walk_norm, fill_norm in (("z2", 10, 8), ("surface2", 8, 8)):
+        s, oracle = load_example(name)
+        cycles = enumeration.connected_cycles_up_to_action(s, oracle, 1, walk_norm)
+        rules = profiles._rewriting_rules(s)
+        for n, reps in cycles.items():
+            for cyc in reps:
+                assert all(_is_reduced(c.word.letters) for c, _ in cyc.terms)
+                if n <= fill_norm:
+                    x = profiles._rewritten_filling(cyc, s, oracle, rules, profiles.Budget())
+                    assert all(_is_reduced(c.word.letters) for c, _ in x.terms)
+    assert walked and filled
+    assert all(map(_is_reduced, walked)) and all(map(_is_reduced, filled))
