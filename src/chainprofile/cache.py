@@ -141,8 +141,8 @@ _WITNESS_CHECKS = {"psi": _psi_witness, "finite": _finite_witness}
 
 def verify_profile_entry(entry, kind: str, n: int, s, oracle) -> bool:
     """Structural and witness checks on a cached profile before reuse: the
-    witness for size k is a filling that bounds a cycle of norm at most k
-    and has norm values[k]."""
+    witness for size 0 is empty, and the witness for size k is a filling
+    that bounds a cycle of norm at most k and has norm values[k]."""
     check = _WITNESS_CHECKS.get(kind)
     if check is None:
         return False
@@ -151,7 +151,8 @@ def verify_profile_entry(entry, kind: str, n: int, s, oracle) -> bool:
     try:
         values = entry["values"]
         witnesses = entry["witnesses"]
-        if not _values_ok(values, n) or len(witnesses) != n + 1:
+        if (not _values_ok(values, n) or len(witnesses) != n + 1
+                or witnesses[0] is not None):
             return False
         for k in range(1, n + 1):
             wit = witnesses[k]

@@ -1,8 +1,15 @@
-"""Command-line interface."""
+"""Command-line interface.
+
+`main(argv)` may be called repeatedly in one process.  The argument parser
+is built on the first call and reused, so the `cmd_*` handlers are bound
+then: to change what a command does, patch what its handler calls (such as
+`chainprofile.cli.psi_table`), not the handler itself.
+"""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -244,7 +251,10 @@ def cmd_disk_bound(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: argparse leaves it unchanged
+    while it parses."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True,
                         help="input JSON file or bundled example name")

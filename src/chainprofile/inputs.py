@@ -185,19 +185,24 @@ def read_delta(path) -> list:
 
 # ----------------------------------------------------------- bundled inputs
 
+def _bundled_files() -> dict:
+    """Name -> resource of each input shipped with the package, unread."""
+    root = resources.files("chainprofile.data")
+    return {item.name[:-5]: item
+            for item in sorted(root.iterdir(), key=lambda p: p.name)
+            if item.name.endswith(".json")}
+
+
 def bundled_examples() -> dict:
     """Name -> description dict for the inputs shipped with the package."""
-    out = {}
-    root = resources.files("chainprofile.data")
-    for item in sorted(root.iterdir(), key=lambda p: p.name):
-        if item.name.endswith(".json"):
-            out[item.name[:-5]] = json.loads(item.read_text())
-    return out
+    return {name: json.loads(item.read_text())
+            for name, item in _bundled_files().items()}
 
 
 def load_example(name: str):
-    examples = bundled_examples()
-    if name not in examples:
+    """(skeleton, oracle) of one bundled input; only its own file is read."""
+    files = _bundled_files()
+    if name not in files:
         raise InputError(f"input {name!r} is neither a file nor a bundled name; "
-                         f"available: {', '.join(sorted(examples))}")
-    return load_input(examples[name])
+                         f"available: {', '.join(sorted(files))}")
+    return load_input(json.loads(files[name].read_text()))

@@ -58,7 +58,6 @@ import logging
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
-from multiprocessing import get_context
 
 from .enumeration import (
     _unit_boundary_norm,
@@ -423,6 +422,7 @@ def psi_table(s, oracle, n: int, budget: Budget | None = None,
     pool = _ComponentPool(s, oracle, s.q, budget.node_cap)
     fill = partial(minimal_filling, s=s, oracle=oracle, budget=budget, pool=pool)
     if workers > 1 and len(flat) > 1:
+        from multiprocessing import get_context  # ~10 ms: not at import time
         global _FORKED_FILL
         _FORKED_FILL = fill
         try:

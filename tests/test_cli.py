@@ -1,7 +1,13 @@
 """End-to-end command-line checks."""
 
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import chainprofile
 from chainprofile.cache import ResultCache, profile_key
 from chainprofile.cli import main
 from chainprofile.inputs import bundled_examples, load_example
@@ -88,6 +94,24 @@ def test_tampered_cache_is_recomputed(tmp_path, capsys):
     assert json.loads(second)["value"] == 1
     assert "recomputing" in err
     assert json.loads(entry_file.read_text())["value"]["value"] == 1
+
+
+@pytest.mark.parametrize("query", [("psi", "--input", "z2"),
+                                   ("finite-profile", "--input", "zmod2")])
+def test_forged_size_zero_witness_is_recomputed(tmp_path, capsys, query):
+    args = (*query, "-n", "6", "--cache", str(tmp_path))
+    code, first, _ = run(capsys, *args)
+    assert code == 0
+    (entry_file,) = tmp_path.glob("*.json")
+    data = json.loads(entry_file.read_text())
+    assert data["value"]["witnesses"][0] is None
+    data["value"]["witnesses"][0] = {"cycle": "forged", "filling": "forged"}
+    entry_file.write_text(json.dumps(data))
+    code, second, err = run(capsys, *args)
+    assert code == 0
+    assert second == first
+    assert "recomputing" in err
+    assert json.loads(entry_file.read_text())["value"]["witnesses"][0] is None
 
 
 def test_psi_output_and_worker_independence(tmp_path, capsys):
@@ -205,3 +229,46 @@ def test_exit_codes(tmp_path, capsys):
     undecided.write_text(json.dumps(data))
     code, _, err = run(capsys, "validate", "--input", str(undecided), "--no-cache")
     assert code == 3
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(chainprofile.__file__)))
+
+
+def _fresh_process(*args, **kwargs):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, **kwargs)
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    # argparse wraps its usage lines to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    queries = [
+        ("fv", "--input", "z2", "--chain", SQUARE, "--format", "json"),
+        ("psi", "--input", "z2", "-n", "6"),
+        ("phi", "--input", "z2", "-n", "6", "--format", "csv"),
+        ("finite-profile", "--input", "zmod2", "-n", "4"),
+        ("validate", "--input", "z2"),
+        ("enumerate", "--input", "z2", "--chain-dim", "1", "--max-norm", "4",
+         "--cycles", "--list"),
+        ("psi", "--input", "z2", "-n", "six"),
+        ("validate", "--input", "missing"),
+    ]
+    for i, query in enumerate(queries):
+        argv = [*query, "--cache", str(tmp_path / f"in-process-{i}")]
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        got = capsys.readouterr()
+        argv[-1] = str(tmp_path / f"fresh-{i}")
+        fresh = _fresh_process("-m", "chainprofile.cli", *argv)
+        assert (code, got.out, got.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), query
+
+
+def test_import_leaves_multiprocessing_out():
+    probe = _fresh_process(
+        "-c", "import sys, chainprofile.cli; print('multiprocessing' in sys.modules)",
+        check=True)
+    assert probe.stdout.strip() == "False"

@@ -87,6 +87,17 @@ def test_load_input_errors(tmp_path):
         load_example("nope")
 
 
+def test_load_example_reads_only_its_file(tmp_path, monkeypatch):
+    (tmp_path / "z2.json").write_text(json.dumps(bundled_examples()["z2"]))
+    (tmp_path / "broken.json").write_text("{nope")
+    monkeypatch.setattr("chainprofile.inputs.resources.files",
+                        lambda package: tmp_path)
+    s, oracle = load_example("z2")
+    assert s.n_cells(2) == 1
+    with pytest.raises(InputError, match="available: broken, z2$"):
+        load_example("nope")
+
+
 def test_chain_literal_round_trip():
     s, oracle = load_example("z2")
     text = "2*(a b, e_b) - (1, e_a) + 3*(b^-1, e_a)"
