@@ -75,14 +75,9 @@ def _print_json(data):
 def _emit_table(table: ProfileTable, fmt: str, notes=()):
     if fmt == "json":
         _print_json(table.to_json_dict())
-    elif fmt == "csv":
-        print("n,value")
-        for n, v in enumerate(table.values):
-            print(f"{n},{v}")
-    else:
-        width = len(str(len(table.values) - 1))
-        for n, v in enumerate(table.values):
-            print(f"{n:>{width}}  {v}")
+        return
+    _emit_values(table.values, fmt)
+    if fmt == "human":
         for note in notes:
             print(f"note: {note}")
 

@@ -10,8 +10,7 @@ single-cell seeds: a unit may raise the magnitude of a coefficient already
 present (same sign), or sit on a new cell provided its boundary strictly
 cancels part of the current boundary.  Disconnected intermediates are kept
 while growing; connectivity is filtered at output.  One loop,
-`chain_levels`, runs this rule and yields one norm level at a time, so a
-caller can resume growth where it stopped.
+`chain_levels`, runs this rule and yields one norm level at a time.
 
 The loop runs over an engine, which holds the chains and decides when two of
 them lie in one orbit.  Oracles with normal forms use an integer-interned
@@ -22,8 +21,6 @@ multisets.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .errors import BudgetExceededError, InputError
 from .skeleton import (
@@ -270,14 +267,13 @@ class _ObjectEngine:
 
 # ------------------------------------------------------------ the growth loop
 
-def chain_levels(s, oracle, dim: int, max_norm: int | None = None,
+def chain_levels(s, oracle, dim: int, max_norm: int,
                  node_cap: int | None = None, cycle_target: bool = False):
     """Grow chains one norm level at a time, one per orbit.
 
-    Yields (n, [(chain, boundary), ...]) sorted, for n = 1 .. max_norm, or
-    without end when max_norm is None.  Level n does not depend on max_norm
-    unless cycle_target is set (it then needs max_norm): chains whose
-    boundary norm exceeds what the units left can cancel are dropped.
+    Yields (n, [(chain, boundary), ...]) sorted, for n = 1 .. max_norm.
+    Level n does not depend on max_norm unless cycle_target is set: chains
+    whose boundary norm exceeds what the units left can cancel are dropped.
     """
     eng = (_IdEngine if getattr(oracle, "has_normal_forms", False)
            else _ObjectEngine)(s, oracle, dim)
@@ -289,7 +285,7 @@ def chain_levels(s, oracle, dim: int, max_norm: int | None = None,
             if eng.is_new(chain):
                 frontier.append((chain, bnd, bnorm))
     processed = 0
-    for n in itertools.count(1) if max_norm is None else range(1, max_norm + 1):
+    for n in range(1, max_norm + 1):
         if cycle_target:
             frontier = [f for f in frontier if f[2] <= beta * (max_norm - n)]
         yield n, sorted((eng.to_pair(chain, bnd) for chain, bnd, _ in frontier),
@@ -301,10 +297,9 @@ def chain_levels(s, oracle, dim: int, max_norm: int | None = None,
         for chain, bnd, bnorm in frontier:
             processed += 1
             if node_cap is not None and processed > node_cap:
-                of = "" if max_norm is None else f" of {max_norm}"
                 raise BudgetExceededError(
                     f"chain enumeration expanded more than {node_cap} chains, "
-                    f"reaching norm {n}{of}")
+                    f"reaching norm {n} of {max_norm}")
             for move, on_support in eng.candidates(chain, bnd):
                 new_bnd, new_norm, unit_norm = eng.add_boundary(bnd, move)
                 if not on_support and new_norm >= bnorm + unit_norm:

@@ -18,16 +18,19 @@ groups such as the genus-two surface; the half rules sort grid words.  The
 rules are not complete for every one-relator group: a walk they leave
 nonempty sends the cycle to the search.
 
-The filling search runs iterative deepening on the filling norm: a minimal
-filling splits into connected components, each with nonzero boundary that is
-a subchain of the target cycle, so fillings of norm v are sums of connected
-chains drawn from the component pool, placed by translation.  The pool holds
-one growth run of the chain enumeration and pulls a further norm level from
-it only when a deeper search needs one, so no level is grown twice; psi
-shares one pool across all its cycles (forked workers inherit it).  Each
-search node branches on which component covers the least remaining boundary
-cell, which some component always must.  Witnesses are re-verified against
-the boundary operator before anything is returned.
+The filling search runs iterative deepening on the filling norm v.  A
+q-chain of norm v is a sum of v signed unit cells, so FV(z) is the least
+number of signed unit cells whose boundaries sum to z (Gersten's l1 view of
+Dehn functions, MSRI Publ. 23, 1992).  A node holds the part t of the cycle
+still to fill and the number rem of units left.  It is cut when the norm of
+t exceeds rem times beta, the largest norm of a cell's boundary; otherwise it
+takes the least cell x of t, with coefficient c, and branches only on the
+cells tau above x, with coefficient k in the coboundary of x, adding the
+unit sign(c k) tau.  This covers every filling: t_x is the sum of the
+contributions [boundary of tau : x] of the units of any filling x' of t, so
+some unit of x' contributes with the sign of c, and removing it leaves a
+filling of the rest of norm rem - 1.  Witnesses are re-verified against the
+boundary operator before anything is returned.
 
 Profiles: psi(n) maximizes filling volume over connected cycles of norm at
 most n; phi(n) maximizes the sum of psi over partitions of n, computed by
@@ -59,11 +62,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import partial
 
-from .enumeration import (
-    _unit_boundary_norm,
-    chain_levels,
-    connected_cycles_up_to_action,
-)
+from .enumeration import _unit_boundary_norm, connected_cycles_up_to_action
 from .errors import (
     BudgetExceededError,
     ChainProfileError,
@@ -79,13 +78,10 @@ from .skeleton import (
     build_chain,
     chain_to_json,
     chains_equal,
-    is_connected,
-    is_subchain,
-    negate,
+    coboundary,
     norm,
     presentation_complex,
     skeleton_fingerprint,
-    translate,
     zero_chain,
 )
 from .words import (
@@ -128,51 +124,7 @@ class ProfileTable:
 
 # ------------------------------------------------------------- filling search
 
-class _PoolRep:
-    """One connected chain with its boundary, indexed for anchor lookups."""
-    __slots__ = ("chain", "bnd", "anchors")
-
-    def __init__(self, chain, bnd):
-        self.chain = chain
-        self.bnd = bnd
-        self.anchors = {}
-        for c, n in bnd.terms:
-            key = (c.base, 1 if n > 0 else -1)
-            self.anchors.setdefault(key, []).append((c.word, n))
-
-
-class _ComponentPool:
-    """Connected chains with nonzero boundary, one per orbit, grown lazily.
-
-    One growth run feeds the pool level by level; a budget or oracle error
-    it raises is raised again by every later ensure, as the run cannot
-    resume.
-    """
-
-    def __init__(self, s, oracle, dim, node_cap):
-        self.s = s
-        self.oracle = oracle
-        self.levels = chain_levels(s, oracle, dim, node_cap=node_cap)
-        self.error = None
-        self.upto = 0
-        self.by_norm = {}
-
-    def ensure(self, v: int):
-        if self.error is not None:
-            raise self.error
-        while self.upto < v:
-            try:
-                n, pairs = next(self.levels)
-            except ChainProfileError as exc:
-                self.error = exc
-                raise
-            self.by_norm[n] = [_PoolRep(a, b) for a, b in pairs
-                               if b.terms and is_connected(a, self.s, self.oracle)]
-            self.upto = n
-
-
-def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None,
-                    pool: _ComponentPool | None = None) -> Chain:
+def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Chain:
     """A filling of least norm: T one dimension up with boundary the cycle.
 
     Inside the aspherical one-relator gate, and when the oracle's group is
@@ -194,7 +146,7 @@ def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None,
         rules = _rewriting_rules(s)
     total = _rewritten_filling(cycle, s, oracle, rules, budget) if rules else None
     if total is None:
-        return _search_filling(cycle, s, oracle, budget, pool)
+        return _search_filling(cycle, s, oracle, budget)
     _check_filling(total, cycle, s, oracle)
     if norm(total) > budget.fill_volume_cap:
         raise BudgetExceededError(
@@ -208,55 +160,42 @@ def _check_filling(total: Chain, cycle: Chain, s, oracle):
         raise ChainProfileError("filling witness failed verification")
 
 
-def _search_filling(cycle: Chain, s, oracle, budget: Budget | None = None,
-                    pool: _ComponentPool | None = None) -> Chain:
+def _search_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Chain:
     """Least filling of a nonzero cycle by iterative deepening on its norm."""
     budget = budget or Budget()
     dim = cycle.dim + 1
-    if pool is None:
-        pool = _ComponentPool(s, oracle, dim, budget.node_cap)
     beta = _unit_boundary_norm(s, dim)
     if beta == 0:
         raise InputError("no cells available one dimension up")
-    nodes = [0]
+    nodes = 0
 
-    def search(target, rem):
-        # branch on which component covers the least remaining support cell:
-        # some component must, with a same-sign coefficient there
-        nodes[0] += 1
-        if nodes[0] > budget.node_cap:
+    def search(target, rem, v):
+        # some unit of every filling of norm rem has the sign of target's
+        # least cell x there: branch on the cells above x
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget.node_cap:
             raise BudgetExceededError(
-                f"filling search expanded more than {budget.node_cap} nodes")
-        tn = norm(target)
-        if tn == 0:
-            return [] if rem == 0 else None
-        if tn > rem * beta:
+                f"filling search expanded more than {budget.node_cap} nodes, "
+                f"reaching filling norm {v}")
+        if not target.terms:
+            return []
+        if norm(target) > rem * beta:
             return None
-        x, cx = target.terms[0]
-        want = (x.base, 1 if cx > 0 else -1)
-        for size in range(min(rem, pool.upto), 0, -1):
-            for rep in pool.by_norm.get(size, ()):
-                for bw, bc in rep.anchors.get(want, ()):
-                    if abs(bc) > abs(cx):
-                        continue
-                    g = compose(x.word, invert(bw))
-                    placed_b = translate(g, rep.bnd, oracle)
-                    if not is_subchain(placed_b, target, oracle):
-                        continue
-                    rest = add_chains(target, negate(placed_b), oracle)
-                    tail = search(rest, rem - size)
-                    if tail is not None:
-                        return [(rep.chain, g)] + tail
+        x, c = target.terms[0]
+        for tau, k in coboundary(x, s, oracle).terms:
+            sign = 1 if c * k > 0 else -1
+            unit = Chain(dim, ((tau, -sign),))
+            tail = search(add_chains(target, boundary(unit, s, oracle), oracle), rem - 1, v)
+            if tail is not None:
+                return [(tau, sign)] + tail
         return None
 
     low = max(1, -(-norm(cycle) // beta))
     for v in range(low, budget.fill_volume_cap + 1):
-        pool.ensure(v)
-        found = search(cycle, v)
+        found = search(cycle, v, v)
         if found is not None:
-            total = zero_chain(dim)
-            for rep, g in found:
-                total = add_chains(total, translate(g, rep, oracle), oracle)
+            total = build_chain(dim, found, oracle)
             _check_filling(total, cycle, s, oracle)
             return total
     raise BudgetExceededError(
@@ -384,15 +323,15 @@ def _cycle_walks(cycle: Chain, oracle, gens):
             yield Word(gens, v), tuple(letters)
 
 
-def filling_volume(cycle: Chain, s, oracle, budget: Budget | None = None,
-                   pool: _ComponentPool | None = None) -> int:
-    return norm(minimal_filling(cycle, s, oracle, budget=budget, pool=pool))
+def filling_volume(cycle: Chain, s, oracle, budget: Budget | None = None) -> int:
+    return norm(minimal_filling(cycle, s, oracle, budget=budget))
 
 
 # ------------------------------------------------------- psi and phi profiles
 
-# psi_table's fill with its pool, set around the fork: Pool.map sends the
-# task by name, so workers reach the inherited pool through this module
+# psi_table's fill, with its skeleton and oracle, set around the fork:
+# Pool.map sends the task by name, so workers reach the inherited fill
+# through this module
 _FORKED_FILL = None
 
 
@@ -419,8 +358,7 @@ def psi_table(s, oracle, n: int, budget: Budget | None = None,
     cycles = connected_cycles_up_to_action(s, oracle, dim, n,
                                            node_cap=budget.node_cap) if n else {}
     flat = [(k, a) for k in sorted(cycles) for a in cycles[k]]
-    pool = _ComponentPool(s, oracle, s.q, budget.node_cap)
-    fill = partial(minimal_filling, s=s, oracle=oracle, budget=budget, pool=pool)
+    fill = partial(minimal_filling, s=s, oracle=oracle, budget=budget)
     if workers > 1 and len(flat) > 1:
         from multiprocessing import get_context  # ~10 ms: not at import time
         global _FORKED_FILL

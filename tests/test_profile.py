@@ -1,16 +1,16 @@
 """Filling volumes and profiles against the independent grid model."""
 
 import random
+import time
 
 import pytest
 import window_oracle as win
 
-from chainprofile.enumeration import connected_cycles_up_to_action, reachable_chains
+from chainprofile.enumeration import connected_cycles_up_to_action
 from chainprofile.errors import BudgetExceededError, InputError, WrongAlgorithmError
 from chainprofile.inputs import load_example, load_input
 from chainprofile.profiles import (
     Budget,
-    _ComponentPool,
     chain2_bound,
     disk_combination,
     filling_volume,
@@ -25,7 +25,6 @@ from chainprofile.skeleton import (
     build_chain,
     chain_from_json,
     chains_equal,
-    is_connected,
     norm,
     presentation_complex,
     translate,
@@ -47,6 +46,11 @@ def z2():
     oracle = FreeAbelianOracle(GENS)
     s = presentation_complex(parse_presentation("<a, b | a b a^-1 b^-1>"))
     return s, oracle
+
+
+def two_relator_grid():
+    p = parse_presentation("<a, b | a b a^-1 b^-1, b a b^-1 a^-1>")
+    return presentation_complex(p), FreeAbelianOracle(p)
 
 
 def face_chain(s, oracle, terms):
@@ -112,32 +116,17 @@ def test_tiny_cap_is_reported():
         minimal_filling(cyc, s, oracle, budget=Budget(fill_volume_cap=2))
 
 
-def pool_reps(pool):
-    return {n: [(rep.chain, rep.bnd) for rep in reps] for n, reps in pool.by_norm.items()}
-
-
-@pytest.mark.parametrize("name,max_norm", [("z2", 4), ("surface2", 3)])
-def test_pool_resumes_level_by_level(name, max_norm):
-    # z2 grows on the interned engine, surface2 (bounded-bfs) on chain objects
-    s, oracle = load_example(name)
-    resumed = _ComponentPool(s, oracle, 2, 1_000_000)
-    resumed.ensure(2)
-    resumed.ensure(max_norm)
-    fresh = _ComponentPool(s, oracle, 2, 1_000_000)
-    fresh.ensure(max_norm)
-    reached = reachable_chains(s, oracle, 2, max_norm)
-    want = {n: [(a, b) for a, b in pairs if b.terms and is_connected(a, s, oracle)]
-            for n, pairs in reached.items()}
-    assert pool_reps(resumed) == pool_reps(fresh) == want
-    assert resumed.upto == fresh.upto == max_norm
-
-
-def test_pool_budget_error_sticks():
-    s, oracle = z2()
-    pool = _ComponentPool(s, oracle, 2, 20)
-    for _ in range(2):
-        with pytest.raises(BudgetExceededError, match="chain enumeration .* reaching norm 3"):
-            pool.ensure(4)
+def test_search_budget_names_the_filling_norm_reached():
+    # two relators put the grid outside the rewriting gate; the 3 x 3 block
+    # needs 9 faces, deepening starts at ceil(12 / 4) = 3, and level 3 is
+    # exhausted within the cap
+    s, oracle = two_relator_grid()
+    block = face_chain(s, oracle, [(f"a^{x} b^{y}", 1) for x in range(3) for y in range(3)])
+    cyc = boundary(block, s, oracle)
+    with pytest.raises(BudgetExceededError,
+                       match="filling search expanded more than 5 nodes, "
+                             "reaching filling norm 4"):
+        minimal_filling(cyc, s, oracle, budget=Budget(node_cap=5))
 
 
 def test_psi_values_on_the_grid():
@@ -172,8 +161,7 @@ def test_worker_count_does_not_change_results():
 def test_worker_count_does_not_change_searched_results():
     # two relators put the grid outside the rewriting gate, so the forked
     # workers run the filling search
-    p = parse_presentation("<a, b | a b a^-1 b^-1, b a b^-1 a^-1>")
-    s, oracle = presentation_complex(p), FreeAbelianOracle(p)
+    s, oracle = two_relator_grid()
     one = psi_table(s, oracle, 6, workers=1)
     two = psi_table(s, oracle, 6, workers=2)
     assert one.values == [0, 0, 0, 0, 1, 1, 2]
@@ -243,6 +231,45 @@ def test_three_torus_two_cycles_and_psi():
         filling = chain_from_json(table.witnesses[6]["filling"], s, oracle)
         assert norm(cycle) == 6
         assert chains_equal(boundary(filling, s, oracle), cycle, oracle)
+
+
+def test_three_torus_boxes_fill_with_their_cubes():
+    t0 = time.time()
+    s, oracle = three_torus()
+    gens = s.presentation.generators
+    # the 1 x 1 x 2 and 2 x 2 x 1 boxes: (cubes, surface area, filling volume)
+    for words, area, fv in ((["1", "c"], 10, 2), (["1", "a", "b", "a b"], 16, 4)):
+        box = build_chain(3, [(LiftedCell(3, 0, parse_word(w, gens)), 1) for w in words],
+                          oracle)
+        cyc = boundary(box, s, oracle)
+        assert norm(cyc) == area
+        assert filling_volume(cyc, s, oracle) == fv
+    elapsed = time.time() - t0
+    assert elapsed < 10.0
+
+
+def test_three_dimensional_grid_psi_to_eight():
+    # three commutators: outside the rewriting gate, every value is searched
+    t0 = time.time()
+    p = parse_presentation("<a, b, c | a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1>")
+    s, oracle = presentation_complex(p), FreeAbelianOracle(p)
+    assert psi_table(s, oracle, 8).values == [0, 0, 0, 0, 1, 1, 3, 3, 5]
+    elapsed = time.time() - t0
+    assert elapsed < 60.0
+
+
+def test_two_relator_grid_psi_matches_grid_model_to_ten():
+    # the model's walk enumeration agrees with its support enumeration to
+    # norm 8 (test_window_oracle) and is about 60 times faster at norm 10
+    worst = [max((win.filling_volume(dict(c)) for c in win.cycle_orbits_by_walks(m)),
+                 default=0) for m in range(1, 11)]
+    want = [max([0] + worst[:k]) for k in range(11)]
+    assert want == [0, 0, 0, 0, 1, 1, 2, 2, 4, 4, 6]
+    t0 = time.time()
+    s, oracle = two_relator_grid()
+    assert psi_table(s, oracle, 10).values == want
+    elapsed = time.time() - t0
+    assert elapsed < 30.0
 
 
 def test_surface_psi_to_eight():

@@ -16,7 +16,6 @@ from chainprofile.errors import BudgetExceededError
 from chainprofile.inputs import load_example, parse_chain
 from chainprofile.profiles import (
     Budget,
-    _ComponentPool,
     _oracle_is_the_group,
     _rewriting_rules,
     _rewritten_filling,
@@ -100,11 +99,9 @@ def test_finite_quotient_oracle_takes_the_search():
     cyc = face_boundary(s, oracle, [f"a^{x} b^{y}" for x in range(3) for y in range(3)])
     assert norm(cyc) == 12
     assert norm(_rewritten_filling(cyc, s, oracle, _rewriting_rules(s), Budget())) == 9
-    pool = _ComponentPool(s, oracle, 2, Budget().node_cap)
-    got = minimal_filling(cyc, s, oracle, pool=pool)
+    got = minimal_filling(cyc, s, oracle)
     assert norm(got) == 7
-    assert (chain_to_json(got, s)
-            == chain_to_json(_search_filling(cyc, s, oracle, pool=pool), s))
+    assert chain_to_json(got, s) == chain_to_json(_search_filling(cyc, s, oracle), s)
 
 
 def test_abelian_oracle_is_the_group_only_for_a_commutator():
@@ -144,6 +141,8 @@ def test_rewriting_matches_grid_model_to_norm_10():
             assert _rewritten_filling(cyc, s, oracle, rules, Budget()) is not None
             grid = {(kind[c.base], *exponent_vector(c.word)): n for c, n in cyc.terms}
             assert filling_volume(cyc, s, oracle) == win.filling_volume(grid)
+            # minimal_filling rewrites every grid cycle, so check the search too
+            assert norm(_search_filling(cyc, s, oracle)) == win.filling_volume(grid)
 
 
 def test_rewriting_equals_search_on_the_surface():
