@@ -3,7 +3,22 @@
 Connected 1-cycles are simple closed walks in the 1-skeleton: by flow
 decomposition (Ahuja, Magnanti, Orlin, Network Flows, 3.5) a connected
 integer 1-cycle is one simple circuit with coefficients +-1, and its deck
-orbit is the rotation class of its step labels, walked once as the least.
+orbit is the rotation class of its step labels.
+
+The walks are searched up to a larger group, in the manner of isomorph-free
+generation (McKay, J. Algorithms 26, 1998): one walk per orbit, the least
+rotation of the least image, with the deck orbits of its images listed
+beside it.  The group holds the reversal z -> -z, on every skeleton, and on
+a presentation complex each signed permutation of the generators that maps
+the relators onto themselves up to cyclic permutation and inversion.  Such
+a permutation is an automorphism of the presented group (it keeps the
+normal closure of the relators) that carries relator cells to relator cells
+up to sign, so it is a cellular automorphism of the cover.  Boundaries
+commute with automorphisms and with z -> -z, both preserve norms, and both
+are invertible, so they map the least fillings of z onto those of its
+image: every cycle of an orbit has one filling volume.  A finite table may
+describe a quotient that a permutation does not preserve, so it gets the
+reversal alone, as does a group of more than `_MAX_SYMMETRIES` elements.
 
 Chains, and cycles of dimension 2 and up, grow one unit at a time from
 single-cell seeds: a unit may raise the magnitude of a coefficient already
@@ -22,6 +37,9 @@ multisets.
 
 from __future__ import annotations
 
+import weakref
+from functools import partial
+
 from .errors import BudgetExceededError, InputError
 from .skeleton import (
     Chain,
@@ -33,6 +51,7 @@ from .skeleton import (
     coboundary,
     identity_word,
     is_connected,
+    is_presentation_complex,
     norm,
     translate,
 )
@@ -314,37 +333,193 @@ def chain_levels(s, oracle, dim: int, max_norm: int,
 
 # ------------------------------------------------- closed walks (1-cycles)
 
-def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
-    """Connected 1-cycles up to translation, as simple closed walks.
+# skeleton -> label maps of its signed generator permutations, identity
+# first; filled lazily
+_SYMMETRIES = weakref.WeakKeyDictionary()
+_MAX_SYMMETRIES = 64          # a larger group falls back to the identity
+_MAX_SYMMETRY_NODES = 10_000  # and so does a longer backtracking search
+
+
+def _cyclic_class(letters):
+    """The least rotation of the cyclic reduction of a reduced word or its
+    inverse: relators of one class bound cells whose boundaries agree up to
+    translation and sign."""
+    while len(letters) > 1 and letters[0] == (letters[-1][0], -letters[-1][1]):
+        letters = letters[1:-1]
+    inverse = tuple((g, -e) for g, e in reversed(letters))
+    return min(w[i:] + w[:i] for w in (letters, inverse) for i in range(len(w)))
+
+
+def _forced_images(r, form):
+    """generator -> (image generator, sign) mapping the word r onto form,
+    or None when r has a generator that no one image would do for."""
+    out = {}
+    for (g, e), (j, f) in zip(r, form):
+        if out.setdefault(g, (j, e * f)) != (j, e * f):
+            return None
+    return out
+
+
+def _relator_symmetries(p):
+    """The signed generator permutations that map the relators onto
+    themselves up to cyclic permutation and inversion, each as a dict
+    generator -> (image generator, sign); None past the caps.
+
+    Backtracking over generator images, relator by relator: the image of a
+    relator's class word is a rotation of a class word or its inverse, and
+    each rotation forces the images of the relator's generators.  The word
+    is first rotated to start at a generator placed already, whose image
+    fixes the first letter.  The generators in no relator then go to each
+    other freely."""
+    rels = [_cyclic_class(r.letters) for r in p.relators]
+    forms = {}  # length -> rotations of the class words and their inverses
+    for r in rels:
+        inverse = tuple((g, -e) for g, e in reversed(r))
+        forms.setdefault(len(r), set()).update(
+            w[i:] + w[:i] for w in (r, inverse) for i in range(len(r)))
+    forms = {n: sorted(ws) for n, ws in forms.items()}
+    loose = [g for g in range(len(p.generators)) if all(g != h for r in rels for h, _ in r)]
+    image, found, nodes = {}, [], 0
+
+    def place(i):
+        """Extend image over relator i on; False once a cap is passed."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > _MAX_SYMMETRY_NODES or len(found) > _MAX_SYMMETRIES:
+            return False
+        taken = {j for j, _ in image.values()}
+        if i < len(rels):
+            r = rels[i]
+            at = next((x for x, (g, _) in enumerate(r) if g in image), 0)
+            r = r[at:] + r[:at]
+            head = image.get(r[0][0])
+            for form in forms[len(r)]:
+                if head is not None and form[0] != (head[0], head[1] * r[0][1]):
+                    continue
+                want = _forced_images(r, form)
+                if want is None or any(image.get(g, w) != w for g, w in want.items()):
+                    continue
+                new = {g: w for g, w in want.items() if g not in image}
+                if len({j for j, _ in new.values()} - taken) < len(new):
+                    continue
+                image.update(new)
+                if not place(i + 1):
+                    return False
+                for g in new:
+                    del image[g]
+        elif i - len(rels) < len(loose):
+            g = loose[i - len(rels)]
+            for j in (j for j in loose if j not in taken):
+                for e in (1, -1):
+                    image[g] = (j, e)
+                    if not place(i + 1):
+                        return False
+                    del image[g]
+        elif sorted(_cyclic_class(tuple((image[g][0], image[g][1] * e) for g, e in r))
+                    for r in rels) == sorted(rels):
+            found.append(dict(image))
+        return True
+
+    return found if place(0) and len(found) <= _MAX_SYMMETRIES else None
+
+
+def _symmetries(s, oracle):
+    """Label maps of the signed generator permutations the walks may use,
+    identity first.
+
+    Only on a presentation complex, where edge i is generator i, and not
+    for a finite table: it may describe a quotient that the permutation
+    does not preserve.  Every other oracle answers for the presented group,
+    whose automorphisms these are."""
+    identity = {(edge, e): (edge, e) for edge in range(s.n_cells(1)) for e in (1, -1)}
+    maps = _SYMMETRIES.get(s)
+    if maps is None:
+        perms = _relator_symmetries(s.presentation) if is_presentation_complex(s) else None
+        maps = _SYMMETRIES[s] = [identity] + [
+            g for g in ({(x, e): (j, sign * e) for x, (j, sign) in perm.items()
+                         for e in (1, -1)} for perm in perms or ()) if g != identity]
+    return maps if getattr(oracle, "kind", None) != "finite-table" else [identity]
+
+
+def _least_rotation(labels):
+    return min(labels[i:] + labels[:i] for i in range(len(labels)))
+
+
+def _orbit_images(labels, maps):
+    """The least rotations of the images of a closed walk under the maps and
+    reversal, sorted: one per translation orbit of its symmetry orbit.  None
+    as soon as one is below the labels."""
+    back = tuple((edge, -e) for edge, e in reversed(labels))
+    images = set()
+    for g in maps:
+        for w in (labels, back):
+            image = _least_rotation(tuple(g[x] for x in w))
+            if image < labels:
+                return None
+            images.add(image)
+    return tuple(sorted(images))
+
+
+def _walk_steps(s):
+    """label -> (vertex, next vertex, step word, edge offset).
 
     An edge with boundary -(w0, v0) + (w1, v1) steps from v0 to v1 by the
-    word w0^-1 w1 under label (edge, +1), and back under (edge, -1).  A walk
-    ends at the first vertex it meets again; it is kept when that is its
-    start and its labels are their own least rotation.
-
-    Each step carries its word, edge offset and exponent vector, so a step
-    costs one junction-only `compose` and one vector sum.  The edges become
-    lifted cells, each at its vertex word times its offset, only when a walk
-    closes and is kept.
+    word w0^-1 w1 under label (edge, +1), and back under (edge, -1); the
+    edge sits at the vertex word times the offset.
     """
     e = identity_word(s.presentation.generators)
     loop = [(LiftedCell(0, 0, e), 0)] * 2  # ends merged at load; any vertex will do
-    steps = {}  # vertex -> [(label, next vertex, step word, edge offset, step vector)]
+    out = {}
     for edge in range(s.n_cells(1)):
         ends = sorted(s.boundary_chain(1, edge).terms, key=lambda t: t[1])
         (tail, _), (head, _) = ends or loop
         for label, a, b in (((edge, 1), tail, head), ((edge, -1), head, tail)):
             off = invert(a.word)
-            w = compose(off, b.word)
-            steps.setdefault(a.base, []).append((label, b.base, w, off, exponent_vector(w)))
-    # closing cut: a step moves the exponent vector by at most `reach` in l1
-    # norm, and the vector is a group invariant when no relator moves it
-    reach = 0
+            out[label] = (a.base, b.base, compose(off, b.word), off)
+    return out
+
+
+def _walk_chain(s, oracle, steps, labels) -> Chain:
+    """The 1-cycle of the closed walk with these labels from the identity."""
+    p = identity_word(s.presentation.generators)
+    cells = []
+    for edge, sign in labels:
+        _, _, w, off = steps[(edge, sign)]
+        cells.append((LiftedCell(1, edge, compose(p, off)), sign))
+        p = compose(p, w)
+    return build_chain(1, cells, oracle)
+
+
+def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
+    """Connected 1-cycles up to the symmetries, as simple closed walks.
+
+    A walk ends at the first vertex it meets again.  It is kept when that
+    is its start and its labels are least among the least rotations of its
+    images (`_orbit_images`).  A step is cut when the label, or its reverse,
+    has an image below the walk's first label, and when a permutation that
+    fixes the labels so far maps the label lower: either way some rotated
+    image is smaller.
+
+    Returns {n: [images, ...]}, images as `_orbit_images` gives them; the
+    first, the walk itself, is the orbit's representative.
+    """
+    steps = _walk_steps(s)
+    maps = _symmetries(s, oracle)
+    moves = {}  # vertex -> [(label, next vertex, step word, step vector)]
+    for label, (a, b, w, _) in steps.items():
+        moves.setdefault(a, []).append((label, b, w, exponent_vector(w)))
+    low = {x: min(g[y] for g in maps for y in (x, (x[0], -x[1]))) for x in steps}
+    # closing cuts: a step moves the exponent vector by at most `reach` in l1
+    # norm, and the vector is a group invariant when no relator moves it;
+    # in a free group it moves the reduced vertex word by at most `longest`
+    reach = longest = 0
     if not any(any(exponent_vector(r)) for r in s.presentation.relators):
-        reach = max((sum(map(abs, vec)) for moves in steps.values()
-                     for *_, vec in moves), default=0)
+        reach = max((sum(map(abs, vec)) for ms in moves.values()
+                     for *_, vec in ms), default=0)
+    if getattr(oracle, "kind", None) == "free":
+        longest = max((len(w) for _, _, w, _ in steps.values()), default=0)
     out = {n: [] for n in range(1, max_norm + 1)}
-    labels, offs, path = [], [], []
+    labels, path = [], []
     expanded = deepest = 0
 
     def meets(key, q):
@@ -354,7 +529,7 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
                 return i
         return None
 
-    def extend(p, v, pvec):
+    def extend(p, v, pvec, tied):
         nonlocal expanded, deepest
         expanded += 1
         deepest = max(deepest, len(labels))
@@ -362,32 +537,37 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
             raise BudgetExceededError(
                 f"cycle enumeration expanded more than {node_cap} walks, "
                 f"reaching walk length {deepest} of {max_norm}")
-        for label, nv, w, off, vec in steps.get(v, ()):
-            if labels and (label < labels[0] or label == (labels[-1][0], -labels[-1][1])):
+        for label, nv, w, vec in moves.get(v, ()):
+            if labels and label == (labels[-1][0], -labels[-1][1]):
+                continue
+            if low[label] < (labels[0] if labels else label):
+                continue
+            if any(g[label] < label for g in tied):
                 continue
             q = compose(p, w)
             key = (nv, oracle.invariant_key(q))
             at = meets(key, q)
             labels.append(label)
-            offs.append(off)
             n = len(labels)
-            if at == 0 and all(labels <= labels[i:] + labels[:i] for i in range(1, n)):
-                out[n].append(build_chain(1, [
-                    (LiftedCell(1, edge, compose(r, o)), sign)
-                    for (_, r), o, (edge, sign) in zip(path, offs, labels)], oracle))
+            if at == 0:
+                images = _orbit_images(tuple(labels), maps)
+                if images is not None:
+                    out[n].append(images)
             elif at is None and n < max_norm:
+                left = max_norm - n
                 qvec = tuple(map(sum, zip(pvec, vec)))
-                if not reach or -(-sum(map(abs, qvec)) // reach) <= max_norm - n:
+                if ((not reach or -(-sum(map(abs, qvec)) // reach) <= left)
+                        and (not longest or -(-len(q) // longest) <= left)):
                     path.append((key, q))
-                    extend(q, nv, qvec)
+                    extend(q, nv, qvec, [g for g in tied if g[label] == label])
                     path.pop()
             labels.pop()
-            offs.pop()
 
-    for v in sorted(steps):
+    e = identity_word(s.presentation.generators)
+    for v in sorted(moves):
         path[:] = [((v, oracle.invariant_key(e)), e)]
-        extend(e, v, exponent_vector(e))
-    return {n: sorted(reps, key=_chain_sort_key) for n, reps in out.items()}
+        extend(e, v, exponent_vector(e), maps[1:])
+    return {n: sorted(orbits) for n, orbits in out.items()}
 
 
 # ----------------------------------------------------------------- public API
@@ -417,12 +597,33 @@ def connected_chains_up_to_action(s, oracle, dim: int, max_norm: int,
             for n, pairs in reached.items()}
 
 
+def cycle_orbits(s, oracle, dim: int, max_norm: int, node_cap: int | None = None):
+    """Connected cycles one per orbit of the symmetries, as dict norm ->
+    [(representative, translates)].
+
+    translates() lists the orbit's translation orbits, one chain each, the
+    representative among them.  In dimension 1 the symmetries are those of
+    `_closed_walks`; above it, translations only.
+    """
+    if dim != 1:
+        reached = reachable_chains(s, oracle, dim, max_norm,
+                                   node_cap=node_cap, cycle_target=True)
+        return {n: [(a, partial(list, (a,))) for a, b in pairs
+                    if not b.terms and is_connected(a, s, oracle)]
+                for n, pairs in reached.items()}
+    steps = _walk_steps(s)
+
+    def orbit(images):
+        rep = _walk_chain(s, oracle, steps, images[0])
+        return rep, lambda: [rep] + [_walk_chain(s, oracle, steps, t) for t in images[1:]]
+
+    return {n: [orbit(images) for images in walks]
+            for n, walks in _closed_walks(s, oracle, max_norm, node_cap).items()}
+
+
 def connected_cycles_up_to_action(s, oracle, dim: int, max_norm: int,
                                   node_cap: int | None = None):
     """Connected cycles up to translation, as dict norm -> representatives."""
-    if dim == 1:
-        return _closed_walks(s, oracle, max_norm, node_cap)
-    reached = reachable_chains(s, oracle, dim, max_norm,
-                               node_cap=node_cap, cycle_target=True)
-    return {n: [a for a, b in pairs if not b.terms and is_connected(a, s, oracle)]
-            for n, pairs in reached.items()}
+    return {n: sorted((a for _, translates in orbits for a in translates()),
+                      key=_chain_sort_key)
+            for n, orbits in cycle_orbits(s, oracle, dim, max_norm, node_cap).items()}

@@ -62,7 +62,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import partial
 
-from .enumeration import _unit_boundary_norm, connected_cycles_up_to_action
+from .enumeration import _chain_sort_key, _unit_boundary_norm, cycle_orbits
 from .errors import (
     BudgetExceededError,
     ChainProfileError,
@@ -79,8 +79,8 @@ from .skeleton import (
     chain_to_json,
     chains_equal,
     coboundary,
+    is_presentation_complex,
     norm,
-    presentation_complex,
     skeleton_fingerprint,
     zero_chain,
 )
@@ -225,8 +225,7 @@ def _rewriting_rules(s):
         n = len(r)
         cyclic = r[0] != (r[-1][0], -r[-1][1])
         power = any(n % d == 0 and r == r[:d] * (n // d) for d in range(1, n))
-        pc = presentation_complex(p)
-        if cyclic and not power and (s.ids, s.boundaries) == (pc.ids, pc.boundaries):
+        if cyclic and not power and is_presentation_complex(s):
             rules = {}
             for form, sign, offset in relator_forms(p.relators[0]):
                 for k in range((n + 1) // 2, n + 1):
@@ -355,9 +354,8 @@ def psi_table(s, oracle, n: int, budget: Budget | None = None,
     if n < 0:
         raise InputError("profile length must be nonnegative")
     dim = s.q - 1
-    cycles = connected_cycles_up_to_action(s, oracle, dim, n,
-                                           node_cap=budget.node_cap) if n else {}
-    flat = [(k, a) for k in sorted(cycles) for a in cycles[k]]
+    orbits = cycle_orbits(s, oracle, dim, n, node_cap=budget.node_cap) if n else {}
+    flat = [(k, rep, translates) for k in sorted(orbits) for rep, translates in orbits[k]]
     fill = partial(minimal_filling, s=s, oracle=oracle, budget=budget)
     if workers > 1 and len(flat) > 1:
         from multiprocessing import get_context  # ~10 ms: not at import time
@@ -365,16 +363,25 @@ def psi_table(s, oracle, n: int, budget: Budget | None = None,
         _FORKED_FILL = fill
         try:
             with get_context("fork").Pool(workers) as p:
-                fillings = p.map(_forked_fill, [a for _, a in flat])
+                fillings = p.map(_forked_fill, [a for _, a, _ in flat])
         finally:
             _FORKED_FILL = None
     else:
-        fillings = [fill(a) for _, a in flat]
-    values, holders = _running_max(
-        [(flat[i][0], norm(f), i) for i, f in enumerate(fillings)], n)
-    witnesses = [None if i is None else {"cycle": chain_to_json(flat[i][1], s),
-                                         "filling": chain_to_json(fillings[i], s)}
-                 for i in holders]
+        fillings = [fill(a) for _, a, _ in flat]
+    volumes = [norm(f) for f in fillings]
+    values, holders = _running_max([(k, volumes[i], i) for i, (k, _, _) in enumerate(flat)], n)
+    # the cycles of an orbit share one filling volume; a record's witness is
+    # the least cycle among the orbits that reach it at its norm, the one
+    # filling every translation orbit would pick
+    chosen = {}
+    for i in set(holders) - {None}:
+        k, v = flat[i][0], volumes[i]
+        a, j = min(((a, j) for j, (kj, _, translates) in enumerate(flat)
+                    if kj == k and volumes[j] == v for a in translates()),
+                   key=lambda aj: _chain_sort_key(aj[0]))
+        chosen[i] = {"cycle": chain_to_json(a, s),
+                     "filling": chain_to_json(fillings[j] if a is flat[j][1] else fill(a), s)}
+    witnesses = [None if i is None else chosen[i] for i in holders]
     return ProfileTable("psi", skeleton_fingerprint(s, oracle),
                         budget.to_json_dict(), values, witnesses)
 

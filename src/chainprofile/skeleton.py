@@ -196,6 +196,12 @@ def identity_word(gens) -> Word:
     return Word(tuple(gens), ())
 
 
+def is_presentation_complex(s: SkeletonSpec) -> bool:
+    """Whether s is `presentation_complex` of its own presentation."""
+    pc = presentation_complex(s.presentation)
+    return (s.ids, s.boundaries) == (pc.ids, pc.boundaries)
+
+
 # ------------------------------------------------------------ canonical form
 
 class _Elements:

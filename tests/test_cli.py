@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -122,6 +123,21 @@ def test_psi_output_and_worker_independence(tmp_path, capsys):
     code, two, _ = run(capsys, *base, "--workers", "2")
     assert code == 0
     assert two == one
+
+
+def test_many_generators_fall_back_to_reversal(tmp_path, capsys):
+    # the 7! * 2^7 signed permutations of a free basis are past the symmetry
+    # cap, so the walks use reversal alone; the free closing cut keeps the
+    # search to walks of length 2
+    path = tmp_path / "f7.json"
+    path.write_text(json.dumps({"dim": 2, "presentation": "<a, b, c, d, e, f, g |>",
+                                "oracle": {"kind": "free"}}))
+    t0 = time.time()
+    code, out, _ = run(capsys, "psi", "--input", str(path), "-n", "4", "--no-cache")
+    elapsed = time.time() - t0
+    assert code == 0
+    assert out.splitlines()[-1] == "4  0"
+    assert elapsed < 1.0
 
 
 def test_phi_cached_second_run_identical(tmp_path, capsys):

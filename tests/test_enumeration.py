@@ -6,6 +6,8 @@ import pytest
 import window_oracle as win
 
 from chainprofile.enumeration import (
+    _closed_walks,
+    _symmetries,
     connected_chains_up_to_action,
     connected_cycles_up_to_action,
     equal_up_to_translation,
@@ -99,6 +101,10 @@ def test_cycle_orbits_match_grid_model():
 def test_free_group_has_no_cycles():
     s, oracle = f2()
     got = connected_cycles_up_to_action(s, oracle, 1, 10)
+    assert all(not v for v in got.values())
+    # the reduced vertex word is the distance home: walks past half the norm
+    # are cut, and the symmetries leave one first label
+    got = connected_cycles_up_to_action(s, oracle, 1, 10, node_cap=200)
     assert all(not v for v in got.values())
 
 
@@ -277,3 +283,61 @@ def test_dimension_guards():
         reachable_chains(s, oracle, 0, 3)
     with pytest.raises(InputError):
         reachable_chains(s, oracle, 3, 3)
+
+
+def z3():
+    p = parse_presentation("<a, b, c | a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1>")
+    return presentation_complex(p), FreeAbelianOracle(p)
+
+
+def two_relator_grid():
+    p = parse_presentation("<a, b | a b a^-1 b^-1, b a b^-1 a^-1>")
+    return presentation_complex(p), FreeAbelianOracle(p)
+
+
+INPUTS = {"z2": lambda: load_example("z2"), "surface2": lambda: load_example("surface2"),
+          "f2": lambda: load_example("f2"), "zmod2": lambda: load_example("zmod2"),
+          "z3": z3, "grid2": two_relator_grid, "subdivided": subdivided_z2}
+
+
+@pytest.mark.parametrize("name,size", [("z2", 8), ("f2", 8), ("surface2", 4), ("z3", 48),
+                                       ("grid2", 8), ("zmod2", 1), ("subdivided", 1)])
+def test_symmetry_group_sizes(name, size):
+    # signed generator permutations that keep the relators up to rotation
+    # and inversion; a finite table and a skeleton that is not the
+    # presentation complex get the identity alone
+    s, oracle = INPUTS[name]()
+    maps = _symmetries(s, oracle)
+    assert len(maps) == size
+    assert all(y == x for x, y in maps[0].items())
+
+
+@pytest.mark.parametrize("gens,size", [("a, b, c", 48), ("a, b, c, d", 1),
+                                       ("a, b, c, d, e, f, g", 1)])
+def test_symmetry_group_is_capped(gens, size):
+    # every signed permutation of a free basis keeps the empty relator set:
+    # 3! * 2^3 = 48 are kept, and 4! * 2^4 = 384 are past the cap
+    p = parse_presentation(f"<{gens} |>")
+    assert len(_symmetries(presentation_complex(p), FreeOracle(p))) == size
+
+
+@pytest.mark.parametrize("name,max_norm,want", [
+    ("z2", 12, {4: 2, 6: 4, 8: 14, 10: 56, 12: 248}),
+    ("surface2", 8, {8: 2}),
+    ("f2", 10, {}),
+    ("z3", 8, {4: 6, 6: 44, 8: 414}),
+    ("grid2", 10, {4: 2, 6: 4, 8: 14, 10: 56}),
+])
+def test_orbits_partition_the_translation_orbits(name, max_norm, want):
+    # the translation counts, from the enumeration by deck orbits alone;
+    # by orbit-stabilizer each orbit holds a divisor of twice the group
+    # order of them, and together they are all of them, once each
+    s, oracle = INPUTS[name]()
+    order = 2 * len(_symmetries(s, oracle))
+    orbits = _closed_walks(s, oracle, max_norm)
+    assert {n: sum(map(len, v)) for n, v in orbits.items() if v} == want
+    for n, reps in orbits.items():
+        images = [t for orbit in reps for t in orbit]
+        assert len(set(images)) == len(images)
+        assert all(order % len(orbit) == 0 and orbit[0] == min(orbit) for orbit in reps)
+    assert counts(connected_cycles_up_to_action(s, oracle, 1, max_norm)) == want

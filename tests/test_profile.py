@@ -35,6 +35,7 @@ from chainprofile.words import (
     FiniteTableOracle,
     FreeAbelianOracle,
     FreeOracle,
+    exponent_vector,
     parse_presentation,
     parse_word,
 )
@@ -144,16 +145,26 @@ def test_psi_values_on_the_grid():
 
 
 def test_psi_matches_grid_model_small():
+    # every witness cycle is filled again by the model's winding numbers
     s, oracle = z2()
-    table = psi_table(s, oracle, 8)
-    for n in (4, 6, 8):
-        assert table.values[n] == win.z2_psi(n)
+    table = psi_table(s, oracle, 10)
+    assert table.values == win.z2_psi_table(10) == [0, 0, 0, 0, 1, 1, 2, 2, 4, 4, 6]
+    kind = {base: "h" if s.cell_id(1, base) == "e_a" else "v" for base in range(2)}
+    for n, wit in enumerate(table.witnesses):
+        if wit is None:
+            assert table.values[n] == 0
+            continue
+        cycle = chain_from_json(wit["cycle"], s, oracle)
+        grid = {(kind[c.base], *exponent_vector(c.word)): k for c, k in cycle.terms}
+        assert norm(cycle) <= n
+        assert win.filling_volume(grid) == table.values[n]
+        assert norm(chain_from_json(wit["filling"], s, oracle)) == table.values[n]
 
 
 def test_worker_count_does_not_change_results():
     s, oracle = z2()
-    one = psi_table(s, oracle, 6, workers=1)
-    two = psi_table(s, oracle, 6, workers=2)
+    one = psi_table(s, oracle, 10, workers=1)
+    two = psi_table(s, oracle, 10, workers=2)
     assert one.values == two.values
     assert one.witnesses == two.witnesses
 
@@ -259,11 +270,7 @@ def test_three_dimensional_grid_psi_to_eight():
 
 
 def test_two_relator_grid_psi_matches_grid_model_to_ten():
-    # the model's walk enumeration agrees with its support enumeration to
-    # norm 8 (test_window_oracle) and is about 60 times faster at norm 10
-    worst = [max((win.filling_volume(dict(c)) for c in win.cycle_orbits_by_walks(m)),
-                 default=0) for m in range(1, 11)]
-    want = [max([0] + worst[:k]) for k in range(11)]
+    want = win.z2_psi_table(10)
     assert want == [0, 0, 0, 0, 1, 1, 2, 2, 4, 4, 6]
     t0 = time.time()
     s, oracle = two_relator_grid()

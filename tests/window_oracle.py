@@ -21,6 +21,7 @@ Face boundary (hand-derived from the relator lift, prefix by prefix):
 A chain is a dict cell -> nonzero int coefficient.
 """
 
+import functools
 import itertools
 
 
@@ -274,16 +275,23 @@ def filling_volume(cycle):
     return norm(winding_filling(cycle))
 
 
+def z2_psi_table(n):
+    """[psi(0), ..., psi(n)]: max filling volume over connected 1-cycles of
+    norm at most k, from the walk enumeration (which agrees with the support
+    enumeration to norm 8, test_window_oracle)."""
+    out = [0]
+    for m in range(1, n + 1):
+        out.append(max([out[-1]] + [filling_volume(dict(ser))
+                                    for ser in cycle_orbits_by_walks(m)]))
+    return out
+
+
 def z2_psi(n):
     """Max filling volume over connected 1-cycles of norm <= n."""
-    best = 0
-    orbits = connected_cycle_orbits(n)
-    for m in range(1, n + 1):
-        for ser in orbits[m]:
-            best = max(best, filling_volume(dict(ser)))
-    return best
+    return z2_psi_table(n)[n]
 
 
+@functools.cache
 def cycle_orbits_by_walks(L):
     """Connected 1-cycles of norm exactly L, enumerated through closed walks.
 
@@ -292,7 +300,8 @@ def cycle_orbits_by_walks(L):
     edge has a closed Eulerian circuit: every such cycle is the signed edge
     sum of a closed walk of length equal to its norm.  Enumerate closed walks
     of length L from the origin, keep sums with norm L and empty boundary,
-    filter connectivity, dedup up to translation.
+    filter connectivity, dedup up to translation.  Memoized, so the set is
+    frozen.
     """
     out = set()
     steps = (("h", 0, 0, 1, 0, 1), ("h", -1, 0, -1, 0, -1),
@@ -316,7 +325,7 @@ def cycle_orbits_by_walks(L):
             rec(x + dx, y + dy, left - 1, nxt)
 
     rec(0, 0, L, {})
-    return out
+    return frozenset(out)
 
 
 # ------------------------------------------------- partitions, compositions
