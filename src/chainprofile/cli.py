@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import logging
 import os
 import sys
 
@@ -266,6 +267,8 @@ def _parser() -> argparse.ArgumentParser:
                         help="largest number of search states per query")
     common.add_argument("--workers", type=int, default=1,
                         help="worker processes for independent fillings")
+    common.add_argument("-v", "--verbose", action="store_true",
+                        help="log DEBUG progress to stderr")
 
     p = argparse.ArgumentParser(
         prog="chainprofile",
@@ -333,6 +336,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if getattr(args, "verbose", False):
+            logging.basicConfig(level=logging.DEBUG, stream=sys.stderr)
         return args.func(args)
     except ChainProfileError as e:
         print(f"error: {e}", file=sys.stderr)

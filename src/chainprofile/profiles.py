@@ -38,21 +38,45 @@ the standard recurrence.  Finite presentations backed by a multiplication
 table use the exact finite sweep instead and the two routes refuse each
 other's inputs.
 
-The exact finite sweep.  The cover of a finite presentation is finite.  Its
-cycles of norm at most n are listed by a depth-first search over the
-(q-1)-cells with two sound cuts: the partial boundary has norm at most beta
-times the norm left (beta the largest norm of a cell's boundary), and a face
-whose incident cells are all assigned already has coefficient 0.  A q-chain
-x is a sum of |x|_1 signed unit cells, so FV(z) is the word length of z in
-the lattice of boundaries over the steps +-(boundary of a cell), Gersten's
-l1 view of Dehn functions (MSRI Publ. 23, 1992): a breadth-first search
-from 0 over distinct boundary vectors first reaches z at depth exactly
-FV(z), and walking back down the levels rebuilds a least filling.  Each
-vector is one int, coordinate i in a signed digit of w bits.  Every vector
-compared has coordinates of size at most max(n, cap * c_max), with cap the
-fill volume cap and c_max the largest coefficient of a cell's boundary; w is
-the least width with 2^(w-1) above that bound, so distinct vectors have
-distinct ints and adding ints adds vectors.
+The exact finite sweep.  The cover of a finite presentation is finite, and
+norm and FV are invariant under G x {+-1}: left translation by the table
+and z -> -z.  The cycles of norm at most n are listed one per orbit, the
+least (as sorted tuples) of its 2|G| images, by a depth-first search over
+the (q-1)-cells in element-major order whose cuts drop only branches
+without a least cycle (isomorph-free generation, McKay, J. Algorithms 26,
+1998):
+- norm: a unit of coefficient moves the boundary norm by at most beta, the
+  largest norm of a cell's boundary, so the partial boundary t has norm at
+  most beta times the norm left;
+- forced: once the last cell incident to a face is set the face is final,
+  so that cell takes the one coefficient zeroing all the faces it closes
+  (0 leaves it out), and none if they disagree;
+- interval: |t| + sum_f (|t_f + c d_f| - |t_f|) + beta |c| <= beta * left
+  has a convex left side that holds at c = 0, so the passing c of each
+  sign run from +-1 and each sign's scan stops at its first failure;
+- orbit: moving a cell to element 0 and negating shows a least cycle
+  starts at element 0 with a negative coefficient; once the block of an
+  element e > 0 is complete, the image moving e to 0 starts with
+  +-(block of e) where the cycle starts with block 0, both followed by
+  other elements' cells, so if it compares below block 0 (a proper prefix
+  counting larger) that image is smaller.
+A cycle found is kept if it is least among its images, their number its
+orbit size.  Norm and FV are constant on orbits, and the least cycle of a
+union of orbits is the least of their least cycles, so the least
+(norm, cycle) of largest FV, the witness, is a representative.
+
+A q-chain x is a sum of |x|_1 signed unit cells, so FV(z) is the word
+length of z in the lattice of boundaries over the steps +-(boundary of a
+cell), Gersten's l1 view of Dehn functions (MSRI Publ. 23, 1992): a
+breadth-first search from 0 over distinct boundary vectors first reaches z
+at depth exactly FV(z), and walking back down the levels below z's own
+rebuilds a least filling.  When every pending cycle is one step from the
+last level built, they all lie at the next depth, which is not built.
+Each vector is one int, coordinate i in a signed digit of w bits.  Every
+vector compared has coordinates of size at most max(n, cap * c_max), with
+cap the fill volume cap and c_max the largest coefficient of a cell's
+boundary; w is the least width with 2^(w-1) above that bound, so distinct
+vectors have distinct ints and adding ints adds vectors.
 """
 
 from __future__ import annotations
@@ -467,29 +491,49 @@ def _finite_boundary(s, oracle, fill: dict) -> dict:
 
 
 def _finite_cycles(s, oracle, n: int, node_cap: int) -> tuple[dict, int]:
-    """Chains of norm at most n with zero boundary on the finite cover, as
-    {sorted ((element, base), coeff) tuple: norm}, and the nodes visited.
+    """One cycle per orbit of G x {+-1} among the chains of norm at most n
+    with zero boundary on the finite cover, each the least of its images, as
+    {sorted ((element, base), coeff) tuple: (norm, orbit size)}, and the
+    nodes visited.
 
     Depth-first over the cells in `_finite_cells` order, choosing the next
     nonzero cell and its coefficient; the partial boundary is updated and
-    undone in place.  A branch is cut when its boundary norm exceeds beta
-    times the norm left, or when a face whose last incident cell is passed
-    has a nonzero coefficient."""
+    undone in place.  The cuts are argued in the module docstring."""
     dim = s.q - 1
     cells = _finite_cells(s, oracle, dim)
+    bases = s.n_cells(dim)
     faces: dict = {}
     bnds = [[(faces.setdefault(f, len(faces)), c)
              for f, c in _finite_unit_boundary(s, oracle, dim, e, b).items()]
             for e, b in cells]
-    closing = [[] for _ in cells]
     last = {f: i for i, bnd in enumerate(bnds) for f, _ in bnd}
-    for f, i in last.items():
-        closing[i].append(f)
+    closing = [[(f, d) for f, d in bnd if last[f] == i] for i, bnd in enumerate(bnds)]
     beta = max((sum(abs(c) for _, c in bnd) for bnd in bnds), default=0)
     vec = [0] * len(faces)
     picked: list = []
     cycles: dict = {}
     nodes = reached = 0
+
+    def block(e, sign=1):
+        # the picked (base, coeff) of element e; the end mark makes a
+        # proper prefix compare larger
+        return [(b, sign * c) for (x, b), c in picked if x == e] + [(bases, 0)]
+
+    def step(j, c, left, bnorm):
+        # visit with c on cell j if the norm cut holds; whether it held
+        nb = bnorm
+        for f, d in bnds[j]:
+            old = vec[f]
+            vec[f] = old + c * d
+            nb += abs(vec[f]) - abs(old)
+        held = nb <= beta * (left - abs(c))
+        if held:
+            picked.append((cells[j], c))
+            visit(j + 1, left - abs(c), nb)
+            picked.pop()
+        for f, d in bnds[j]:
+            vec[f] -= c * d
+        return held
 
     def visit(i, left, bnorm):
         nonlocal nodes, reached
@@ -499,28 +543,33 @@ def _finite_cycles(s, oracle, n: int, node_cap: int) -> tuple[dict, int]:
             raise BudgetExceededError(
                 f"finite cycle enumeration passed {node_cap} nodes, with "
                 f"partial chains reaching norm {reached} of {n} and "
-                f"{len(cycles)} cycles found")
+                f"{len(cycles)} cycle orbits found")
         if bnorm == 0:
-            cycles[tuple(picked)] = n - left
+            key = tuple(picked)
+            images = {tuple(sorted(((row[x], b), sign * c) for (x, b), c in key))
+                      for row in oracle.table for sign in (1, -1)}
+            if min(images) == key:
+                cycles[key] = (n - left, len(images))
         if left == 0:
             return
-        for j in range(i, len(cells)):
-            for mag in range(1, left + 1):
-                for c in (mag, -mag):
-                    nb = bnorm
-                    for f, d in bnds[j]:
-                        old = vec[f]
-                        vec[f] = old + c * d
-                        nb += abs(vec[f]) - abs(old)
-                    if nb <= beta * (left - mag) and not any(vec[f] for f in closing[j]):
-                        picked.append((cells[j], c))
-                        visit(j + 1, left - mag, nb)
-                        picked.pop()
-                    for f, d in bnds[j]:
-                        vec[f] -= c * d
-            # cell j stays zero from here on: its closing faces are final
-            if any(vec[f] for f in closing[j]):
+        stop = len(cells) if picked else bases
+        e = picked[-1][0][0] if picked else 0
+        if e and min(block(e), block(e, -1)) < block(0):
+            stop = (e + 1) * bases
+        for j in range(i, stop):
+            if closing[j]:
+                need = {-vec[f] // d if vec[f] % d == 0 else None for f, d in closing[j]}
+                if need == {0}:
+                    continue
+                if len(need) == 1 and None not in need:
+                    step(j, need.pop(), left, bnorm)
+                # cell j stays zero from here on, and a closing face with it
                 break
+            signs = (1, -1) if picked else (-1,)
+            for mag in range(1, left + 1):
+                signs = [sign for sign in signs if step(j, sign * mag, left, bnorm)]
+                if not signs:
+                    break
 
     visit(0, n, 0)
     return cycles, nodes
@@ -531,7 +580,8 @@ def _finite_fillings(s, oracle, cycles: dict, n: int, budget: Budget,
     """FV of every cycle by breadth-first search from 0 over boundary
     vectors, with steps +-(boundary of a unit q-cell); returns {cycle: FV}
     and a function that rebuilds a least filling of a cycle as
-    {(element, base): coeff}."""
+    {(element, base): coeff}.  `cycles` maps each orbit representative to
+    (norm, orbit size)."""
     dim = s.q - 1
     n_faces = s.n_cells(dim)
     fill_cells = _finite_cells(s, oracle, s.q)
@@ -559,11 +609,20 @@ def _finite_fillings(s, oracle, cycles: dict, n: int, budget: Budget,
     levels = [set(), {0}]       # levels[v + 1]: the vectors at distance v
     while pending:
         v = len(levels) - 2
+        unfilled = sum(cycles[key][1] for key in pending.values())
         if v >= cap or not levels[-1]:
             raise BudgetExceededError(
                 f"some cycles admit no filling of norm at most {cap}: "
-                f"{len(pending)} cycles unfilled after the finite filling sweep")
+                f"{unfilled} cycles unfilled after the finite filling sweep")
         prev, cur = levels[-2], levels[-1]
+        if len(pending) < len(cur) and all(
+                any(y - d in cur for d in steps) for y in pending):
+            # each cycle left is one step from distance v, so at v + 1
+            for key in pending.values():
+                fv[key] = v + 1
+            logger.debug("finite filling sweep level %d: closed by a step back "
+                         "from level %d, 0 cycles pending", v + 1, v)
+            break
         new: set = set()
         for x in cur:
             for d in steps:
@@ -573,7 +632,7 @@ def _finite_fillings(s, oracle, cycles: dict, n: int, budget: Budget,
             if nodes + len(new) > budget.node_cap:
                 raise BudgetExceededError(
                     f"finite filling sweep passed {budget.node_cap} nodes at "
-                    f"level {v + 1}, with {len(pending)} cycles unfilled")
+                    f"level {v + 1}, with {unfilled} cycles unfilled")
         nodes += len(new)
         for y in new.intersection(pending):
             fv[pending.pop(y)] = v + 1
@@ -582,7 +641,7 @@ def _finite_fillings(s, oracle, cycles: dict, n: int, budget: Budget,
                      "pending", v + 1, len(new), len(pending))
 
     def filling(key):
-        # walk back down the levels from the cycle's own
+        # walk back down the levels below the cycle's own
         x, fill = encode(key), {}
         for k in range(fv[key], 0, -1):
             for d, (cell, sign) in steps.items():
@@ -608,16 +667,18 @@ def finite_profile(s, oracle, n: int, budget: Budget | None = None) -> ProfileTa
         raise InputError("profile length must be nonnegative")
     dim = s.q - 1
     cycles, nodes = _finite_cycles(s, oracle, n, budget.node_cap)
-    logger.debug("finite cycle enumeration: %d cycles of norm at most %d, "
-                 "%d nodes", len(cycles), n, nodes)
+    logger.debug("finite cycle enumeration: %d cycles in %d orbits of norm at "
+                 "most %d, %d nodes", sum(size for _, size in cycles.values()),
+                 len(cycles), n, nodes)
     fv, filling = _finite_fillings(s, oracle, cycles, n, budget, nodes)
 
     def cell_json(cell, d):
         e, base = cell
         return {"element": oracle.elements[e], "base": s.cell_id(d, base)}
 
-    by_norm = sorted(cycles.items(), key=lambda kv: (kv[1], kv[0]))
-    values, best_keys = _running_max(((size, fv[key], key) for key, size in by_norm), n)
+    # the least (norm, key) cycle of an orbit is its representative
+    by_norm = sorted((size, key) for key, (size, _) in cycles.items())
+    values, best_keys = _running_max(((size, fv[key], key) for size, key in by_norm), n)
     fills = {key: sorted(filling(key).items()) for key in set(best_keys) - {None}}
     witnesses = [None if key is None else {
         "cycle": [dict(cell_json(cell, dim), coeff=c) for cell, c in key],

@@ -283,6 +283,18 @@ def test_reused_parser_matches_fresh_processes(tmp_path, capsys, monkeypatch):
             fresh.returncode, fresh.stdout, fresh.stderr), query
 
 
+def test_verbose_logs_the_finite_sweep_levels_to_stderr():
+    # a fresh process: pytest puts its own handlers on the root logger
+    query = ("-m", "chainprofile.cli", "finite-profile", "--input", "zmod2",
+             "-n", "6", "--no-cache")
+    quiet, verbose = _fresh_process(*query), _fresh_process(*query, "-v")
+    assert quiet.stdout == verbose.stdout
+    assert "finite filling sweep level" not in quiet.stderr
+    levels = [line for line in verbose.stderr.splitlines()
+              if "finite filling sweep level" in line]
+    assert len(levels) == 3 and levels[-1].endswith(" 0 cycles pending")
+
+
 def test_import_leaves_multiprocessing_out():
     probe = _fresh_process(
         "-c", "import sys, chainprofile.cli; print('multiprocessing' in sys.modules)",

@@ -1,8 +1,10 @@
 """The exact finite sweep against the exhaustive model and frozen values."""
 
+import hashlib
 import itertools
 import json
 import logging
+import random
 import time
 
 import finite_model
@@ -26,27 +28,31 @@ UNFILLABLE = {"dim": 2, "presentation": "<a | a^4>",
                          "table": [[0, 1], [1, 0]], "generator_map": {"a": 1}}}
 
 
-def _group_input(elements, mul, gens, presentation):
+def _group_input(elements, mul, gens, presentation, labels=None):
     idx = {g: k for k, g in enumerate(elements)}
     return {"dim": 2, "presentation": presentation,
             "oracle": {"kind": "finite-table",
-                       "elements": [f"x{k}" for k in range(len(elements))],
+                       "elements": labels or [f"x{k}" for k in range(len(elements))],
                        "table": [[idx[mul(p, q)] for q in elements] for p in elements],
                        "generator_map": {g: idx[e] for g, e in gens.items()}}}
 
 
+TABLES = {
+    "klein": ([(i, j) for i in (0, 1) for j in (0, 1)],
+              lambda p, q: ((p[0] + q[0]) % 2, (p[1] + q[1]) % 2),
+              {"a": (1, 0), "b": (0, 1)}, "<a, b | a^2, b^2, a b a^-1 b^-1>"),
+    "s3": (list(itertools.permutations(range(3))),
+           lambda p, q: tuple(p[q[i]] for i in range(3)),
+           {"a": (1, 0, 2), "b": (0, 2, 1)}, "<a, b | a^2, b^2, a b a b a b>"),
+}
+
+
 def klein():
-    return load_input(_group_input(
-        [(i, j) for i in (0, 1) for j in (0, 1)],
-        lambda p, q: ((p[0] + q[0]) % 2, (p[1] + q[1]) % 2),
-        {"a": (1, 0), "b": (0, 1)}, "<a, b | a^2, b^2, a b a^-1 b^-1>"))
+    return load_input(_group_input(*TABLES["klein"]))
 
 
 def s3():
-    return load_input(_group_input(
-        list(itertools.permutations(range(3))),
-        lambda p, q: tuple(p[q[i]] for i in range(3)),
-        {"a": (1, 0, 2), "b": (0, 2, 1)}, "<a, b | a^2, b^2, a b a b a b>"))
+    return load_input(_group_input(*TABLES["s3"]))
 
 
 GROUPS = {"zmod2": lambda: load_example("zmod2"), "klein": klein, "s3": s3}
@@ -60,14 +66,35 @@ def _witness_cycle(cycles, fv, k):
     return min((m, c) for c, m in cycles.items() if m <= k and fv[c] == best)[1]
 
 
+def _verified(table, n, s, oracle):
+    entry = {"values": table.values, "witnesses": table.witnesses,
+             "budget": table.budget}
+    return verify_profile_entry(entry, "finite", n, s, oracle)
+
+
+def _orbit(key, table):
+    """The images of a cycle under left translation by the table and under
+    negation."""
+    return {tuple(sorted(((row[e], base), sign * c) for (e, base), c in key))
+            for row in table for sign in (1, -1)}
+
+
 @pytest.mark.parametrize("group, n", [("zmod2", 6), ("klein", 6), ("s3", 5)])
 def test_sweep_matches_exhaustive_model(group, n):
     s, oracle = GROUPS[group]()
     cycles, nodes = _finite_cycles(s, oracle, n, Budget().node_cap)
     fv, _ = _finite_fillings(s, oracle, cycles, n, Budget(), nodes)
     model_cycles, model_fv = finite_model.sweep(s, oracle, n)
-    assert cycles == model_cycles
-    assert fv == model_fv
+    # one cycle per orbit, the least of its images, with the orbit's size
+    orbits = {}
+    for key, m in model_cycles.items():
+        images = _orbit(key, oracle.table)
+        orbits[min(images)] = (m, len(images))
+    assert cycles == orbits
+    for k in range(n + 1):
+        assert (sum(size for m, size in cycles.values() if m == k)
+                == sum(m == k for m in model_cycles.values()))
+    assert fv == {key: model_fv[key] for key in cycles}
     table = finite_profile(s, oracle, n)
     for k, wit in enumerate(table.witnesses):
         key = _witness_cycle(model_cycles, model_fv, k)
@@ -88,9 +115,46 @@ def test_frozen_profiles_with_verified_witnesses(group, n, values):
     s, oracle = GROUPS[group]()
     table = finite_profile(s, oracle, n)
     assert table.values == values
-    entry = {"values": table.values, "witnesses": table.witnesses,
-             "budget": table.budget}
-    assert verify_profile_entry(entry, "finite", n, s, oracle)
+    assert _verified(table, n, s, oracle)
+
+
+@pytest.mark.parametrize("group, n, digest", [
+    ("klein", 8, "81537a9c2403315e8df13eff6384ee7622d120ed2bf1ff9628e1f4e5d9e12153"),
+    ("s3", 6, "44ffa5604deced0ebb63f8a87c5cf27fd83b0ec1596b36bb69d44e66b01c4a78"),
+])
+def test_frozen_values_and_witnesses_digest(group, n, digest):
+    # sha256 of [values, witnesses] as the full cycle sweep wrote them
+    table = finite_profile(*GROUPS[group](), n)
+    text = json.dumps([table.values, table.witnesses], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("group, n", [("klein", 8), ("s3", 6)])
+def test_values_do_not_depend_on_the_labeling(group, n):
+    elements, mul, gens, presentation = TABLES[group]
+    values = finite_profile(*GROUPS[group](), n).values
+    rng = random.Random(n)
+    for _ in range(6):
+        # reorder the table and shuffle the element labels; 4 of the 6
+        # orders move the identity off index 0
+        order = rng.sample(elements, len(elements))
+        labels = rng.sample([f"x{k}" for k in range(len(elements))], len(elements))
+        s, oracle = load_input(_group_input(order, mul, gens, presentation, labels))
+        table = finite_profile(s, oracle, n)
+        assert table.values == values
+        assert _verified(table, n, s, oracle)
+
+
+@pytest.mark.parametrize("group, n, orbits, nodes", [
+    ("klein", 8, 149, 722),
+    ("s3", 6, 57, 343),
+])
+def test_cycle_search_nodes(group, n, orbits, nodes):
+    # a search of every cycle visits 2,753 (klein) and 1,547 (s3) nodes, so a
+    # lost orbit cut shows here; the forced and interval cuts skip only
+    # coefficients that fail the norm cut and leave the count alone
+    cycles, got = _finite_cycles(*GROUPS[group](), n, Budget().node_cap)
+    assert (len(cycles), got) == (orbits, nodes)
 
 
 def test_node_cap_in_cycle_enumeration():
