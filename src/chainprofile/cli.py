@@ -247,6 +247,17 @@ def cmd_disk_bound(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no less than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built once per process: argparse leaves it unchanged
@@ -261,11 +272,11 @@ def _parser() -> argparse.ArgumentParser:
                              "or ~/.cache/chainprofile)")
     common.add_argument("--no-cache", action="store_true",
                         help="compute without reading or writing the cache")
-    common.add_argument("--fill-cap", type=int, default=24,
+    common.add_argument("--fill-cap", type=_at_least(0), default=24,
                         help="largest filling norm the search will try")
-    common.add_argument("--node-cap", type=int, default=1_000_000,
+    common.add_argument("--node-cap", type=_at_least(1), default=1_000_000,
                         help="largest number of search states per query")
-    common.add_argument("--workers", type=int, default=1,
+    common.add_argument("--workers", type=_at_least(1), default=1,
                         help="worker processes for independent fillings")
     common.add_argument("-v", "--verbose", action="store_true",
                         help="log DEBUG progress to stderr")

@@ -19,6 +19,9 @@ are invertible, so they map the least fillings of z onto those of its
 image: every cycle of an orbit has one filling volume.  A finite table may
 describe a quotient that a permutation does not preserve, so it gets the
 reversal alone, as does a group of more than `_MAX_SYMMETRIES` elements.
+A walk carries the oracle's state of its vertex (`WordOracle.step`), not
+its vertex word, so that with normal forms it meets a vertex again without
+asking the oracle.
 
 Chains, and cycles of dimension 2 and up, grow one unit at a time from
 single-cell seeds: a unit may raise the magnitude of a coefficient already
@@ -44,6 +47,7 @@ from .errors import BudgetExceededError, InputError
 from .skeleton import (
     Chain,
     LiftedCell,
+    _Elements,
     add_chains,
     boundary,
     build_chain,
@@ -105,6 +109,7 @@ class _IdEngine:
 
     def __init__(self, s, oracle, dim: int):
         self.oracle = oracle
+        self.elements = _Elements(oracle)
         self.dim = dim
         self.words = []
         self.ids = {}
@@ -127,7 +132,7 @@ class _IdEngine:
                 self._down.setdefault(hbase, []).append((tbase, hwid))
 
     def intern(self, word) -> int:
-        w = self.oracle.normalize(word)
+        w = self.elements.rep(0, word)
         wid = self.ids.get(w.letters)
         if wid is None:
             wid = len(self.words)
@@ -500,36 +505,48 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
     fixes the labels so far maps the label lower: either way some rotated
     image is smaller.
 
+    A vertex is (base vertex, oracle state), the state carried step by step
+    (`WordOracle.step`).  With normal forms equal states are one element, so
+    a vertex is met again by a dict lookup.  Otherwise the state is only a
+    key, and the vertex words of equal keys go to `same_element`.
+
     Returns {n: [images, ...]}, images as `_orbit_images` gives them; the
     first, the walk itself, is the orbit's representative.
     """
     steps = _walk_steps(s)
     maps = _symmetries(s, oracle)
+    kind = getattr(oracle, "kind", None)
+    exact = getattr(oracle, "has_normal_forms", False)
     moves = {}  # vertex -> [(label, next vertex, step word, step vector)]
     for label, (a, b, w, _) in steps.items():
         moves.setdefault(a, []).append((label, b, w, exponent_vector(w)))
     low = {x: min(g[y] for g in maps for y in (x, (x[0], -x[1]))) for x in steps}
     # closing cuts: a step moves the exponent vector by at most `reach` in l1
-    # norm, and the vector is a group invariant when no relator moves it;
-    # in a free group it moves the reduced vertex word by at most `longest`
+    # norm, and the vector is a group invariant when no relator moves it,
+    # though not in a finite quotient; it is then the abelian and bounded-bfs
+    # state, and is carried beside any other.  In a free group a step moves
+    # the reduced vertex word, the state, by at most `longest` letters
     reach = longest = 0
-    if not any(any(exponent_vector(r)) for r in s.presentation.relators):
+    if kind != "finite-table" and not any(any(exponent_vector(r))
+                                          for r in s.presentation.relators):
         reach = max((sum(map(abs, vec)) for ms in moves.values()
                      for *_, vec in ms), default=0)
-    if getattr(oracle, "kind", None) == "free":
+    carry = reach and kind not in ("abelian", "bounded-bfs")
+    if kind == "free":
         longest = max((len(w) for _, _, w, _ in steps.values()), default=0)
     out = {n: [] for n in range(1, max_norm + 1)}
-    labels, path = [], []
+    labels = []
+    path = {}  # (vertex, state) -> [(position, vertex word or None)]
     expanded = deepest = 0
 
     def meets(key, q):
-        """Position on the walk of the vertex q, whose key is given, or None."""
-        for i, (k, r) in enumerate(path):
-            if k == key and same_element(oracle, r, q):
+        """Position on the walk of the vertex with this key and word, or None."""
+        for i, r in path.get(key, ()):
+            if exact or same_element(oracle, r, q):
                 return i
         return None
 
-    def extend(p, v, pvec, tied):
+    def extend(v, state, p, vec, tied):
         nonlocal expanded, deepest
         expanded += 1
         deepest = max(deepest, len(labels))
@@ -537,15 +554,15 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
             raise BudgetExceededError(
                 f"cycle enumeration expanded more than {node_cap} walks, "
                 f"reaching walk length {deepest} of {max_norm}")
-        for label, nv, w, vec in moves.get(v, ()):
+        for label, nv, w, wvec in moves.get(v, ()):
             if labels and label == (labels[-1][0], -labels[-1][1]):
                 continue
             if low[label] < (labels[0] if labels else label):
                 continue
             if any(g[label] < label for g in tied):
                 continue
-            q = compose(p, w)
-            key = (nv, oracle.invariant_key(q))
+            key = (nv, oracle.step(state, w))
+            q = None if exact else compose(p, w)
             at = meets(key, q)
             labels.append(label)
             n = len(labels)
@@ -555,18 +572,23 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
                     out[n].append(images)
             elif at is None and n < max_norm:
                 left = max_norm - n
-                qvec = tuple(map(sum, zip(pvec, vec)))
+                qvec = tuple(map(sum, zip(vec, wvec))) if carry else key[1]
                 if ((not reach or -(-sum(map(abs, qvec)) // reach) <= left)
-                        and (not longest or -(-len(q) // longest) <= left)):
-                    path.append((key, q))
-                    extend(q, nv, qvec, [g for g in tied if g[label] == label])
-                    path.pop()
+                        and (not longest or -(-len(key[1]) // longest) <= left)):
+                    entries = path.setdefault(key, [])
+                    entries.append((n, q))
+                    extend(nv, key[1], q, qvec, [g for g in tied if g[label] == label])
+                    entries.pop()
+                    if not entries:
+                        del path[key]
             labels.pop()
 
     e = identity_word(s.presentation.generators)
     for v in sorted(moves):
-        path[:] = [((v, oracle.invariant_key(e)), e)]
-        extend(e, v, exponent_vector(e), maps[1:])
+        state = oracle.start()
+        path.clear()
+        path[(v, state)] = [(0, None if exact else e)]
+        extend(v, state, e, exponent_vector(e), maps[1:])
     return {n: sorted(orbits) for n, orbits in out.items()}
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import weakref
 from dataclasses import dataclass
 
 from .errors import InputError, InvalidSkeletonError
@@ -204,28 +205,31 @@ def is_presentation_complex(s: SkeletonSpec) -> bool:
 
 # ------------------------------------------------------------ canonical form
 
+# oracle -> {letters: normal form}, for oracles with normal forms
+_NORMAL_FORMS = weakref.WeakKeyDictionary()
+
+
 class _Elements:
     """The representative word of each lifted cell (base, word).
 
     With normal forms the representative is the normal form, memoized by
-    spelling and shared across bases.  Otherwise it is the first word added
-    for the cell: a lookup tries the exact spelling, and only then asks the
-    oracle about the same-base words that share the word's invariant key.
-    `cells` are the (base, word) cells of a canonical chain, taken as their
-    own representatives without a check.
+    spelling in one memo per oracle and shared across bases.  Otherwise it
+    is the first word added for the cell: a lookup tries the exact spelling,
+    and only then asks the oracle about the same-base words that share the
+    word's invariant key; `cells`, the (base, word) cells of a canonical
+    chain, are then taken as their own representatives without a check.
     """
 
     def __init__(self, oracle, cells=()):
         self.oracle = oracle
         self.normal = getattr(oracle, "has_normal_forms", False)
-        # normal forms: letters -> normal form; else (base, letters) -> representative
-        self.known: dict = {}
         self.buckets: dict[tuple, list[Word]] = {}
+        if self.normal:
+            self.known = _NORMAL_FORMS.setdefault(oracle, {})
+            return
+        self.known = {}  # (base, letters) -> representative
         for base, word in cells:
-            if self.normal:
-                self.known[word.letters] = word
-            else:
-                self._file(base, word, self.oracle.invariant_key(word))
+            self._file(base, word, self.oracle.invariant_key(word))
 
     def _file(self, base, word, key):
         self.known[(base, word.letters)] = word

@@ -12,6 +12,15 @@ A verdict is Trivial, Nontrivial, or Undecided; Undecided means the oracle's
 budget or scope ran out, never that the answer is unknowable.  Soundness of
 an oracle for its presentation is a user assertion; the package checks what
 it can cheaply (finite tables are validated against the relators).
+
+A walk carries an oracle state of its vertex: `start()` is the state of the
+identity, `step(state, w)` that of the element times the word w.  With
+normal forms states are hashable and equal exactly when their elements are:
+the exponent vector (`abelian`), the reduced letters (`free`), the element
+index (`finite-table`).  Without them a state is a hashable sound key, like
+the exponent vector modulo the relators' (`bounded-bfs`).  The default
+state is the word, hashed by `invariant_key` and, with normal forms,
+compared by `normalize`; an oracle may override `start` and `step` together.
 """
 
 from __future__ import annotations
@@ -231,11 +240,16 @@ class OracleVerdict(enum.Enum):
 
 # ------------------------------------------------- abelianization arithmetic
 
-def exponent_vector(w: Word) -> tuple[int, ...]:
-    v = [0] * len(w.gens)
-    for g, s in w.letters:
+def _add_letters(vec, letters) -> tuple[int, ...]:
+    """vec plus the exponent vector of the letters."""
+    v = list(vec)
+    for g, s in letters:
         v[g] += s
     return tuple(v)
+
+
+def exponent_vector(w: Word) -> tuple[int, ...]:
+    return _add_letters((0,) * len(w.gens), w.letters)
 
 
 def _ext_gcd(a: int, b: int):
@@ -316,6 +330,39 @@ class WordOracle:
         """Cheap sound invariant: equal elements share the key.  None = none."""
         return None
 
+    def start(self):
+        """The state of the identity element."""
+        return _Spelled(self, Word(self.presentation.generators))
+
+    def step(self, state, w: Word):
+        """The state of the element of `state` times w."""
+        return _Spelled(self, compose(state.word, w))
+
+
+class _Spelled:
+    """The default state: a word, hashed by the oracle's `invariant_key`.
+    States of equal keys are equal, and with normal forms so must those be:
+    without them a state is only a key."""
+
+    __slots__ = ("oracle", "word", "key", "_normal")
+
+    def __init__(self, oracle, word):
+        self.oracle, self.word, self.key = oracle, word, oracle.invariant_key(word)
+        self._normal = None
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key and (
+            not self.oracle.has_normal_forms or self.normal() == other.normal())
+
+    def normal(self):
+        """The normal form, computed once."""
+        if self._normal is None:
+            self._normal = self.oracle.normalize(self.word)
+        return self._normal
+
 
 def is_trivial(oracle: WordOracle, w: Word) -> OracleVerdict:
     return oracle.is_trivial(w)
@@ -352,6 +399,12 @@ class FreeOracle(WordOracle):
     def invariant_key(self, w: Word):
         return w.letters
 
+    def start(self):
+        return ()
+
+    def step(self, state, w: Word):
+        return _concat_reduced(state, w.letters)
+
 
 class FreeAbelianOracle(WordOracle):
     """Sound when the group is free abelian on the generators."""
@@ -373,6 +426,12 @@ class FreeAbelianOracle(WordOracle):
 
     def invariant_key(self, w: Word):
         return exponent_vector(w)
+
+    def start(self):
+        return (0,) * len(self.presentation.generators)
+
+    def step(self, state, w: Word):
+        return _add_letters(state, w.letters)
 
 
 class FiniteTableOracle(WordOracle):
@@ -432,11 +491,16 @@ class FiniteTableOracle(WordOracle):
         return "finite-table:" + hashlib.sha256(payload.encode()).hexdigest()[:12]
 
     def evaluate(self, w: Word) -> int:
-        x = self.identity_index
+        return self.step(self.identity_index, w)
+
+    def start(self):
+        return self.identity_index
+
+    def step(self, state: int, w: Word) -> int:
         for g, s in w.letters:
             e = self.generator_map[w.gens[g]]
-            x = self.table[x][e if s > 0 else self._inverse[e]]
-        return x
+            state = self.table[state][e if s > 0 else self._inverse[e]]
+        return state
 
     def _canonical_words(self):
         """Shortest word per element, shortlex tie-break, by ordered BFS."""
@@ -528,6 +592,12 @@ class BoundedBFSOracle(WordOracle):
 
     def invariant_key(self, w: Word):
         return self._lattice.residue(exponent_vector(w))
+
+    def start(self):
+        return (0,) * len(self.presentation.generators)
+
+    def step(self, state, w: Word):
+        return self._lattice.residue(_add_letters(state, w.letters))
 
     def _radius_for(self, length: int) -> int:
         if self.radius is not None:

@@ -247,6 +247,22 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3
 
 
+
+@pytest.mark.parametrize("option, value, low", [
+    ("--fill-cap", "-1", 0), ("--node-cap", "0", 1), ("--node-cap", "-5", 1),
+    ("--workers", "0", 1), ("--workers", "-3", 1)])
+def test_budget_options_below_their_bounds_are_usage_errors(capsys, option, value, low):
+    with pytest.raises(SystemExit) as exc:
+        main(["psi", "--input", "z2", "-n", "2", "--no-cache", option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: must be at least {low}, got {value}" in err
+    # the bound itself parses; one walk is too few for psi(2)
+    code, _, err = run(capsys, "psi", "--input", "z2", "-n", "2", "--no-cache",
+                       option, str(low))
+    assert code == (4 if option == "--node-cap" else 0), err
+
+
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(chainprofile.__file__)))
 
 

@@ -42,15 +42,13 @@ GENS = ("a", "b")
 
 
 def z2():
-    oracle = FreeAbelianOracle(GENS)
-    s = presentation_complex(parse_presentation("<a, b | a b a^-1 b^-1>"))
-    return s, oracle
+    p = parse_presentation("<a, b | a b a^-1 b^-1>")
+    return presentation_complex(p), FreeAbelianOracle(p)
 
 
 def f2():
-    oracle = FreeOracle(GENS)
-    s = presentation_complex(parse_presentation("<a, b |>"))
-    return s, oracle
+    p = parse_presentation("<a, b |>")
+    return presentation_complex(p), FreeOracle(p)
 
 
 def zmod2():

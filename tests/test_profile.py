@@ -44,9 +44,8 @@ GENS = ("a", "b")
 
 
 def z2():
-    oracle = FreeAbelianOracle(GENS)
-    s = presentation_complex(parse_presentation("<a, b | a b a^-1 b^-1>"))
-    return s, oracle
+    p = parse_presentation("<a, b | a b a^-1 b^-1>")
+    return presentation_complex(p), FreeAbelianOracle(p)
 
 
 def two_relator_grid():
@@ -201,8 +200,8 @@ def test_phi_agrees_with_exhaustive_partitions():
 
 
 def test_free_group_profiles_vanish():
-    oracle = FreeOracle(GENS)
-    s = presentation_complex(parse_presentation("<a, b |>"))
+    p = parse_presentation("<a, b |>")
+    s, oracle = presentation_complex(p), FreeOracle(p)
     assert psi_table(s, oracle, 8).values == [0] * 9
     assert phi_table(s, oracle, 8).values == [0] * 9
 

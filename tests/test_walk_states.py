@@ -1,0 +1,187 @@
+"""Walks carry the oracle's element state (`WordOracle.start`/`step`).
+
+Outputs and walk counts are pinned to values computed before the walks
+carried states; the built-in oracles' walk searches make no oracle calls;
+oracles that keep only the older contract (`normalize`, `invariant_key`)
+still work through the default state.
+"""
+
+import contextlib
+import gc
+import hashlib
+import io
+import json
+import weakref
+from collections import Counter
+
+import pytest
+
+from chainprofile.cli import main
+from chainprofile.enumeration import (
+    _closed_walks,
+    connected_chains_up_to_action,
+    connected_cycles_up_to_action,
+    cycle_orbits,
+)
+from chainprofile.errors import BudgetExceededError
+from chainprofile.inputs import load_example, load_input
+from chainprofile.profiles import psi_table
+from chainprofile.skeleton import _NORMAL_FORMS, presentation_complex
+from chainprofile.words import (
+    FiniteTableOracle,
+    FreeAbelianOracle,
+    WordOracle,
+    parse_presentation,
+    parse_word,
+)
+
+from test_enumeration import GENS, z2, zmod2
+from test_unique_filling import BS13Oracle
+
+EXTRA = {
+    "z3": "<a, b, c | a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1>",
+    "grid": "<a, b | a b a^-1 b^-1, b a b^-1 a^-1>",
+}
+
+# name, n, sha256 of the psi table's JSON, sha256 of `enumerate --cycles
+# --list --format json`, and the walks the search expands (the node cap
+# that just suffices)
+FROZEN = [
+    ("z2", 12, "30c2b6c8889df316f8e6106c5d8a0e5627d04f2dd3de6e2d5c41626e1d59483a",
+     "d1af906462afdbdc3ad56b90cba376d75684e198003b798fc0e3c2982446daeb", 1907),
+    ("f2", 10, "09f90a10f30794934981b9ebed622ccdefad3ee841304f5a24b7c60ec5e94a72",
+     "baade25ebdbf33a8f63a303332eb27852e17e2259a8d9538e12a5276d45a94e4", 64),
+    ("surface2", 8, "d969937ec7f1013d4c7f1103d3119b9eef79b6c757ef5dc3b8dbf8b5eb34f3d1",
+     "644e5890d0d9a11167e568512f569ebfd4a290ff50ea4587a90fad9fa17b3fc0", 10559),
+    ("z3", 8, "aaf650516cead18a0c8fd5c97afe6b3c49da88b6462166c83bd450fa91481b82",
+     "b08e88e01b12be10abbb8103000ccf546f7704d0f1786f6011b96d7410a87ec5", 237),
+    ("grid", 10, "ad5f3b94d398bd7e593fd912c7f8945c8d46b1612adb93f505358de0fe72b3e2",
+     "cd5dda604e63f8494cff0d5510df4f2e7a1957dcb22e9cca7cd72a63034e0e3e", 364),
+]
+
+
+def _source(name, tmp_path):
+    """A bundled name, or an input file written for the abelian extras."""
+    if name not in EXTRA:
+        return name
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"dim": 2, "presentation": EXTRA[name],
+                                "oracle": {"kind": "abelian"}}))
+    return str(path)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, n, psi_sha, enum_sha, walks", FROZEN,
+                         ids=[f"{c[0]}-{c[1]}" for c in FROZEN])
+def test_outputs_and_walk_counts_are_frozen(name, n, psi_sha, enum_sha, walks, tmp_path):
+    src = _source(name, tmp_path)
+    s, oracle = load_input(src) if name in EXTRA else load_example(src)
+    table = psi_table(s, oracle, n)
+    assert _sha(json.dumps(table.to_json_dict(), sort_keys=True)) == psi_sha
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["enumerate", "--input", src, "--chain-dim", "1", "--max-norm", str(n),
+                     "--cycles", "--list", "--format", "json", "--no-cache",
+                     "--node-cap", str(walks)])
+    assert code == 0
+    assert _sha(out.getvalue()) == enum_sha
+    with pytest.raises(BudgetExceededError, match=f"more than {walks - 1} walks"):
+        cycle_orbits(s, oracle, 1, n, node_cap=walks - 1)
+
+
+@pytest.mark.parametrize("case, max_norm", [("z2", 8), ("f2", 8), ("zmod2", 6)])
+def test_exact_walk_searches_make_no_oracle_calls(case, max_norm, monkeypatch):
+    s, oracle = zmod2() if case == "zmod2" else load_example(case)
+    calls = Counter()
+    for name in ("is_trivial", "invariant_key", "normalize"):
+        def counted(self, w, method=getattr(type(oracle), name), name=name):
+            calls[name] += 1
+            return method(self, w)
+        monkeypatch.setattr(type(oracle), name, counted)
+    walks = _closed_walks(s, oracle, max_norm)
+    assert any(walks.values()) or case == "f2"
+    assert not calls
+
+
+def test_bs13_keeps_working_through_the_default_state():
+    assert "step" not in vars(BS13Oracle) and "start" not in vars(BS13Oracle)
+    p = parse_presentation("<a, b | b a b^-1 a^-3>")
+    table = psi_table(presentation_complex(p), BS13Oracle(p), 8)
+    assert table.values == [0, 0, 0, 0, 0, 0, 1, 1, 2]  # computed before states
+
+
+class KeyedAbelian(WordOracle):
+    """The abelian word problem behind the older contract only: no normal
+    forms, and an invariant key or none."""
+
+    kind = "keyed"
+
+    def __init__(self, presentation, keyed):
+        super().__init__(presentation)
+        self.inner, self.keyed = FreeAbelianOracle(presentation), keyed
+
+    def is_trivial(self, w):
+        return self.inner.is_trivial(w)
+
+    def invariant_key(self, w):
+        return self.inner.invariant_key(w) if self.keyed else None
+
+
+class NormalAbelian(KeyedAbelian):
+    has_normal_forms = True
+
+    def normalize(self, w):
+        return self.inner.normalize(w)
+
+
+@pytest.mark.parametrize("cls, keyed", [(KeyedAbelian, True), (KeyedAbelian, False),
+                                        (NormalAbelian, True), (NormalAbelian, False)])
+def test_default_state_matches_the_exact_walks(cls, keyed):
+    s, oracle = z2()
+    assert _closed_walks(s, cls(s.presentation, keyed), 8) == _closed_walks(s, oracle, 8)
+
+
+def test_finite_quotient_closes_walks_the_exponent_vector_does_not():
+    # in Z/3 the walk a a a closes with exponent vector (3): the l1 closing
+    # cut, valid in the free group <a |>, must not apply to the table
+    p = parse_presentation("<a | >")
+    oracle = FiniteTableOracle(p, ["0", "1", "2"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                               {"a": 1})
+    s = presentation_complex(p)
+    three = connected_cycles_up_to_action(s, oracle, 1, 3)
+    assert {n: len(v) for n, v in three.items()} == {1: 0, 2: 0, 3: 2}
+    assert connected_cycles_up_to_action(s, oracle, 1, 4)[3] == three[3]
+
+
+def test_normal_forms_are_memoized_per_oracle(monkeypatch):
+    s, oracle = load_input({"dim": 2, "presentation": EXTRA["z3"],
+                            "oracle": {"kind": "abelian"}})
+    seen = Counter()
+    normalize = FreeAbelianOracle.normalize
+
+    def counted(self, w):
+        seen[w.letters] += 1
+        return normalize(self, w)
+    monkeypatch.setattr(FreeAbelianOracle, "normalize", counted)
+    for _ in range(2):
+        assert psi_table(s, oracle, 6).values == [0, 0, 0, 0, 1, 1, 3]
+        assert len(connected_chains_up_to_action(s, oracle, 2, 3)[3]) == 292
+        assert max(seen.values()) == 1  # each spelling once: 613 calls before
+    assert oracle in _NORMAL_FORMS
+    ref = weakref.ref(oracle)
+    del oracle
+    gc.collect()
+    assert ref() is None  # the memo does not keep its oracle alive
+
+
+@pytest.mark.parametrize("keyed", [True, False])
+def test_default_states_compare_by_element(keyed):
+    s, _ = z2()
+    oracle = NormalAbelian(s.presentation, keyed)
+    ab = oracle.step(oracle.start(), parse_word("a b", GENS))
+    ba = oracle.step(oracle.start(), parse_word("b a", GENS))
+    assert ab == ba and hash(ab) == hash(ba)
+    assert oracle.step(ab, parse_word("a", GENS)) != oracle.step(ba, parse_word("a^-1", GENS))
