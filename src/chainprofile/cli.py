@@ -299,7 +299,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate", parents=[common],
                         help="connected chains up to the group action")
     sp.add_argument("--chain-dim", type=int, required=True)
-    sp.add_argument("--max-norm", type=int, required=True)
+    sp.add_argument("--max-norm", type=_at_least(0), required=True)
     sp.add_argument("--cycles", action="store_true",
                     help="keep only chains with vanishing boundary")
     sp.add_argument("--list", action="store_true",

@@ -27,8 +27,11 @@ Chains, and cycles of dimension 2 and up, grow one unit at a time from
 single-cell seeds: a unit may raise the magnitude of a coefficient already
 present (same sign), or sit on a new cell provided its boundary strictly
 cancels part of the current boundary.  Disconnected intermediates are kept
-while growing; connectivity is filtered at output.  One loop,
-`chain_levels`, runs this rule and yields one norm level at a time.
+while growing; connectivity is filtered at output.  One function,
+`reachable_chains`, runs this rule a norm level at a time, carrying each
+chain's boundary and its norm, which every unit changes by a delta.  The
+boundary only decides the moves and whether a chain is a cycle, and is
+never returned.
 
 The loop runs over an engine, which holds the chains and decides when two of
 them lie in one orbit.  Oracles with normal forms use an integer-interned
@@ -190,19 +193,22 @@ class _IdEngine:
         return sorted(_moves(chain, touching).items())
 
     def add_boundary(self, bnd, move):
-        """bnd plus the boundary of the move, with its norm and the move's."""
+        """bnd plus the boundary of the move, the change in its norm, and
+        the move's boundary norm, in one pass over the move's cells."""
         cell, sign = move
         out = dict(bnd)
-        unit_norm = 0
+        delta = unit_norm = 0
         for bcell, c in self.unit_boundary(*cell):
             c *= sign
             unit_norm += abs(c)
-            v = out.get(bcell, 0) + c
+            old = out.get(bcell, 0)
+            v = old + c
+            delta += abs(v) - abs(old)
             if v:
                 out[bcell] = v
             else:
-                out.pop(bcell, None)
-        return out, sum(abs(v) for v in out.values()), unit_norm
+                del out[bcell]
+        return out, delta, unit_norm
 
     def add_unit(self, chain, move):
         """chain + sign on cell, keeping terms sorted by cell."""
@@ -227,13 +233,9 @@ class _IdEngine:
         self.seen.add(best)
         return True
 
-    def to_pair(self, chain, bnd):
-        """The chain and its boundary as Chain objects."""
-        return self._chain(self.dim, chain), self._chain(self.dim - 1, bnd.items())
-
-    def _chain(self, d: int, terms) -> Chain:
-        return build_chain(d, [(LiftedCell(d, base, self.words[wid]), n)
-                               for (base, wid), n in terms], self.oracle)
+    def to_chain(self, chain) -> Chain:
+        return build_chain(self.dim, [(LiftedCell(self.dim, base, self.words[wid]), n)
+                                      for (base, wid), n in chain], self.oracle)
 
 
 # ------------------------------------------------------ object-chain engine
@@ -273,7 +275,7 @@ class _ObjectEngine:
     def add_boundary(self, bnd: Chain, unit: Chain):
         ubnd = boundary(unit, self.s, self.oracle)
         out = add_chains(bnd, ubnd, self.oracle)
-        return out, norm(out), norm(ubnd)
+        return out, norm(out) - norm(bnd), norm(ubnd)
 
     def add_unit(self, a: Chain, unit: Chain) -> Chain:
         return add_chains(a, unit, self.oracle)
@@ -285,55 +287,8 @@ class _ObjectEngine:
         bucket.append(a)
         return True
 
-    def to_pair(self, a: Chain, bnd: Chain):
-        return a, bnd
-
-
-# ------------------------------------------------------------ the growth loop
-
-def chain_levels(s, oracle, dim: int, max_norm: int,
-                 node_cap: int | None = None, cycle_target: bool = False):
-    """Grow chains one norm level at a time, one per orbit.
-
-    Yields (n, [(chain, boundary), ...]) sorted, for n = 1 .. max_norm.
-    Level n does not depend on max_norm unless cycle_target is set: chains
-    whose boundary norm exceeds what the units left can cancel are dropped.
-    """
-    eng = (_IdEngine if getattr(oracle, "has_normal_forms", False)
-           else _ObjectEngine)(s, oracle, dim)
-    beta = _unit_boundary_norm(s, dim)
-    frontier = []
-    for base in range(s.n_cells(dim)):
-        for sign in (1, -1):
-            chain, bnd, bnorm = eng.seed(base, sign)
-            if eng.is_new(chain):
-                frontier.append((chain, bnd, bnorm))
-    processed = 0
-    for n in range(1, max_norm + 1):
-        if cycle_target:
-            frontier = [f for f in frontier if f[2] <= beta * (max_norm - n)]
-        yield n, sorted((eng.to_pair(chain, bnd) for chain, bnd, _ in frontier),
-                        key=lambda ab: _chain_sort_key(ab[0]))
-        if n == max_norm:
-            return
-        eng.seen.clear()  # every chain grown next has norm n + 1
-        nxt = []
-        for chain, bnd, bnorm in frontier:
-            processed += 1
-            if node_cap is not None and processed > node_cap:
-                raise BudgetExceededError(
-                    f"chain enumeration expanded more than {node_cap} chains, "
-                    f"reaching norm {n} of {max_norm}")
-            for move, on_support in eng.candidates(chain, bnd):
-                new_bnd, new_norm, unit_norm = eng.add_boundary(bnd, move)
-                if not on_support and new_norm >= bnorm + unit_norm:
-                    continue
-                if cycle_target and new_norm > beta * (max_norm - n - 1):
-                    continue
-                grown = eng.add_unit(chain, move)
-                if eng.is_new(grown):
-                    nxt.append((grown, new_bnd, new_norm))
-        frontier = nxt
+    def to_chain(self, a: Chain) -> Chain:
+        return a
 
 
 # ------------------------------------------------- closed walks (1-cycles)
@@ -602,21 +557,57 @@ def reachable_chains(s, oracle, dim: int, max_norm: int,
                      node_cap: int | None = None, cycle_target: bool = False):
     """All chains the growth procedure reaches, one per orbit, by norm.
 
-    Returns dict norm -> list of (chain, boundary) pairs.  With cycle_target,
-    chains whose boundary norm exceeds what the remaining units can cancel
-    are dropped.
+    Returns dict n -> sorted chains of norm n, for n = 1 .. max_norm.  With
+    cycle_target only the cycles are returned, and chains whose boundary
+    norm exceeds what the units left can cancel are dropped while growing.
     """
     if dim < 1 or dim > s.q:
         raise InputError(f"enumeration dimension {dim} outside 1..{s.q}")
-    return dict(chain_levels(s, oracle, dim, max_norm, node_cap, cycle_target))
+    eng = (_IdEngine if getattr(oracle, "has_normal_forms", False)
+           else _ObjectEngine)(s, oracle, dim)
+    beta = _unit_boundary_norm(s, dim)
+    frontier = []
+    for base in range(s.n_cells(dim)):
+        for sign in (1, -1):
+            chain, bnd, bnorm = eng.seed(base, sign)
+            if eng.is_new(chain):
+                frontier.append((chain, bnd, bnorm))
+    out = {}
+    processed = 0
+    for n in range(1, max_norm + 1):
+        if cycle_target:
+            frontier = [f for f in frontier if f[2] <= beta * (max_norm - n)]
+        out[n] = sorted((eng.to_chain(chain) for chain, _, bnorm in frontier
+                         if not cycle_target or bnorm == 0), key=_chain_sort_key)
+        if n == max_norm:
+            break
+        eng.seen.clear()  # every chain grown next has norm n + 1
+        nxt = []
+        for chain, bnd, bnorm in frontier:
+            processed += 1
+            if node_cap is not None and processed > node_cap:
+                raise BudgetExceededError(
+                    f"chain enumeration expanded more than {node_cap} chains, "
+                    f"reaching norm {n} of {max_norm}")
+            for move, on_support in eng.candidates(chain, bnd):
+                new_bnd, delta, unit_norm = eng.add_boundary(bnd, move)
+                if not on_support and delta >= unit_norm:
+                    continue
+                if cycle_target and bnorm + delta > beta * (max_norm - n - 1):
+                    continue
+                grown = eng.add_unit(chain, move)
+                if eng.is_new(grown):
+                    nxt.append((grown, new_bnd, bnorm + delta))
+        frontier = nxt
+    return out
 
 
 def connected_chains_up_to_action(s, oracle, dim: int, max_norm: int,
                                   node_cap: int | None = None):
     """Connected chains up to translation, as dict norm -> representatives."""
     reached = reachable_chains(s, oracle, dim, max_norm, node_cap=node_cap)
-    return {n: [a for a, _ in pairs if is_connected(a, s, oracle)]
-            for n, pairs in reached.items()}
+    return {n: [a for a in chains if is_connected(a, s, oracle)]
+            for n, chains in reached.items()}
 
 
 def cycle_orbits(s, oracle, dim: int, max_norm: int, node_cap: int | None = None):
@@ -630,9 +621,8 @@ def cycle_orbits(s, oracle, dim: int, max_norm: int, node_cap: int | None = None
     if dim != 1:
         reached = reachable_chains(s, oracle, dim, max_norm,
                                    node_cap=node_cap, cycle_target=True)
-        return {n: [(a, partial(list, (a,))) for a, b in pairs
-                    if not b.terms and is_connected(a, s, oracle)]
-                for n, pairs in reached.items()}
+        return {n: [(a, partial(list, (a,))) for a in chains if is_connected(a, s, oracle)]
+                for n, chains in reached.items()}
     steps = _walk_steps(s)
 
     def orbit(images):

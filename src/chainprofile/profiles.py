@@ -454,6 +454,8 @@ def phi_table(s, oracle, n: int, budget: Budget | None = None,
         psi = psi_table(s, oracle, n, budget=budget, workers=workers)
     elif psi.kind != "psi" or len(psi.values) != n + 1:
         raise InputError("phi needs a psi table of matching length")
+    elif psi.fingerprint != skeleton_fingerprint(s, oracle):
+        raise InputError("phi needs a psi table of the same complex and oracle")
     values, choice = _partition_recurrence(psi.values)
     witnesses = [None] * (n + 1)
     for k in range(1, n + 1):

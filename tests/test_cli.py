@@ -263,6 +263,18 @@ def test_budget_options_below_their_bounds_are_usage_errors(capsys, option, valu
     assert code == (4 if option == "--node-cap" else 0), err
 
 
+
+def test_negative_max_norm_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--input", "z2", "--chain-dim", "1", "--max-norm", "-3",
+              "--no-cache"])
+    assert exc.value.code == 2
+    assert "argument --max-norm: must be at least 0, got -3" in capsys.readouterr().err
+    code, out, _ = run(capsys, "enumerate", "--input", "z2", "--chain-dim", "1",
+                       "--max-norm", "0", "--no-cache")
+    assert code == 0 and "norm at most 0" in out
+
+
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(chainprofile.__file__)))
 
 

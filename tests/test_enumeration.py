@@ -4,6 +4,7 @@ import random
 
 import pytest
 import window_oracle as win
+from test_profile import three_torus
 
 from chainprofile.enumeration import (
     _closed_walks,
@@ -18,7 +19,6 @@ from chainprofile.inputs import load_example
 from chainprofile.skeleton import (
     LiftedCell,
     SkeletonSpec,
-    boundary,
     build_chain,
     identity_word,
     is_connected,
@@ -119,11 +119,11 @@ def test_finite_cover_cycles():
 def test_reachable_chains_are_connected_when_filtered():
     s, oracle = z2()
     reached = reachable_chains(s, oracle, 1, 4)
-    for n, pairs in reached.items():
-        for a, b in pairs:
+    assert list(reached) == [1, 2, 3, 4]
+    for n, chains in reached.items():
+        assert chains
+        for a in chains:
             assert norm(a) == n
-            bb = boundary(a, s, oracle)
-            assert bb.terms == b.terms
 
 
 def test_signature_is_translation_invariant():
@@ -161,8 +161,8 @@ def counts(got):
 def grown_cycles(s, oracle, max_norm):
     """Connected cycles by the generic grower, the reference for the walks."""
     reached = reachable_chains(s, oracle, 1, max_norm, cycle_target=True)
-    return {n: [a for a, b in pairs if not b.terms and is_connected(a, s, oracle)]
-            for n, pairs in reached.items()}
+    return {n: [a for a in chains if is_connected(a, s, oracle)]
+            for n, chains in reached.items()}
 
 
 def assert_same_orbits(got, want, oracle):
@@ -183,8 +183,28 @@ def test_engines_agree_on_the_grid(dim, max_norm):
     got = reachable_chains(s, objects, dim, max_norm)
     assert {n: len(v) for n, v in got.items()} == {n: len(v) for n, v in want.items()}
     for n, reps in want.items():
-        for a, _ in reps:
-            assert sum(equal_up_to_translation(a, b, ids) for b, _ in got[n]) == 1
+        for a in reps:
+            assert sum(equal_up_to_translation(a, b, ids) for b in got[n]) == 1
+
+
+@pytest.mark.parametrize("name,dim,max_norm", [
+    ("z2", 1, 6), ("z2-objects", 1, 4), ("doubled", 2, 4),
+    pytest.param("z2", 1, 8, marks=pytest.mark.slow),
+    pytest.param("z2-objects", 1, 6, marks=pytest.mark.slow),
+    pytest.param("torus3", 2, 6, marks=pytest.mark.slow),
+])
+def test_cycle_target_loses_no_cycle(name, dim, max_norm):
+    # the cut drops only chains that cannot close by max_norm, so each level
+    # holds exactly the cycles of the uncut growth, the same representatives
+    # in the same order, on either engine
+    s, oracle = INPUTS[name]()
+    everything = reachable_chains(s, oracle, dim, max_norm)
+    cycles = reachable_chains(s, oracle, dim, max_norm, cycle_target=True)
+    assert list(cycles) == list(everything) == list(range(1, max_norm + 1))
+    for n, chains in everything.items():
+        want = [a.terms for a in chains if is_cycle(a, s, oracle)]
+        assert [a.terms for a in cycles[n]] == want, f"norm {n}"
+    assert any(cycles.values())
 
 
 def test_grid_cycle_counts_are_twice_the_polygon_counts():
@@ -288,6 +308,27 @@ def z3():
     return presentation_complex(p), FreeAbelianOracle(p)
 
 
+def z2_objects():
+    """The grid under bounded-bfs, which selects the object engine."""
+    p = parse_presentation("<a, b | a b a^-1 b^-1>")
+    return presentation_complex(p), BoundedBFSOracle(p, radius=12, sufficient_len=8)
+
+
+def doubled_z2():
+    """The grid with every square doubled: each pair is a 2-cycle of norm 2."""
+    p = parse_presentation("<a, b | a b a^-1 b^-1>")
+    w = lambda text: parse_word(text, p.generators)
+    square = [(w("1"), "e_a", 1), (w("a"), "e_b", 1), (w("b"), "e_a", -1), (w("1"), "e_b", -1)]
+    s = SkeletonSpec(2, p, [
+        (0, "v", []),
+        (1, "e_a", [(w("1"), "v", -1), (w("a"), "v", 1)]),
+        (1, "e_b", [(w("1"), "v", -1), (w("b"), "v", 1)]),
+        (2, "f", square),
+        (2, "g", square),
+    ])
+    return s, FreeAbelianOracle(p)
+
+
 def two_relator_grid():
     p = parse_presentation("<a, b | a b a^-1 b^-1, b a b^-1 a^-1>")
     return presentation_complex(p), FreeAbelianOracle(p)
@@ -295,7 +336,8 @@ def two_relator_grid():
 
 INPUTS = {"z2": lambda: load_example("z2"), "surface2": lambda: load_example("surface2"),
           "f2": lambda: load_example("f2"), "zmod2": lambda: load_example("zmod2"),
-          "z3": z3, "grid2": two_relator_grid, "subdivided": subdivided_z2}
+          "z3": z3, "grid2": two_relator_grid, "subdivided": subdivided_z2,
+          "z2-objects": z2_objects, "doubled": doubled_z2, "torus3": three_torus}
 
 
 @pytest.mark.parametrize("name,size", [("z2", 8), ("f2", 8), ("surface2", 4), ("z3", 48),

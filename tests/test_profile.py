@@ -206,6 +206,17 @@ def test_free_group_profiles_vanish():
     assert phi_table(s, oracle, 8).values == [0] * 9
 
 
+def test_phi_rejects_a_psi_table_of_another_complex():
+    s, oracle = z2()
+    psi = psi_table(s, oracle, 8)
+    f2 = parse_presentation("<a, b |>")
+    with pytest.raises(InputError, match="same complex and oracle"):
+        phi_table(presentation_complex(f2), FreeOracle(f2), 8, psi=psi)
+    with pytest.raises(InputError, match="matching length"):
+        phi_table(s, oracle, 7, psi=psi)
+    assert phi_table(s, oracle, 8, psi=psi).fingerprint == psi.fingerprint
+
+
 def three_torus():
     """Cube complex of Z^3: one vertex, three edges, three squares, one cube,
     with the abelian oracle."""
@@ -228,19 +239,28 @@ def three_torus():
 
 
 def test_three_torus_two_cycles_and_psi():
-    # the only connected 2-cycles of norm at most 6 are the two orientations
+    # the only connected 2-cycles of norm at most 7 are the two orientations
     # of the boundary of one cube, which the cube fills
     s, oracle = three_torus()
     assert validate(s, oracle)
-    got = connected_cycles_up_to_action(s, oracle, 2, 6)
+    got = connected_cycles_up_to_action(s, oracle, 2, 7)
     assert {n: len(v) for n, v in got.items() if v} == {6: 2}
-    for workers in (1, 2):
-        table = psi_table(s, oracle, 6, workers=workers)
-        assert table.values == [0, 0, 0, 0, 0, 0, 1]
+    for workers, n in ((1, 7), (2, 6)):
+        table = psi_table(s, oracle, n, workers=workers)
+        assert table.values == [0, 0, 0, 0, 0, 0, 1, 1][:n + 1]
         cycle = chain_from_json(table.witnesses[6]["cycle"], s, oracle)
         filling = chain_from_json(table.witnesses[6]["filling"], s, oracle)
         assert norm(cycle) == 6
         assert chains_equal(boundary(filling, s, oracle), cycle, oracle)
+
+
+@pytest.mark.slow
+def test_three_torus_two_cycles_and_psi_to_eight():
+    # the 1 x 1 x 2 box has area 10, so norm 8 adds no cycle
+    s, oracle = three_torus()
+    got = connected_cycles_up_to_action(s, oracle, 2, 8)
+    assert {n: len(v) for n, v in got.items() if v} == {6: 2}
+    assert psi_table(s, oracle, 8).values == [0, 0, 0, 0, 0, 0, 1, 1, 1]
 
 
 def test_three_torus_boxes_fill_with_their_cubes():
