@@ -12,11 +12,13 @@ without search, in the manner of Dehn's algorithm (Lyndon-Schupp,
 Combinatorial Group Theory, V): the cycle splits into closed walks of the
 Cayley graph, and each walk label is rewritten to the empty word by rules
 p -> q^-1, one for each cyclic form p q of r or r^-1 with p longer than q,
-or as long with q^-1 shortlex-smaller.  Each step adds one relator cell at the current prefix
-and lowers the word in shortlex order.  The longer-half rules decide C'(1/6)
-groups such as the genus-two surface; the half rules sort grid words.  The
-rules are not complete for every one-relator group: a walk they leave
-nonempty sends the cycle to the search.
+or as long with q^-1 shortlex-smaller: the presentation's `RelatorRules`,
+one table that the bounded-bfs oracle's Dehn path reads too.  Each step
+adds one relator cell at the current prefix and lowers the word in
+shortlex order.  The longer-half rules decide C'(1/6) groups such as the
+genus-two surface; the half rules sort grid words.  The rules are not
+complete for every one-relator group: a walk they leave nonempty sends the
+cycle to the search.
 
 The filling search runs iterative deepening on the filling norm v.  A
 q-chain of norm v is a sum of v signed unit cells, so FV(z) is the least
@@ -113,9 +115,6 @@ from .words import (
     _reduce_letters,
     compose,
     exponent_vector,
-    invert,
-    relator_forms,
-    word_key,
 )
 
 logger = logging.getLogger(__name__)
@@ -233,13 +232,9 @@ _RULES = weakref.WeakKeyDictionary()
 
 
 def _rewriting_rules(s):
-    """Rules p -> q^-1 of the one relator r, or None outside the gate.
-
-    The gate: s is the presentation complex of a presentation whose one
-    relator is cyclically reduced and not a proper power.  For each cyclic
-    form p q of r or r^-1 with p longer than q, or as long with q^-1
-    shortlex-smaller, p maps to (q^-1, sign, offset) of that form.
-    """
+    """The rules of s's presentation (`Presentation.rules`), or None outside
+    the gate: s is the presentation complex of a presentation whose one
+    relator is cyclically reduced and not a proper power."""
     if s in _RULES:
         return _RULES[s]
     rules = None
@@ -250,13 +245,7 @@ def _rewriting_rules(s):
         cyclic = r[0] != (r[-1][0], -r[-1][1])
         power = any(n % d == 0 and r == r[:d] * (n // d) for d in range(1, n))
         if cyclic and not power and is_presentation_complex(s):
-            rules = {}
-            for form, sign, offset in relator_forms(p.relators[0]):
-                for k in range((n + 1) // 2, n + 1):
-                    head = Word(p.generators, form[:k])
-                    tail = invert(Word(p.generators, form[k:]))
-                    if 2 * k > n or word_key(tail) < word_key(head):
-                        rules.setdefault(head.letters, (tail.letters, sign, offset))
+            rules = p.rules
     _RULES[s] = rules
     return rules
 
@@ -294,33 +283,22 @@ def _rewritten_filling(cycle: Chain, s, oracle, rules, budget: Budget):
     gives None.
     """
     gens = s.presentation.generators
-    lengths = sorted({len(head) for head in rules}, reverse=True)
     steps = 0
     cells = []
     for start, w in _cycle_walks(cycle, oracle, gens):
         while w:
-            found = _leftmost_rule(w, rules, lengths)
+            found = rules.leftmost(w)
             if found is None:
                 return None
             steps += 1
             if steps > budget.node_cap:
                 raise BudgetExceededError(
                     f"filling rewriting took more than {budget.node_cap} steps")
-            i, k, (tail, sign, offset) = found
+            i, k, (tail, base, sign, offset) = found
             at = compose(Word(gens, w[:i]), Word(gens, offset))
-            cells.append((LiftedCell(2, 0, compose(start, at)), sign))
+            cells.append((LiftedCell(2, base, compose(start, at)), sign))
             w = _reduce_letters(w[:i] + tail + w[i + k:])
     return build_chain(2, cells, oracle)
-
-
-def _leftmost_rule(w, rules, lengths):
-    """(position, length, rule) of the leftmost match in w, longest first."""
-    for i in range(len(w)):
-        for k in lengths:
-            rule = rules.get(w[i:i + k]) if i + k <= len(w) else None
-            if rule is not None:
-                return i, k, rule
-    return None
 
 
 def _cycle_walks(cycle: Chain, oracle, gens):

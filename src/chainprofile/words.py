@@ -11,7 +11,9 @@ Oracles answer the word problem for the group presented by a presentation.
 A verdict is Trivial, Nontrivial, or Undecided; Undecided means the oracle's
 budget or scope ran out, never that the answer is unknowable.  Soundness of
 an oracle for its presentation is a user assertion; the package checks what
-it can cheaply (finite tables are validated against the relators).
+it can cheaply (finite tables are validated against the relators, and
+bounded-bfs decides by Dehn's algorithm only on relators it has checked to
+be C'(1/6)).
 
 A walk carries an oracle state of its vertex: `start()` is the state of the
 identity, `step(state, w)` that of the element times the word w.  With
@@ -31,6 +33,7 @@ import heapq
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import AlphabetError, InputError, OracleUndecidedError, ParseError
 
@@ -94,13 +97,21 @@ def compose(w1: Word, w2: Word) -> Word:
     return Word(w1.gens, _concat_reduced(w1.letters, w2.letters))
 
 
+def _invert_letters(letters) -> tuple[Letter, ...]:
+    return tuple((g, -s) for g, s in reversed(letters))
+
+
 def invert(w: Word) -> Word:
-    return Word(w.gens, tuple((g, -s) for g, s in reversed(w.letters)))
+    return Word(w.gens, _invert_letters(w.letters))
+
+
+def _shortlex(letters):
+    return (len(letters), tuple((g, 0 if s > 0 else 1) for g, s in letters))
 
 
 def word_key(w: Word):
     """Shortlex sort key: length, then letters with + before - per generator."""
-    return (len(w.letters), tuple((g, 0 if s > 0 else 1) for g, s in w.letters))
+    return _shortlex(w.letters)
 
 
 def format_word(w: Word) -> str:
@@ -178,6 +189,11 @@ class Presentation:
         rels = ", ".join(format_word(r) for r in self.relators)
         return f"<{', '.join(self.generators)} | {rels}>"
 
+    @cached_property
+    def rules(self) -> "RelatorRules":
+        """The rewriting rules of the relators, built on first use."""
+        return RelatorRules(self.relators)
+
 
 def relator_forms(r: Word):
     """The cyclic forms of r and r^-1, each with the relator cell it bounds.
@@ -190,11 +206,74 @@ def relator_forms(r: Word):
     r^-1 starts the same loop u later, hence offset u^-1.
     """
     out = []
-    for sign, base in ((1, r.letters), (-1, invert(r).letters)):
+    for sign, base in ((1, r.letters), (-1, _invert_letters(r.letters))):
         for i in range(len(base)):
-            offset = tuple((g, -s) for g, s in reversed(base[:i]))
+            offset = _invert_letters(base[:i])
             out.append((_reduce_letters(base[i:] + base[:i]), sign, offset))
     return out
+
+
+class RelatorRules:
+    """Rewriting rules p -> q^-1 of the relators (Dehn's algorithm,
+    Lyndon-Schupp, Combinatorial Group Theory, V.4).
+
+    For each cyclic form p q of a relator r or r^-1 with p longer than q, or
+    as long with q^-1 shortlex-smaller, `rules` maps p to (q^-1, index of r,
+    sign, offset) of the first such form: replacing p by q^-1 at prefix u
+    of a path from x adds sign times the cell of r at x u offset (see
+    `relator_forms`).  A rule whose head is longer than half its relator
+    shortens the word; the half rules only lower it in shortlex order.
+    Built from letter tuples of cyclically reduced relators.
+    """
+
+    def __init__(self, relators):
+        self.rules: dict = {}
+        for index, r in enumerate(relators):
+            for form, sign, offset in relator_forms(r):
+                n = len(form)
+                for k in range((n + 1) // 2, n + 1):
+                    head, tail = form[:k], _invert_letters(form[k:])
+                    if 2 * k > n or _shortlex(tail) < _shortlex(head):
+                        self.rules.setdefault(head, (tail, index, sign, offset))
+        self.lengths = sorted({len(head) for head in self.rules}, reverse=True)
+
+    def leftmost(self, w, shortening=False):
+        """(position, length, rule) of the leftmost rule applying to the
+        letters w, longest head first, or None; with `shortening` only the
+        rules whose head is longer than half its relator."""
+        n = len(w)
+        for i in range(n):
+            for k in self.lengths:
+                rule = self.rules.get(w[i:i + k]) if i + k <= n else None
+                if rule is not None and (not shortening or len(rule[0]) < k):
+                    return i, k, rule
+        return None
+
+
+def small_cancellation_c6(relators) -> bool:
+    """Whether the relators satisfy C'(1/6): each is cyclically reduced, and
+    every piece, a common prefix of two of the cyclic forms of the relators
+    and their inverses, is shorter than a sixth of each relator it lies in.
+
+    Two equal forms (a proper power, or a relator repeated up to rotation
+    and inversion) make a piece as long as the relator, so they fail too.
+    Any form's longest piece is shared with a neighbour in sorted order,
+    so only neighbours are compared.
+    """
+    forms = []
+    for r in relators:
+        x = r.letters
+        if x[0] == (x[-1][0], -x[-1][1]):
+            return False
+        forms.extend(form for form, _, _ in relator_forms(r))
+    forms.sort()
+    for a, b in zip(forms, forms[1:]):
+        m = 0
+        while m < min(len(a), len(b)) and a[m] == b[m]:
+            m += 1
+        if 6 * m >= min(len(a), len(b)):
+            return False
+    return True
 
 
 def make_presentation(generators, relator_texts) -> Presentation:
@@ -539,15 +618,25 @@ class FiniteTableOracle(WordOracle):
 
 
 class BoundedBFSOracle(WordOracle):
-    """Bounded search of the relator-rewrite graph, shortest words first.
+    """Dehn's algorithm for C'(1/6) relators; otherwise a bounded search of
+    the relator-rewrite graph, shortest words first.
 
-    A query word is explored by splicing in symmetrized relator forms (which
-    subsumes deletion: inserting the inverse form next to an occurrence
-    cancels it under free reduction), never exceeding the radius in reduced
-    length.  Reaching the empty word proves Trivial.  Before searching, a
-    sound abelianization certificate (exponent vector reduced modulo the
-    relator exponent lattice) settles most Nontrivial queries outright.
+    Before anything else a sound abelianization certificate (exponent vector
+    reduced modulo the relator exponent lattice) settles most Nontrivial
+    queries, and a word longer than the radius is Undecided.
 
+    At construction the relators are checked to satisfy C'(1/6)
+    (`small_cancellation_c6`).  Then a word is rewritten by the rules p ->
+    q^-1 of `RelatorRules` whose head is longer than half its relator; each
+    step is a relator substitution that shortens the word.  The empty word
+    proves Trivial, and a nonempty word that no rule applies to is
+    Nontrivial by Greendlinger's lemma (Lyndon-Schupp, Combinatorial Group
+    Theory, V.4.4), so the verdict is exact and needs no gate.
+
+    Outside C'(1/6), a query word is explored by splicing in symmetrized
+    relator forms (which subsumes deletion: inserting the inverse form next
+    to an occurrence cancels it under free reduction), never exceeding the
+    radius in reduced length.  Reaching the empty word proves Trivial.
     Exhausting the reachable component without finding the empty word is
     upgraded to Nontrivial only under the sufficiency gate: the radius used
     must cover the configured `sufficient_len` for this input (by default the
@@ -558,7 +647,7 @@ class BoundedBFSOracle(WordOracle):
       "double": max(2*len, 2*maxrel)   (the default formula)
       "length": max(len, maxrel)       (for presentations where trivial words
                                         shorten monotonically; user assertion)
-    Proven verdicts are memoized per instance and shared between queries:
+    Search verdicts are memoized per instance and shared between queries:
     every word visited while proving w trivial (or exhausting its component)
     equals w in the group, so it inherits w's verdict.
     """
@@ -570,6 +659,13 @@ class BoundedBFSOracle(WordOracle):
         super().__init__(presentation)
         if policy not in ("double", "length"):
             raise InputError(f"unknown radius policy {policy!r}")
+        if not (radius is None or _is_count(radius, 0)):
+            raise InputError(f"radius must be null or an integer >= 0, got {radius!r}")
+        if not (sufficient_len in ("auto", "all", None) or _is_count(sufficient_len, 0)):
+            raise InputError('sufficient_len must be "auto", "all", null or an '
+                             f"integer >= 0, got {sufficient_len!r}")
+        if not _is_count(node_cap, 1):
+            raise InputError(f"node_cap must be an integer >= 1, got {node_cap!r}")
         self.radius = radius
         self.policy = policy
         self.sufficient_len = sufficient_len
@@ -580,6 +676,7 @@ class BoundedBFSOracle(WordOracle):
             [exponent_vector(r) for r in presentation.relators],
             len(presentation.generators))
         self._known: dict[tuple, bool] = {}
+        self._dehn = small_cancellation_c6(presentation.relators)
 
     @property
     def name(self) -> str:
@@ -611,7 +708,7 @@ class BoundedBFSOracle(WordOracle):
             return True
         if self.sufficient_len == "auto" or self.sufficient_len is None:
             return r >= max(2 * length, 2 * self.maxrel)
-        return length <= int(self.sufficient_len)
+        return length <= self.sufficient_len
 
     def is_trivial(self, w: Word) -> OracleVerdict:
         start = _reduce_letters(w.letters)
@@ -622,6 +719,8 @@ class BoundedBFSOracle(WordOracle):
         r = self._radius_for(len(start))
         if len(start) > r:
             return OracleVerdict.UNDECIDED
+        if self._dehn:
+            return self._dehn_verdict(start)
         known = self._known.get(start)
         if known is not None:
             return OracleVerdict.TRIVIAL if known else OracleVerdict.NONTRIVIAL
@@ -657,6 +756,21 @@ class BoundedBFSOracle(WordOracle):
         for u in visited:
             self._known[u] = verdict
         return OracleVerdict.TRIVIAL if verdict else OracleVerdict.NONTRIVIAL
+
+    def _dehn_verdict(self, u) -> OracleVerdict:
+        rules = self.presentation.rules
+        while u:
+            found = rules.leftmost(u, shortening=True)
+            if found is None:
+                return OracleVerdict.NONTRIVIAL
+            i, k, (tail, _, _, _) = found
+            u = _reduce_letters(u[:i] + tail + u[i + k:])
+        return OracleVerdict.TRIVIAL
+
+
+def _is_count(value, least: int) -> bool:
+    """Whether value is an int (not a bool) of at least `least`."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def oracle_from_config(presentation: Presentation, config: dict) -> WordOracle:

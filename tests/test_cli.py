@@ -248,6 +248,18 @@ def test_exit_codes(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("option, value", [
+    ("sufficient_len", "abc"), ("radius", "x"), ("node_cap", -5)])
+def test_bad_bounded_bfs_values_are_input_errors(tmp_path, capsys, option, value):
+    path = tmp_path / "dihedral.json"
+    path.write_text(json.dumps({
+        "dim": 2, "presentation": "<a, b | a^2, b^2>",
+        "oracle": {"kind": "bounded-bfs", option: value}}))
+    for argv in (("validate",), ("psi", "-n", "6")):
+        code, _, err = run(capsys, *argv, "--input", str(path), "--no-cache")
+        assert code == 2 and option in err, err
+
+
 @pytest.mark.parametrize("option, value, low", [
     ("--fill-cap", "-1", 0), ("--node-cap", "0", 1), ("--node-cap", "-5", 1),
     ("--workers", "0", 1), ("--workers", "-3", 1)])

@@ -358,6 +358,25 @@ def test_oracle_from_config():
         oracle_from_config(p, {"kind": "bounded-bfs", "depth": 3})
 
 
+@pytest.mark.parametrize("option, value", [
+    ("sufficient_len", "abc"), ("sufficient_len", -1), ("sufficient_len", True),
+    ("sufficient_len", 8.0), ("radius", "x"), ("radius", -1), ("radius", False),
+    ("node_cap", -5), ("node_cap", 0), ("node_cap", True), ("node_cap", "100")])
+def test_bounded_bfs_config_values_are_checked(option, value):
+    p = parse_presentation("<a, b | a^2, b^2>")
+    with pytest.raises(InputError, match=option):
+        oracle_from_config(p, {"kind": "bounded-bfs", option: value})
+
+
+def test_bounded_bfs_config_bounds_are_accepted():
+    p = parse_presentation("<a, b | a^2, b^2>")
+    for option, value in (("radius", None), ("radius", 0), ("sufficient_len", "auto"),
+                          ("sufficient_len", "all"), ("sufficient_len", None),
+                          ("sufficient_len", 0), ("node_cap", 1)):
+        o = oracle_from_config(p, {"kind": "bounded-bfs", option: value})
+        assert getattr(o, option) == value
+
+
 def test_oracle_names_distinguish_configs():
     p = parse_presentation("<a, b | a b a^-1 b^-1>")
     a = BoundedBFSOracle(p, radius=6)
