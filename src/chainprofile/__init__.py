@@ -3,7 +3,6 @@
 from .enumeration import (
     connected_chains_up_to_action,
     connected_cycles_up_to_action,
-    equal_up_to_translation,
     reachable_chains,
 )
 from .errors import (

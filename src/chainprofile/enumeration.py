@@ -33,12 +33,12 @@ chain's boundary and its norm, which every unit changes by a delta.  The
 boundary only decides the moves and whether a chain is a cycle, and is
 never returned.
 
-The loop runs over an engine, which holds the chains and decides when two of
-them lie in one orbit.  Oracles with normal forms use an integer-interned
-engine: words become ids, composition is memoized, and an orbit is a
-translation-invariant signature.  Every other oracle uses chain objects,
-compared pairwise up to translation within groups of equal (base, coeff)
-multisets.
+The loop runs over one engine for every oracle.  It interns each group
+element as an integer id, memoizes composition, and names an orbit by a
+translation-invariant signature.  `_Elements` settles the ids: a word's
+normal form when the oracle has them; otherwise its exact spelling, and
+then `same_element` among the words that share its invariant key, so an
+Undecided verdict stops the enumeration with OracleUndecidedError.
 """
 
 from __future__ import annotations
@@ -51,16 +51,11 @@ from .skeleton import (
     Chain,
     LiftedCell,
     _Elements,
-    add_chains,
-    boundary,
     build_chain,
-    chains_equal,
-    coboundary,
     identity_word,
     is_connected,
     is_presentation_complex,
     norm,
-    translate,
 )
 from .words import (
     compose,
@@ -71,44 +66,16 @@ from .words import (
 )
 
 
-def equal_up_to_translation(a: Chain, b: Chain, oracle) -> bool:
-    """Whether some deck translation carries b onto a."""
-    if a.dim != b.dim or len(a.terms) != len(b.terms) or norm(a) != norm(b):
-        return False
-    if not a.terms:
-        return True
-    anchor, _ = a.terms[0]
-    for c, _ in b.terms:
-        if c.base != anchor.base:
-            continue
-        g = compose(anchor.word, invert(c.word))
-        if chains_equal(translate(g, b, oracle), a, oracle):
-            return True
-    return False
-
-
 def _unit_boundary_norm(s, dim: int) -> int:
     """Largest boundary norm of a single cell of the given dimension."""
     return max((norm(s.boundary_chain(dim, b)) for b in range(s.n_cells(dim))), default=0)
 
 
-def _moves(terms, touching):
-    """Growth moves {(cell, sign): on support}: each support cell in the sign
-    it has, and each cell off the support that touches the boundary in both
-    signs."""
-    out = {(cell, 1 if n > 0 else -1): True for cell, n in terms}
-    support = {cell for cell, _ in terms}
-    for cell in touching:
-        if cell not in support:
-            out[(cell, 1)] = out[(cell, -1)] = False
-    return out
-
-
-# ------------------------------------------------------- interned fast engine
+# --------------------------------------------------------------- chain engine
 
 class _IdEngine:
     """Chains as sorted ((base, word id), coeff) tuples; one id per group
-    element under the oracle's normal form."""
+    element, across all bases, as `_Elements` identifies them."""
 
     def __init__(self, s, oracle, dim: int):
         self.oracle = oracle
@@ -188,9 +155,16 @@ class _IdEngine:
         return (((base, self.e), sign),), bnd, sum(abs(v) for v in bnd.values())
 
     def candidates(self, chain, bnd):
-        """Sorted ((cell, sign), on support) moves."""
-        touching = (cell for bcell in bnd for cell in self.adjacent_cells(bcell))
-        return sorted(_moves(chain, touching).items())
+        """Sorted ((cell, sign), on support) moves: each support cell in the
+        sign it has, and each cell off the support that touches the boundary
+        in both signs."""
+        out = {(cell, 1 if n > 0 else -1): True for cell, n in chain}
+        support = {cell for cell, _ in chain}
+        for bcell in bnd:
+            for cell in self.adjacent_cells(bcell):
+                if cell not in support:
+                    out[(cell, 1)] = out[(cell, -1)] = False
+        return sorted(out.items())
 
     def add_boundary(self, bnd, move):
         """bnd plus the boundary of the move, the change in its norm, and
@@ -236,59 +210,6 @@ class _IdEngine:
     def to_chain(self, chain) -> Chain:
         return build_chain(self.dim, [(LiftedCell(self.dim, base, self.words[wid]), n)
                                       for (base, wid), n in chain], self.oracle)
-
-
-# ------------------------------------------------------ object-chain engine
-
-class _ObjectEngine:
-    """Chains as Chain objects, for oracles without normal forms; orbits are
-    told apart by pairwise equal_up_to_translation among the chains sharing
-    a multiset of (base, coeff)."""
-
-    def __init__(self, s, oracle, dim: int):
-        self.s = s
-        self.oracle = oracle
-        self.dim = dim
-        self.e = identity_word(s.presentation.generators)
-        self.seen = {}
-        self._cob = {}
-
-    def seed(self, base: int, sign: int):
-        a = build_chain(self.dim, [(LiftedCell(self.dim, base, self.e), sign)], self.oracle)
-        bnd = boundary(a, self.s, self.oracle)
-        return a, bnd, norm(bnd)
-
-    def candidates(self, a: Chain, bnd: Chain):
-        """Sorted (signed unit chain, on support) moves."""
-        touching = (tc for bc, _ in bnd.terms for tc, _ in self._coboundary(bc).terms)
-        moves = _moves(a.terms, touching)
-        order = sorted(moves, key=lambda cs: (cs[0].base, word_key(cs[0].word), cs[1]))
-        return ((build_chain(self.dim, [cs], self.oracle), moves[cs]) for cs in order)
-
-    def _coboundary(self, bc):
-        key = (bc.base, bc.word.letters)
-        hit = self._cob.get(key)
-        if hit is None:
-            hit = self._cob[key] = coboundary(bc, self.s, self.oracle)
-        return hit
-
-    def add_boundary(self, bnd: Chain, unit: Chain):
-        ubnd = boundary(unit, self.s, self.oracle)
-        out = add_chains(bnd, ubnd, self.oracle)
-        return out, norm(out) - norm(bnd), norm(ubnd)
-
-    def add_unit(self, a: Chain, unit: Chain) -> Chain:
-        return add_chains(a, unit, self.oracle)
-
-    def is_new(self, a: Chain) -> bool:
-        bucket = self.seen.setdefault(tuple(sorted((c.base, n) for c, n in a.terms)), [])
-        if any(equal_up_to_translation(b, a, self.oracle) for b in bucket):
-            return False
-        bucket.append(a)
-        return True
-
-    def to_chain(self, a: Chain) -> Chain:
-        return a
 
 
 # ------------------------------------------------- closed walks (1-cycles)
@@ -563,8 +484,7 @@ def reachable_chains(s, oracle, dim: int, max_norm: int,
     """
     if dim < 1 or dim > s.q:
         raise InputError(f"enumeration dimension {dim} outside 1..{s.q}")
-    eng = (_IdEngine if getattr(oracle, "has_normal_forms", False)
-           else _ObjectEngine)(s, oracle, dim)
+    eng = _IdEngine(s, oracle, dim)
     beta = _unit_boundary_norm(s, dim)
     frontier = []
     for base in range(s.n_cells(dim)):

@@ -623,7 +623,7 @@ class BoundedBFSOracle(WordOracle):
 
     Before anything else a sound abelianization certificate (exponent vector
     reduced modulo the relator exponent lattice) settles most Nontrivial
-    queries, and a word longer than the radius is Undecided.
+    queries.
 
     At construction the relators are checked to satisfy C'(1/6)
     (`small_cancellation_c6`).  Then a word is rewritten by the rules p ->
@@ -633,10 +633,11 @@ class BoundedBFSOracle(WordOracle):
     Nontrivial by Greendlinger's lemma (Lyndon-Schupp, Combinatorial Group
     Theory, V.4.4), so the verdict is exact and needs no gate.
 
-    Outside C'(1/6), a query word is explored by splicing in symmetrized
-    relator forms (which subsumes deletion: inserting the inverse form next
-    to an occurrence cancels it under free reduction), never exceeding the
-    radius in reduced length.  Reaching the empty word proves Trivial.
+    Outside C'(1/6), a word longer than the radius is Undecided, and a
+    shorter one is explored by splicing in symmetrized relator forms (which
+    subsumes deletion: inserting the inverse form next to an occurrence
+    cancels it under free reduction), never exceeding the radius in reduced
+    length.  Reaching the empty word proves Trivial.
     Exhausting the reachable component without finding the empty word is
     upgraded to Nontrivial only under the sufficiency gate: the radius used
     must cover the configured `sufficient_len` for this input (by default the
@@ -716,11 +717,11 @@ class BoundedBFSOracle(WordOracle):
             return OracleVerdict.TRIVIAL
         if any(self._lattice.residue(exponent_vector(w))):
             return OracleVerdict.NONTRIVIAL
+        if self._dehn:
+            return self._dehn_verdict(start)
         r = self._radius_for(len(start))
         if len(start) > r:
             return OracleVerdict.UNDECIDED
-        if self._dehn:
-            return self._dehn_verdict(start)
         known = self._known.get(start)
         if known is not None:
             return OracleVerdict.TRIVIAL if known else OracleVerdict.NONTRIVIAL

@@ -216,6 +216,12 @@ def test_unknown_input_lists_the_bundled_names(capsys):
     assert ", ".join(sorted(bundled_examples())) in err
 
 
+def grid_search_input(**options):
+    """The grid under search-based bounded-bfs with the given options."""
+    return {"dim": 2, "presentation": "<a, b | a b a^-1 b^-1>",
+            "oracle": {"kind": "bounded-bfs", **options}}
+
+
 def test_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "validate", "--input", "missing", "--no-cache")
     assert code == 2 and "error:" in err
@@ -237,15 +243,22 @@ def test_exit_codes(tmp_path, capsys):
                        "--chain", "(1, nope)")
     assert code == 2
 
-    # radius 0 leaves Undecided every nonempty word the abelianization
-    # does not settle
-    undecided = tmp_path / "surface2_radius0.json"
-    data = dict(bundled_examples()["surface2"])
-    data["oracle"] = dict(data["oracle"], radius=0)
-    undecided.write_text(json.dumps(data))
+    # outside C'(1/6), radius 0 leaves Undecided every nonempty word the
+    # abelianization does not settle
+    undecided = tmp_path / "grid_radius0.json"
+    undecided.write_text(json.dumps(grid_search_input(radius=0)))
     code, _, err = run(capsys, "validate", "--input", str(undecided), "--no-cache")
     assert code == 3
 
+
+def test_weak_oracle_stops_the_enumeration(tmp_path, capsys):
+    # cells are matched across every chain grown, so a radius too small to
+    # tell the cell words apart stops the enumeration
+    path = tmp_path / "grid_radius2.json"
+    path.write_text(json.dumps(grid_search_input(radius=2)))
+    code, _, err = run(capsys, "enumerate", "--input", str(path), "--chain-dim", "2",
+                       "--max-norm", "3", "--no-cache")
+    assert code == 3 and "error: oracle could not decide" in err
 
 
 @pytest.mark.parametrize("option, value", [

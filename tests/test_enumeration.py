@@ -4,6 +4,7 @@ import random
 
 import pytest
 import window_oracle as win
+from orbit_reference import equal_up_to_translation
 from test_profile import three_torus
 
 from chainprofile.enumeration import (
@@ -11,7 +12,6 @@ from chainprofile.enumeration import (
     _symmetries,
     connected_chains_up_to_action,
     connected_cycles_up_to_action,
-    equal_up_to_translation,
     reachable_chains,
 )
 from chainprofile.errors import BudgetExceededError, InputError, OracleUndecidedError
@@ -173,30 +173,47 @@ def assert_same_orbits(got, want, oracle):
 
 
 @pytest.mark.parametrize("dim,max_norm", [(2, 3), (1, 4)])
-def test_engines_agree_on_the_grid(dim, max_norm):
-    # normal forms select the interned engine; bounded-bfs the object engine
-    p = parse_presentation("<a, b | a b a^-1 b^-1>")
-    s = presentation_complex(p)
-    ids, objects = FreeAbelianOracle(p), BoundedBFSOracle(p, radius=12, sufficient_len=8)
-    assert ids.has_normal_forms and not getattr(objects, "has_normal_forms", False)
-    want = reachable_chains(s, ids, dim, max_norm)
-    got = reachable_chains(s, objects, dim, max_norm)
+def test_oracles_agree_on_the_grid(dim, max_norm):
+    # normal forms name each element by a dict lookup; the search oracle has
+    # none, so equal invariant keys are settled by is_trivial
+    s, search = grid_search()
+    exact = FreeAbelianOracle(s.presentation)
+    assert exact.has_normal_forms and not search.has_normal_forms and not search._dehn
+    want = reachable_chains(s, exact, dim, max_norm)
+    got = reachable_chains(s, search, dim, max_norm)
     assert {n: len(v) for n, v in got.items()} == {n: len(v) for n, v in want.items()}
     for n, reps in want.items():
         for a in reps:
-            assert sum(equal_up_to_translation(a, b, ids) for b in got[n]) == 1
+            assert sum(equal_up_to_translation(a, b, exact) for b in got[n]) == 1
+
+
+def test_surface_chains_in_dimension_two():
+    s, oracle = load_example("surface2")
+    got = reachable_chains(s, oracle, 2, 4)
+    assert counts(got) == {1: 2, 2: 10, 3: 74, 4: 698}
+    reps = got[3]
+    for i, a in enumerate(reps):
+        assert not any(equal_up_to_translation(a, b, oracle) for b in reps[i + 1:])
+
+
+@pytest.mark.parametrize("option", ["radius", "node_cap"])
+def test_undecided_cell_match_is_reported(option):
+    # one id per element across all chains and bases: a cell word is told
+    # apart from every earlier word of its invariant key by the oracle
+    s, _ = grid_search()
+    with pytest.raises(OracleUndecidedError):
+        reachable_chains(s, BoundedBFSOracle(s.presentation, **{option: 1}), 2, 3)
 
 
 @pytest.mark.parametrize("name,dim,max_norm", [
-    ("z2", 1, 6), ("z2-objects", 1, 4), ("doubled", 2, 4),
+    ("z2", 1, 6), ("grid-search", 1, 4), ("grid-search", 1, 6), ("doubled", 2, 4),
     pytest.param("z2", 1, 8, marks=pytest.mark.slow),
-    pytest.param("z2-objects", 1, 6, marks=pytest.mark.slow),
     pytest.param("torus3", 2, 6, marks=pytest.mark.slow),
 ])
 def test_cycle_target_loses_no_cycle(name, dim, max_norm):
     # the cut drops only chains that cannot close by max_norm, so each level
     # holds exactly the cycles of the uncut growth, the same representatives
-    # in the same order, on either engine
+    # in the same order
     s, oracle = INPUTS[name]()
     everything = reachable_chains(s, oracle, dim, max_norm)
     cycles = reachable_chains(s, oracle, dim, max_norm, cycle_target=True)
@@ -308,8 +325,9 @@ def z3():
     return presentation_complex(p), FreeAbelianOracle(p)
 
 
-def z2_objects():
-    """The grid under bounded-bfs, which selects the object engine."""
+def grid_search():
+    """The grid under bounded-bfs: no normal forms, and the commutator is not
+    C'(1/6), so equal elements are found by the relator search."""
     p = parse_presentation("<a, b | a b a^-1 b^-1>")
     return presentation_complex(p), BoundedBFSOracle(p, radius=12, sufficient_len=8)
 
@@ -337,7 +355,7 @@ def two_relator_grid():
 INPUTS = {"z2": lambda: load_example("z2"), "surface2": lambda: load_example("surface2"),
           "f2": lambda: load_example("f2"), "zmod2": lambda: load_example("zmod2"),
           "z3": z3, "grid2": two_relator_grid, "subdivided": subdivided_z2,
-          "z2-objects": z2_objects, "doubled": doubled_z2, "torus3": three_torus}
+          "grid-search": grid_search, "doubled": doubled_z2, "torus3": three_torus}
 
 
 @pytest.mark.parametrize("name,size", [("z2", 8), ("f2", 8), ("surface2", 4), ("z3", 48),

@@ -80,6 +80,18 @@ def test_bundled_surface_takes_the_dehn_path_with_the_filling_rules():
     assert oracle.name == "bounded-bfs:radius=None:policy=length:sufficient=all:cap=200000"
 
 
+def test_dehn_decides_past_an_explicit_radius():
+    # Dehn's verdict is exact at every length, so the radius, which bounds
+    # only the search, leaves no word Undecided
+    p = parse_presentation(SURFACE2)
+    oracle = BoundedBFSOracle(p, radius=4)
+    assert oracle._dehn
+    for text, want in (("a b a^-1 b^-1 c d c^-1 d^-1", OracleVerdict.TRIVIAL),
+                       ("a^2 b a^-1 b^-1 c d c^-1 d^-1 a^-1", OracleVerdict.TRIVIAL),
+                       ("a b a^-1 b^-1 d c d^-1 c^-1", OracleVerdict.NONTRIVIAL)):
+        assert oracle.is_trivial(parse_word(text, p.generators)) is want, text
+
+
 def test_dehn_matches_the_search_on_the_surface():
     p, dehn, search = oracles(SURFACE2)
     words = _reduced_words(p.generators, 5)
