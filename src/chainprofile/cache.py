@@ -70,8 +70,10 @@ class ResultCache:
         os.makedirs(self.directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
+            # json.dump to a file runs the pure-Python encoder; dumps is C
+            text = json.dumps({"key": key, "value": value}, sort_keys=True)
             with os.fdopen(fd, "w") as fh:
-                json.dump({"key": key, "value": value}, fh, sort_keys=True)
+                fh.write(text)
             os.replace(tmp, self._path(key))
         except BaseException:
             try:

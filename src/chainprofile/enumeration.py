@@ -166,23 +166,29 @@ class _IdEngine:
                     out[(cell, 1)] = out[(cell, -1)] = False
         return sorted(out.items())
 
-    def add_boundary(self, bnd, move):
-        """bnd plus the boundary of the move, the change in its norm, and
-        the move's boundary norm, in one pass over the move's cells."""
+    def norm_change(self, bnd, move):
+        """The change in the norm of bnd that adding the move's boundary
+        makes, and the move's boundary norm; bnd is left alone."""
         cell, sign = move
-        out = dict(bnd)
         delta = unit_norm = 0
         for bcell, c in self.unit_boundary(*cell):
             c *= sign
             unit_norm += abs(c)
-            old = out.get(bcell, 0)
-            v = old + c
-            delta += abs(v) - abs(old)
+            old = bnd.get(bcell, 0)
+            delta += abs(old + c) - abs(old)
+        return delta, unit_norm
+
+    def add_boundary(self, bnd, move):
+        """A copy of bnd plus the boundary of the move."""
+        cell, sign = move
+        out = dict(bnd)
+        for bcell, c in self.unit_boundary(*cell):
+            v = out.get(bcell, 0) + c * sign
             if v:
                 out[bcell] = v
             else:
                 del out[bcell]
-        return out, delta, unit_norm
+        return out
 
     def add_unit(self, chain, move):
         """chain + sign on cell, keeping terms sorted by cell."""
@@ -510,14 +516,14 @@ def reachable_chains(s, oracle, dim: int, max_norm: int,
                     f"chain enumeration expanded more than {node_cap} chains, "
                     f"reaching norm {n} of {max_norm}")
             for move, on_support in eng.candidates(chain, bnd):
-                new_bnd, delta, unit_norm = eng.add_boundary(bnd, move)
+                delta, unit_norm = eng.norm_change(bnd, move)
                 if not on_support and delta >= unit_norm:
                     continue
                 if cycle_target and bnorm + delta > beta * (max_norm - n - 1):
                     continue
                 grown = eng.add_unit(chain, move)
                 if eng.is_new(grown):
-                    nxt.append((grown, new_bnd, bnorm + delta))
+                    nxt.append((grown, eng.add_boundary(bnd, move), bnorm + delta))
         frontier = nxt
     return out
 

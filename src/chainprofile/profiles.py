@@ -71,14 +71,21 @@ A q-chain x is a sum of |x|_1 signed unit cells, so FV(z) is the word
 length of z in the lattice of boundaries over the steps +-(boundary of a
 cell), Gersten's l1 view of Dehn functions (MSRI Publ. 23, 1992): a
 breadth-first search from 0 over distinct boundary vectors first reaches z
-at depth exactly FV(z), and walking back down the levels below z's own
-rebuilds a least filling.  When every pending cycle is one step from the
-last level built, they all lie at the next depth, which is not built.
-Each vector is one int, coordinate i in a signed digit of w bits.  Every
-vector compared has coordinates of size at most max(n, cap * c_max), with
-cap the fill volume cap and c_max the largest coefficient of a cell's
-boundary; w is the least width with 2^(w-1) above that bound, so distinct
-vectors have distinct ints and adding ints adds vectors.
+at depth exactly FV(z).  The sweep searches from both ends (Pohl,
+Bi-directional search, Machine Intelligence 6, 1971): each round it grows
+the side that costs less to expand, level v + 1 from 0 or layer r + 1 of
+every cycle still pending, a layer of y being the vectors at one distance
+from y.  A pending y is at distance more than v + r, so every least path to
+y crosses level v, and FV(y) = v + k for the least k whose layer of y meets
+level v; since y's layers up to r miss level v, it is enough to test each
+new layer against level v and the last layers against each new level.  A
+least filling is rebuilt by walking from y to 0 along least paths, down y's
+layers and then down the levels.  Each vector is one int, coordinate i in a
+signed digit of w bits.  Every vector compared is within cap steps of 0 or
+of a cycle, so its coordinates have size at most n + cap * c_max, with cap
+the fill volume cap and c_max the largest coefficient of a cell's boundary;
+w is the least width with 2^(w-1) above that bound, so distinct vectors
+have distinct ints and adding ints adds vectors.
 """
 
 from __future__ import annotations
@@ -525,9 +532,13 @@ def _finite_cycles(s, oracle, n: int, node_cap: int) -> tuple[dict, int]:
                 f"partial chains reaching norm {reached} of {n} and "
                 f"{len(cycles)} cycle orbits found")
         if bnorm == 0:
+            # the cells of an image are distinct, so negating keeps its order
             key = tuple(picked)
-            images = {tuple(sorted(((row[x], b), sign * c) for (x, b), c in key))
-                      for row in oracle.table for sign in (1, -1)}
+            images = set()
+            for row in oracle.table:
+                image = tuple(sorted([((row[x], b), c) for (x, b), c in key]))
+                images.add(image)
+                images.add(tuple([(cell, -c) for cell, c in image]))
             if min(images) == key:
                 cycles[key] = (n - left, len(images))
         if left == 0:
@@ -557,8 +568,9 @@ def _finite_cycles(s, oracle, n: int, node_cap: int) -> tuple[dict, int]:
 
 def _finite_fillings(s, oracle, cycles: dict, n: int, budget: Budget,
                      nodes: int) -> tuple[dict, object]:
-    """FV of every cycle by breadth-first search from 0 over boundary
-    vectors, with steps +-(boundary of a unit q-cell); returns {cycle: FV}
+    """FV of every cycle by breadth-first search over boundary vectors, with
+    steps +-(boundary of a unit q-cell), from 0 and back from the cycles
+    still pending, whichever side is cheaper to grow; returns {cycle: FV}
     and a function that rebuilds a least filling of a cycle as
     {(element, base): coeff}.  `cycles` maps each orbit representative to
     (norm, orbit size)."""
@@ -568,12 +580,10 @@ def _finite_fillings(s, oracle, cycles: dict, n: int, budget: Budget,
     fill_bnds = [_finite_unit_boundary(s, oracle, s.q, e, b) for e, b in fill_cells]
     cap = budget.fill_volume_cap
     c_max = max((abs(c) for bnd in fill_bnds for c in bnd.values()), default=0)
-    # a vector is one int, coordinate i in a signed digit of `width` bits.
-    # Cycles have coordinates of size at most n, and vectors within `cap`
-    # steps at most cap * c_max, so the least width with 2^(width-1) above
-    # both makes the encoding injective and addition exact on every vector
-    # the sweep compares
-    width = max(n, cap * c_max).bit_length() + 1
+    # a vector is one int, coordinate i in a signed digit of `width` bits;
+    # every vector the sweep compares is within `cap` steps of 0 or of a
+    # cycle, so its coordinates have size at most n + cap * c_max
+    width = (n + cap * c_max).bit_length() + 1
 
     def encode(items):
         return sum(c << (width * (e * n_faces + base)) for (e, base), c in items)
@@ -584,48 +594,86 @@ def _finite_fillings(s, oracle, cycles: dict, n: int, budget: Budget,
         if d:
             steps.setdefault(d, (cell, 1))
             steps.setdefault(-d, (cell, -1))
+
+    def grow(cur, prev, where):
+        # the vectors one step from cur that are in neither cur nor prev.
+        # They number at least len(new) - len(cur) - len(prev), so a level
+        # that will pass the cap stops before it is built
+        nonlocal nodes
+        new: set = set()
+        room = budget.node_cap - nodes + len(cur) + len(prev)
+        for x in cur:
+            new.update([x + d for d in steps])
+            if len(new) > room:
+                break
+        new -= cur
+        new -= prev
+        nodes += len(new)
+        if nodes > budget.node_cap:
+            raise BudgetExceededError(
+                f"finite filling sweep passed {budget.node_cap} nodes "
+                f"{where}, with {unfilled} cycles unfilled")
+        return new
+
     pending = {encode(key): key for key in cycles}
     fv = {pending.pop(0): 0}    # the zero chain, always a cycle
-    levels = [set(), {0}]       # levels[v + 1]: the vectors at distance v
+    met = {(): ((), 0)}         # cycle -> (its layers 1..r-1, the level v met)
+    levels = [{0}]              # levels[v]: the vectors at distance v from 0
+    r = 0                       # every pending y is at distance > v + r
+    # back[y]: an empty set, then the vectors at distance 0..r from y
+    back = {y: [set(), {y}] for y in pending}
     while pending:
-        v = len(levels) - 2
+        v = len(levels) - 1
+        depth = v + r + 1
         unfilled = sum(cycles[key][1] for key in pending.values())
-        if v >= cap or not levels[-1]:
+        top = levels[-1]
+        if depth > cap or not top or not all(b[-1] for b in back.values()):
             raise BudgetExceededError(
                 f"some cycles admit no filling of norm at most {cap}: "
                 f"{unfilled} cycles unfilled after the finite filling sweep")
-        prev, cur = levels[-2], levels[-1]
-        if len(pending) < len(cur) and all(
-                any(y - d in cur for d in steps) for y in pending):
-            # each cycle left is one step from distance v, so at v + 1
-            for key in pending.values():
-                fv[key] = v + 1
-            logger.debug("finite filling sweep level %d: closed by a step back "
-                         "from level %d, 0 cycles pending", v + 1, v)
-            break
-        new: set = set()
-        for x in cur:
-            for d in steps:
-                y = x + d
-                if y not in new and y not in cur and y not in prev:
-                    new.add(y)
-            if nodes + len(new) > budget.node_cap:
-                raise BudgetExceededError(
-                    f"finite filling sweep passed {budget.node_cap} nodes at "
-                    f"level {v + 1}, with {unfilled} cycles unfilled")
-        nodes += len(new)
-        for y in new.intersection(pending):
-            fv[pending.pop(y)] = v + 1
-        levels.append(new)
-        logger.debug("finite filling sweep level %d: %d new states, %d cycles "
-                     "pending", v + 1, len(new), len(pending))
+        if sum(len(b[-1]) for b in back.values()) < len(top):
+            # step back from the pending cycles: y is at distance v + r + 1
+            # exactly when its layer r has a step into level v, and otherwise
+            # gets layer r + 1
+            where = (f"in the backward search at depth {r + 1} from the "
+                     f"pending cycles (filling norm {depth})")
+            closed, grown = [], 0
+            for y, layers in back.items():
+                if any(x - d in top for x in layers[-1] for d in steps):
+                    closed.append(y)
+                else:
+                    layers.append(grow(layers[-1], layers[-2], where))
+                    grown += len(layers[-1])
+            r += 1
+            side = f"{grown} new states back from the pending cycles"
+        else:
+            new = grow(top, levels[-2] if v else set(), f"at level {v + 1}")
+            levels.append(new)
+            closed = [y for y in pending if not new.isdisjoint(back[y][-1])]
+            side = f"{len(new)} new states"
+        for y in closed:
+            key = pending.pop(y)
+            fv[key] = depth
+            met[key] = (back.pop(y)[2:r + 1], len(levels) - 1)
+        logger.debug("finite filling sweep level %d: %s, %d cycles pending",
+                     depth, side, len(pending))
 
     def filling(key):
-        # walk back down the levels below the cycle's own
+        # walk from the cycle down to 0, at each step to the first vector in
+        # steps order that lies on a least path: in its layers r - 1 .. 1,
+        # those with a step to such a vector of the layer after, then in the
+        # levels v .. 0 (v - 1 .. 0 when the cycle is in level v)
+        layers, v = met[key]
+        on, path = levels[v], []
+        for layer in reversed(layers):
+            on = {x for x in layer if any(x - d in on for d in steps)}
+            path.append(on)
+        path.reverse()
+        path += [levels[u] for u in range(min(v, fv[key] - 1), -1, -1)]
         x, fill = encode(key), {}
-        for k in range(fv[key], 0, -1):
+        for below in path:
             for d, (cell, sign) in steps.items():
-                if x - d in levels[k]:
+                if x - d in below:
                     x -= d
                     fill[cell] = fill.get(cell, 0) + sign
                     break

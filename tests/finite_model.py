@@ -63,3 +63,32 @@ def sweep(s, oracle, n, fill_cap=24):
             if key in cycles and key not in fv:
                 fv[key] = v
     return cycles, fv
+
+
+def forward_fv(s, oracle, targets, fill_cap=24):
+    """{cycle: FV} for the given cycles by a plain breadth-first search from
+    0 over boundaries, each level built in full, vectors as sorted tuples."""
+    steps = set()
+    for e, b in _finite_cells(s, oracle, s.q):
+        bnd = _finite_unit_boundary(s, oracle, s.q, e, b)
+        if bnd:
+            steps.add(freeze(bnd))
+            steps.add(freeze({cell: -c for cell, c in bnd.items()}))
+
+    def add(x, d):
+        out = dict(x)
+        for cell, c in d:
+            out[cell] = out.get(cell, 0) + c
+            if not out[cell]:
+                del out[cell]
+        return freeze(out)
+
+    want, fv = set(targets), {}
+    prev, level = set(), {()}
+    for v in range(fill_cap + 1):
+        for key in level & want:
+            fv[key] = v
+        if len(fv) == len(want):
+            break
+        prev, level = level, {add(x, d) for x in level for d in steps} - level - prev
+    return fv

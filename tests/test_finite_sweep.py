@@ -157,6 +157,39 @@ def test_cycle_search_nodes(group, n, orbits, nodes):
     assert (len(cycles), got) == (orbits, nodes)
 
 
+@pytest.mark.parametrize("group, n", [("klein", 8), ("klein", 10), ("s3", 7)])
+def test_both_ends_match_a_forward_only_sweep(group, n):
+    # the sweep finishes by searching back from the pending cycles; a plain
+    # breadth-first search that builds every level gives the same FV, and
+    # every rebuilt filling has that norm
+    s, oracle = GROUPS[group]()
+    cycles, nodes = _finite_cycles(s, oracle, n, Budget().node_cap)
+    fv, filling = _finite_fillings(s, oracle, cycles, n, Budget(), nodes)
+    assert fv == finite_model.forward_fv(s, oracle, cycles)
+    for key in cycles:
+        assert sum(map(abs, filling(key).values())) == fv[key]
+
+
+@pytest.mark.parametrize("group, n, total, depth, norm, unfilled", [
+    ("klein", 8, 1724, 2, 5, 120),
+    ("s3", 6, 551, 1, 3, 392),
+])
+def test_sweep_node_count(group, n, total, depth, norm, unfilled):
+    # cycle search nodes plus the states of both filling searches: klein
+    # 722 + 16 + 102 + 392 forward + 288 + 204 backward, s3 343 + 16 + 128
+    # forward + 64 backward.  Building the widest level instead (klein level
+    # 5 alone has 2,552 states) passes the cap.  One node fewer runs out in
+    # the last backward layer
+    s, oracle = GROUPS[group]()
+    assert finite_profile(s, oracle, n, Budget(node_cap=total)).values
+    with pytest.raises(BudgetExceededError,
+                       match=rf"finite filling sweep passed {total - 1} nodes "
+                             rf"in the backward search at depth {depth} from "
+                             rf"the pending cycles \(filling norm {norm}\), "
+                             rf"with {unfilled} cycles unfilled"):
+        finite_profile(s, oracle, n, Budget(node_cap=total - 1))
+
+
 def test_node_cap_in_cycle_enumeration():
     s, oracle = klein()
     with pytest.raises(BudgetExceededError,
@@ -193,4 +226,14 @@ def test_debug_progress_one_record_per_level(caplog):
     assert sum(m.startswith("finite cycle enumeration: 7 cycles") for m in messages) == 1
     levels = [m for m in messages if m.startswith("finite filling sweep level")]
     assert len(levels) == table.values[-1] == 3
+    assert levels[-1].endswith(" 0 cycles pending")
+
+
+def test_debug_progress_counts_backward_levels(caplog):
+    with caplog.at_level(logging.DEBUG, logger="chainprofile.profiles"):
+        table = finite_profile(*klein(), 8)
+    levels = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("finite filling sweep level")]
+    assert len(levels) == table.values[-1] == 6
+    assert [" back from " in m for m in levels] == [False] * 3 + [True] * 3
     assert levels[-1].endswith(" 0 cycles pending")

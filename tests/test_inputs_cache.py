@@ -1,6 +1,7 @@
 """Input loading, chain literals, and the verified result cache."""
 
 import copy
+import hashlib
 import json
 import multiprocessing
 import os
@@ -144,6 +145,19 @@ def test_cache_round_trip(tmp_path):
     assert fresh.get("k") == {"values": [1, 2]}
     fresh.evict("k")
     assert ResultCache(str(tmp_path / "c")).get("k") is None
+
+
+def test_cache_file_bytes_are_pinned(tmp_path):
+    # the entry text is one sorted-key JSON line: caches written before and
+    # after a change of encoder read the same
+    cache = ResultCache(str(tmp_path))
+    cache.put("k:\u00e9", {"values": [0, 1], "b": None,
+                           "a": {"z": 1.5, "y": [True, "\u00e9"]}})
+    (entry,) = tmp_path.glob("*.json")
+    assert entry.name == hashlib.sha256("k:\u00e9".encode()).hexdigest() + ".json"
+    assert entry.read_bytes() == (
+        b'{"key": "k:\\u00e9", "value": {"a": {"y": [true, "\\u00e9"], '
+        b'"z": 1.5}, "b": null, "values": [0, 1]}}')
 
 
 def test_corrupt_cache_is_discarded(tmp_path, caplog):
