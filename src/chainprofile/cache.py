@@ -26,6 +26,7 @@ import tempfile
 from .errors import ChainProfileError
 from .profiles import _finite_boundary
 from .skeleton import boundary, chain_from_json, chains_equal, norm
+from .words import _is_int
 
 logger = logging.getLogger(__name__)
 
@@ -101,7 +102,7 @@ def fv_key(fingerprint: str, chain_json, budget) -> str:
 
 def _values_ok(values, n) -> bool:
     return (isinstance(values, list) and len(values) == n + 1
-            and all(isinstance(v, int) for v in values)
+            and all(map(_is_int, values))
             and all(b >= a for a, b in zip(values, values[1:]))
             and (not values or values[0] == 0))
 
@@ -123,7 +124,7 @@ def _finite_chain(terms, dim, s, oracle) -> dict:
     for t in terms:
         cdim, base = s.index[t["base"]]
         coeff = t["coeff"]
-        if cdim != dim or not isinstance(coeff, int):
+        if cdim != dim or not _is_int(coeff):
             raise ValueError(f"malformed finite witness cell {t!r}")
         cell = (oracle.elements.index(t["element"]), base)
         out[cell] = out.get(cell, 0) + coeff
@@ -173,7 +174,7 @@ def verify_profile_entry(entry, kind: str, n: int, s, oracle) -> bool:
 def verify_fv_entry(entry, target, s, oracle) -> bool:
     try:
         fill = chain_from_json(entry["filling"], s, oracle)
-        return (norm(fill) == entry["value"]
+        return (_is_int(entry["value"]) and norm(fill) == entry["value"]
                 and chains_equal(boundary(fill, s, oracle), target, oracle))
     except _BAD_ENTRY:
         return False

@@ -37,7 +37,7 @@ The loop runs over one engine for every oracle.  It interns each group
 element as an integer id, memoizes composition, and names an orbit by a
 translation-invariant signature.  `_Elements` settles the ids: a word's
 normal form when the oracle has them; otherwise its exact spelling, and
-then `same_element` among the words that share its invariant key, so an
+then `same_element` among the words that share its oracle state, so an
 Undecided verdict stops the enumeration with OracleUndecidedError.
 """
 
@@ -58,8 +58,10 @@ from .skeleton import (
     norm,
 )
 from .words import (
+    Word,
     compose,
     exponent_vector,
+    free_reduce,
     invert,
     same_element,
     word_key,
@@ -390,7 +392,9 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
     A vertex is (base vertex, oracle state), the state carried step by step
     (`WordOracle.step`).  With normal forms equal states are one element, so
     a vertex is met again by a dict lookup.  Otherwise the state is only a
-    key, and the vertex words of equal keys go to `same_element`.
+    key, and the walk keeps only the positions at which it had each key: an
+    equal key is the vertex at position i exactly when the word read since
+    then, the step words of labels[i:] freely reduced, is trivial.
 
     Returns {n: [images, ...]}, images as `_orbit_images` gives them; the
     first, the walk itself, is the orbit's representative.
@@ -418,17 +422,16 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
         longest = max((len(w) for _, _, w, _ in steps.values()), default=0)
     out = {n: [] for n in range(1, max_norm + 1)}
     labels = []
-    path = {}  # (vertex, state) -> [(position, vertex word or None)]
+    path = {}  # (vertex, state) -> [position]
     expanded = deepest = 0
+    e = identity_word(s.presentation.generators)
 
-    def meets(key, q):
-        """Position on the walk of the vertex with this key and word, or None."""
-        for i, r in path.get(key, ()):
-            if exact or same_element(oracle, r, q):
-                return i
-        return None
+    def closes(i):
+        """Whether the word read since position i, freely reduced, is trivial."""
+        since = (x for label in labels[i:] for x in steps[label][2].letters)
+        return same_element(oracle, e, free_reduce(Word(e.gens, tuple(since))))
 
-    def extend(v, state, p, vec, tied):
+    def extend(v, state, vec, tied):
         nonlocal expanded, deepest
         expanded += 1
         deepest = max(deepest, len(labels))
@@ -444,9 +447,8 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
             if any(g[label] < label for g in tied):
                 continue
             key = (nv, oracle.step(state, w))
-            q = None if exact else compose(p, w)
-            at = meets(key, q)
             labels.append(label)
+            at = next((i for i in path.get(key, ()) if exact or closes(i)), None)
             n = len(labels)
             if at == 0:
                 images = _orbit_images(tuple(labels), maps)
@@ -458,19 +460,18 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
                 if ((not reach or -(-sum(map(abs, qvec)) // reach) <= left)
                         and (not longest or -(-len(key[1]) // longest) <= left)):
                     entries = path.setdefault(key, [])
-                    entries.append((n, q))
-                    extend(nv, key[1], q, qvec, [g for g in tied if g[label] == label])
+                    entries.append(n)
+                    extend(nv, key[1], qvec, [g for g in tied if g[label] == label])
                     entries.pop()
                     if not entries:
                         del path[key]
             labels.pop()
 
-    e = identity_word(s.presentation.generators)
     for v in sorted(moves):
         state = oracle.start()
         path.clear()
-        path[(v, state)] = [(0, None if exact else e)]
-        extend(v, state, e, exponent_vector(e), maps[1:])
+        path[(v, state)] = [0]
+        extend(v, state, exponent_vector(e), maps[1:])
     return {n: sorted(orbits) for n, orbits in out.items()}
 
 

@@ -14,6 +14,7 @@ from .skeleton import (
     presentation_complex,
 )
 from .words import (
+    _is_int,
     format_word,
     make_presentation,
     oracle_from_config,
@@ -26,12 +27,9 @@ def _presentation_from(value):
     if isinstance(value, str):
         return parse_presentation(value)
     if isinstance(value, dict):
-        try:
-            gens = value["generators"]
-            rels = value.get("relators", [])
-        except TypeError:
-            raise InputError("presentation must be a string or an object")
-        return make_presentation(gens, rels)
+        if "generators" not in value:
+            raise InputError("presentation object is missing 'generators'")
+        return make_presentation(value["generators"], value.get("relators", []))
     raise InputError("presentation must be a string or an object")
 
 
@@ -58,7 +56,7 @@ def load_input(source):
         if key not in data:
             raise InputError(f"input description is missing {key!r}")
     q = data["dim"]
-    if not isinstance(q, int):
+    if not _is_int(q):
         raise InputError("dim must be an integer")
     p = _presentation_from(data["presentation"])
     cfg = data["oracle"]
@@ -66,14 +64,19 @@ def load_input(source):
         raise InputError("oracle config must be an object")
     oracle = oracle_from_config(p, cfg)
     if "cells" in data:
+        if not isinstance(data["cells"], list):
+            raise InputError("cells must be a list")
         cells = []
         for entry in data["cells"]:
             try:
                 dim, cid = entry["dim"], entry["id"]
+                terms = entry.get("boundary", [])
             except (TypeError, KeyError):
                 raise InputError(f"malformed cell entry {entry!r}") from None
+            if not isinstance(terms, list):
+                raise InputError(f"boundary of cell {cid!r} must be a list")
             bnd = []
-            for t in entry.get("boundary", []):
+            for t in terms:
                 try:
                     w = parse_word(t["word"], p.generators)
                     bnd.append((w, t["base"], t["coeff"]))

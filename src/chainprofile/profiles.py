@@ -459,8 +459,7 @@ def _finite_cells(s, oracle, dim):
 def _finite_unit_boundary(s, oracle, dim, elem, base):
     out = {}
     for bc, c in s.boundary_chain(dim, base).terms:
-        y = oracle.table[elem][oracle.evaluate(bc.word)]
-        key = (y, bc.base)
+        key = (oracle.step(elem, bc.word), bc.base)
         out[key] = out.get(key, 0) + c
         if not out[key]:
             del out[key]

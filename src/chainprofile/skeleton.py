@@ -9,8 +9,8 @@ dimension, base cell index, then shortlex word.  One index, `_Elements`,
 decides when two words name the same cell.  The representative is the
 oracle's normal form when it has them; otherwise it is the shortlex-least
 freely reduced spelling among the words being merged, and words are matched
-by the oracle only among those of one base cell that share its cheap
-invariant.  An Undecided verdict raises OracleUndecidedError.
+by the oracle only among those of one base cell that share its oracle
+state.  An Undecided verdict raises OracleUndecidedError.
 
 Subchains, components, and connectivity follow the coefficient-window
 definitions: B is a subchain of A when, cell by cell, the coefficient of B
@@ -31,6 +31,7 @@ from .errors import InputError, InvalidSkeletonError
 from .words import (
     Presentation,
     Word,
+    _is_int,
     compose,
     format_word,
     free_reduce,
@@ -92,6 +93,10 @@ class SkeletonSpec:
         self.index: dict[str, tuple[int, int]] = {}
         raw = []
         for dim, cid, bnd in cells:
+            if not (isinstance(cid, str) and _is_int(dim) and isinstance(bnd, (list, tuple))
+                    and all(isinstance(b, str) and _is_int(c) for _, b, c in bnd)):
+                raise InputError(f"cell {cid!r} needs a string id, an integer dim, and "
+                                 "boundary terms with string bases and integer coeffs")
             if not 0 <= dim <= q:
                 raise InvalidSkeletonError(f"cell {cid!r} has dimension {dim} outside 0..{q}")
             if cid in self.index:
@@ -215,9 +220,10 @@ class _Elements:
     With normal forms the representative is the normal form, memoized by
     spelling in one memo per oracle and shared across bases.  Otherwise it
     is the first word added for the cell: a lookup tries the exact spelling,
-    and only then asks the oracle about the same-base words that share the
-    word's invariant key; `cells`, the (base, word) cells of a canonical
-    chain, are then taken as their own representatives without a check.
+    and only then asks the oracle about the same-base words filed under the
+    word's oracle state, `step(start(), word)`; `cells`, the (base, word)
+    cells of a canonical chain, are then taken as their own representatives
+    without a check.
     """
 
     def __init__(self, oracle, cells=()):
@@ -228,8 +234,9 @@ class _Elements:
             self.known = _NORMAL_FORMS.setdefault(oracle, {})
             return
         self.known = {}  # (base, letters) -> representative
+        self.start = oracle.start()
         for base, word in cells:
-            self._file(base, word, self.oracle.invariant_key(word))
+            self._file(base, word, oracle.step(self.start, word))
 
     def _file(self, base, word, key):
         self.known[(base, word.letters)] = word
@@ -247,7 +254,7 @@ class _Elements:
         hit = self.known.get((base, word.letters))
         if hit is not None:
             return hit
-        key = self.oracle.invariant_key(word)
+        key = self.oracle.step(self.start, word)
         for r in self.buckets.get((base, key), ()):
             if same_element(self.oracle, r, word):
                 self.known[(base, word.letters)] = r

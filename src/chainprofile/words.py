@@ -15,14 +15,16 @@ it can cheaply (finite tables are validated against the relators, and
 bounded-bfs decides by Dehn's algorithm only on relators it has checked to
 be C'(1/6)).
 
-A walk carries an oracle state of its vertex: `start()` is the state of the
-identity, `step(state, w)` that of the element times the word w.  With
-normal forms states are hashable and equal exactly when their elements are:
-the exponent vector (`abelian`), the reduced letters (`free`), the element
-index (`finite-table`).  Without them a state is a hashable sound key, like
-the exponent vector modulo the relators' (`bounded-bfs`).  The default
-state is the word, hashed by `invariant_key` and, with normal forms,
-compared by `normalize`; an oracle may override `start` and `step` together.
+An oracle state is the one key of a group element: `start()` is the state
+of the identity, `step(state, w)` that of the element times the word w.
+Walks carry the state of their vertex; without normal forms, cells are
+filed under the state of their word.  With normal forms states are hashable
+and equal exactly when their elements are: the exponent vector (`abelian`),
+the reduced letters (`free`), the element index (`finite-table`).  Without
+them a state is a hashable sound key, like the exponent vector modulo the
+relators' (`bounded-bfs`).  The default state is the word, hashed by
+`invariant_key` (its one reader) and, with normal forms, compared by
+`normalize`; an oracle may override `start` and `step` together.
 """
 
 from __future__ import annotations
@@ -277,15 +279,24 @@ def small_cancellation_c6(relators) -> bool:
 
 
 def make_presentation(generators, relator_texts) -> Presentation:
+    """Presentation from a list of generator names and a list of relators,
+    each a word text or a Word."""
+    if not all(isinstance(x, (list, tuple)) for x in (generators, relator_texts)):
+        raise InputError("generators and relators must each be a list")
     gens = tuple(generators)
+    for name in gens:
+        if not (isinstance(name, str) and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name)):
+            raise InputError(f"bad generator name {name!r}")
     if len(set(gens)) != len(gens):
         raise InputError(f"duplicate generator names in {gens}")
-    for name in gens:
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
-            raise InputError(f"bad generator name {name!r}")
     relators = []
     for text in relator_texts:
-        r = parse_word(text, gens) if isinstance(text, str) else free_reduce(text)
+        if isinstance(text, str):
+            r = parse_word(text, gens)
+        elif isinstance(text, Word):
+            r = free_reduce(text)
+        else:
+            raise InputError(f"relator {text!r} is neither a word text nor a Word")
         if not r.letters:
             raise InputError(f"relator {text!r} is empty after free reduction")
         relators.append(r)
@@ -406,7 +417,8 @@ class WordOracle:
         raise NotImplementedError(f"{self.kind} oracle has no normal forms")
 
     def invariant_key(self, w: Word):
-        """Cheap sound invariant: equal elements share the key.  None = none."""
+        """The older contract's cheap sound invariant, which the default
+        state hashes by: equal elements share the key.  None = none."""
         return None
 
     def start(self):
@@ -475,9 +487,6 @@ class FreeOracle(WordOracle):
     def normalize(self, w: Word) -> Word:
         return w
 
-    def invariant_key(self, w: Word):
-        return w.letters
-
     def start(self):
         return ()
 
@@ -492,19 +501,16 @@ class FreeAbelianOracle(WordOracle):
     has_normal_forms = True
 
     def is_trivial(self, w: Word) -> OracleVerdict:
-        if any(exponent_vector(w)):
+        if any(self.step(self.start(), w)):
             return OracleVerdict.NONTRIVIAL
         return OracleVerdict.TRIVIAL
 
     def normalize(self, w: Word) -> Word:
         letters = []
-        for g, e in enumerate(exponent_vector(w)):
+        for g, e in enumerate(self.step(self.start(), w)):
             s = 1 if e > 0 else -1
             letters.extend([(g, s)] * abs(e))
         return Word(w.gens, tuple(letters))
-
-    def invariant_key(self, w: Word):
-        return exponent_vector(w)
 
     def start(self):
         return (0,) * len(self.presentation.generators)
@@ -613,9 +619,6 @@ class FiniteTableOracle(WordOracle):
     def normalize(self, w: Word) -> Word:
         return Word(w.gens, self._words[self.evaluate(w)])
 
-    def invariant_key(self, w: Word):
-        return self.evaluate(w)
-
 
 class BoundedBFSOracle(WordOracle):
     """Dehn's algorithm for C'(1/6) relators; otherwise a bounded search of
@@ -688,9 +691,6 @@ class BoundedBFSOracle(WordOracle):
         return tuple(sorted({form for r in self.presentation.relators
                              for form, _, _ in relator_forms(r) if form}))
 
-    def invariant_key(self, w: Word):
-        return self._lattice.residue(exponent_vector(w))
-
     def start(self):
         return (0,) * len(self.presentation.generators)
 
@@ -715,7 +715,7 @@ class BoundedBFSOracle(WordOracle):
         start = _reduce_letters(w.letters)
         if not start:
             return OracleVerdict.TRIVIAL
-        if any(self._lattice.residue(exponent_vector(w))):
+        if any(self.step(self.start(), w)):
             return OracleVerdict.NONTRIVIAL
         if self._dehn:
             return self._dehn_verdict(start)
@@ -769,9 +769,14 @@ class BoundedBFSOracle(WordOracle):
         return OracleVerdict.TRIVIAL
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_count(value, least: int) -> bool:
     """Whether value is an int (not a bool) of at least `least`."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+    return _is_int(value) and value >= least
 
 
 def oracle_from_config(presentation: Presentation, config: dict) -> WordOracle:
@@ -784,10 +789,15 @@ def oracle_from_config(presentation: Presentation, config: dict) -> WordOracle:
         return FreeAbelianOracle(presentation)
     if kind == "finite-table":
         try:
-            return FiniteTableOracle(presentation, cfg["elements"], cfg["table"],
-                                     cfg["generator_map"])
+            elements, table, gmap = cfg["elements"], cfg["table"], cfg["generator_map"]
         except KeyError as e:
             raise InputError(f"finite-table oracle config missing {e}") from None
+        if not (isinstance(elements, list) and isinstance(table, list)
+                and all(isinstance(row, list) and all(map(_is_int, row)) for row in table)
+                and isinstance(gmap, dict) and all(map(_is_int, gmap.values()))):
+            raise InputError("finite-table needs an elements list, a table of integer "
+                             "rows and a generator_map of integer indices")
+        return FiniteTableOracle(presentation, elements, table, gmap)
     if kind == "bounded-bfs":
         known = {"radius", "policy", "sufficient_len", "node_cap"}
         bad = set(cfg) - known

@@ -115,6 +115,45 @@ def test_forged_size_zero_witness_is_recomputed(tmp_path, capsys, query):
     assert json.loads(entry_file.read_text())["value"]["witnesses"][0] is None
 
 
+def _booleans_in_psi_values(value):
+    assert value["values"][4:6] == [1, 1]
+    value["values"][4:6] = [True, True]
+
+
+def _boolean_fv_value(value):
+    assert value["value"] == 1
+    value["value"] = True
+
+
+def _boolean_finite_coeff(value):
+    # the negated size-2 witness is a valid one, with the filling coefficient 1
+    wit = value["witnesses"][2]
+    for term in wit["cycle"] + wit["filling"]:
+        term["coeff"] = -term["coeff"]
+    assert wit["filling"][0]["coeff"] == 1
+    wit["filling"][0]["coeff"] = True
+
+
+@pytest.mark.parametrize("query, forge", [
+    (("psi", "--input", "z2", "-n", "5"), _booleans_in_psi_values),
+    (("fv", "--input", "z2", "--chain", SQUARE), _boolean_fv_value),
+    (("finite-profile", "--input", "zmod2", "-n", "4"), _boolean_finite_coeff)],
+    ids=["psi-values", "fv-value", "finite-coeff"])
+def test_boolean_numbers_in_the_cache_are_recomputed(tmp_path, capsys, query, forge):
+    args = (*query, "--cache", str(tmp_path), "--format", "json")
+    code, first, _ = run(capsys, *args)
+    assert code == 0
+    (entry_file,) = tmp_path.glob("*.json")
+    data = json.loads(entry_file.read_text())
+    forge(data["value"])
+    entry_file.write_text(json.dumps(data))
+    code, second, err = run(capsys, *args)
+    assert code == 0
+    assert second == first and "true" not in second
+    assert "recomputing" in err
+    assert "true" not in entry_file.read_text()
+
+
 def test_psi_output_and_worker_independence(tmp_path, capsys):
     base = ("psi", "--input", "z2", "-n", "6", "--no-cache")
     code, one, _ = run(capsys, *base, "--workers", "1")
@@ -271,6 +310,58 @@ def test_bad_bounded_bfs_values_are_input_errors(tmp_path, capsys, option, value
     for argv in (("validate",), ("psi", "-n", "6")):
         code, _, err = run(capsys, *argv, "--input", str(path), "--no-cache")
         assert code == 2 and option in err, err
+
+
+ZMOD2_TABLE = {"kind": "finite-table", "elements": ["e", "a"], "table": [[0, 1], [1, 0]],
+               "generator_map": {"a": 1}}
+LOOP = [{"dim": 0, "id": "v"},
+        {"dim": 1, "id": "e", "boundary": [{"word": "1", "base": "v", "coeff": -1},
+                                           {"word": "a", "base": "v", "coeff": 1}]}]
+
+
+def _edge(**change):
+    """The one-loop cells with the edge entry changed."""
+    return {"cells": [LOOP[0], {**LOOP[1], **change}]}
+
+
+def _edge_term(**change):
+    """The one-loop cells with the edge's second boundary term changed."""
+    terms = LOOP[1]["boundary"]
+    return _edge(boundary=[terms[0], {**terms[1], **change}])
+
+
+# changes to the description {"dim": 2, "presentation": "<a |>", "oracle": free}
+MALFORMED = {
+    "no-generators": {"presentation": {"relators": ["a"]}},
+    "generator-not-string": {"presentation": {"generators": [1]}},
+    "generators-string": {"presentation": {"generators": "ab"}},
+    "relator-not-string": {"presentation": {"generators": ["a"], "relators": [1]}},
+    "relators-string": {"presentation": {"generators": ["a"], "relators": "aa"}},
+    "elements-not-list": {"presentation": "<a | a^2>",
+                          "oracle": {**ZMOD2_TABLE, "elements": 2}},
+    "generator-map-list": {"presentation": "<a | a^2>",
+                           "oracle": {**ZMOD2_TABLE, "generator_map": ["a"]}},
+    "generator-map-string-index": {"presentation": "<a | a^2>",
+                                   "oracle": {**ZMOD2_TABLE, "generator_map": {"a": "1"}}},
+    "generator-map-bool-index": {"presentation": "<a | a^2>",
+                                 "oracle": {**ZMOD2_TABLE, "generator_map": {"a": True}}},
+    "cell-dim-string": _edge(dim="1"),
+    "cell-dim-bool": _edge(dim=True),
+    "cell-id-list": _edge(id=["e"]),
+    "boundary-not-list": _edge(boundary=5),
+    "coeff-string": _edge_term(coeff="1"),
+    "coeff-bool": _edge_term(coeff=True),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_inputs_are_input_errors(tmp_path, capsys, case):
+    # main returns exit 2 with an error line, rather than raising
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"dim": 2, "presentation": "<a |>", "oracle": {"kind": "free"},
+                                **MALFORMED[case]}))
+    code, _, err = run(capsys, "validate", "--input", str(path), "--no-cache")
+    assert code == 2 and err.startswith("error: "), err
 
 
 @pytest.mark.parametrize("option, value, low", [

@@ -1,9 +1,11 @@
 """Walks carry the oracle's element state (`WordOracle.start`/`step`).
 
 Outputs and walk counts are pinned to values computed before the walks
-carried states; the built-in oracles' walk searches make no oracle calls;
-oracles that keep only the older contract (`normalize`, `invariant_key`)
-still work through the default state.
+carried states (the bounded-bfs grid row, and the words the surface2 walks
+ask bounded-bfs about, to values computed while walks still carried their
+vertex words); the exact walk searches make no oracle calls; oracles that
+keep only the older contract (`normalize`, `invariant_key`) still work
+through the default state.
 """
 
 import contextlib
@@ -28,9 +30,11 @@ from chainprofile.inputs import load_example, load_input
 from chainprofile.profiles import psi_table
 from chainprofile.skeleton import _NORMAL_FORMS, presentation_complex
 from chainprofile.words import (
+    BoundedBFSOracle,
     FiniteTableOracle,
     FreeAbelianOracle,
     WordOracle,
+    exponent_vector,
     parse_presentation,
     parse_word,
 )
@@ -41,7 +45,10 @@ from test_unique_filling import BS13Oracle
 EXTRA = {
     "z3": "<a, b, c | a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1>",
     "grid": "<a, b | a b a^-1 b^-1, b a b^-1 a^-1>",
+    "grid-bfs": "<a, b | a b a^-1 b^-1, b a b^-1 a^-1>",
 }
+# the oracle of an extra, when it is not abelian
+ORACLES = {"grid-bfs": {"kind": "bounded-bfs", "radius": 12, "sufficient_len": 8}}
 
 # name, n, sha256 of the psi table's JSON, sha256 of `enumerate --cycles
 # --list --format json`, and the walks the search expands (the node cap
@@ -57,16 +64,18 @@ FROZEN = [
      "b08e88e01b12be10abbb8103000ccf546f7704d0f1786f6011b96d7410a87ec5", 237),
     ("grid", 10, "ad5f3b94d398bd7e593fd912c7f8945c8d46b1612adb93f505358de0fe72b3e2",
      "cd5dda604e63f8494cff0d5510df4f2e7a1957dcb22e9cca7cd72a63034e0e3e", 364),
+    ("grid-bfs", 10, "02ea51bab12b603d4421a77893d071201b192703dded71bd3a0766562afafb6a",
+     "4b9726a5badef15899ebe3b43cdfee61221e8b4004202799932f3fe291ed6919", 364),
 ]
 
 
 def _source(name, tmp_path):
-    """A bundled name, or an input file written for the abelian extras."""
+    """A bundled name, or an input file written for an extra."""
     if name not in EXTRA:
         return name
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({"dim": 2, "presentation": EXTRA[name],
-                                "oracle": {"kind": "abelian"}}))
+                                "oracle": ORACLES.get(name, {"kind": "abelian"})}))
     return str(path)
 
 
@@ -106,6 +115,22 @@ def test_exact_walk_searches_make_no_oracle_calls(case, max_norm, monkeypatch):
     assert not calls
 
 
+def test_surface2_walk_queries_are_pinned(monkeypatch):
+    # without normal forms an equal key goes to is_trivial; the words asked,
+    # in order, are those asked when walks carried their vertex words
+    s, oracle = load_example("surface2")
+    asked = []
+    is_trivial = BoundedBFSOracle.is_trivial
+
+    def recorded(self, w):
+        asked.append(w.letters)
+        return is_trivial(self, w)
+    monkeypatch.setattr(BoundedBFSOracle, "is_trivial", recorded)
+    _closed_walks(s, oracle, 8)
+    assert len(asked) == 9750
+    assert _sha(repr(asked)) == "7bb6e021528e836bbca0306417a5569c67713b01372be0b9d3d75c49513669f9"
+
+
 def test_bs13_keeps_working_through_the_default_state():
     assert "step" not in vars(BS13Oracle) and "start" not in vars(BS13Oracle)
     p = parse_presentation("<a, b | b a b^-1 a^-3>")
@@ -127,7 +152,7 @@ class KeyedAbelian(WordOracle):
         return self.inner.is_trivial(w)
 
     def invariant_key(self, w):
-        return self.inner.invariant_key(w) if self.keyed else None
+        return exponent_vector(w) if self.keyed else None
 
 
 class NormalAbelian(KeyedAbelian):
