@@ -149,7 +149,7 @@ def verify_profile_entry(entry, kind: str, n: int, s, oracle) -> bool:
     check = _WITNESS_CHECKS.get(kind)
     if check is None:
         return False
-    if kind == "finite" and getattr(oracle, "kind", None) != "finite-table":
+    if kind == "finite" and oracle.kind != "finite-table":
         return False
     try:
         values = entry["values"]

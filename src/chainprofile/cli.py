@@ -349,10 +349,17 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         if getattr(args, "verbose", False):
             logging.basicConfig(level=logging.DEBUG, stream=sys.stderr)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except ChainProfileError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to devnull, so
+        # that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

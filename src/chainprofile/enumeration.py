@@ -16,8 +16,8 @@ normal closure of the relators) that carries relator cells to relator cells
 up to sign, so it is a cellular automorphism of the cover.  Boundaries
 commute with automorphisms and with z -> -z, both preserve norms, and both
 are invertible, so they map the least fillings of z onto those of its
-image: every cycle of an orbit has one filling volume.  A finite table may
-describe a quotient that a permutation does not preserve, so it gets the
+image: every cycle of an orbit has one filling volume.  An oracle whose
+group may be a quotient (`presents_group` false: a finite table) gets the
 reversal alone, as does a group of more than `_MAX_SYMMETRIES` elements.
 A walk carries the oracle's state of its vertex (`WordOracle.step`), not
 its vertex word, so that with normal forms it meets a vertex again without
@@ -60,7 +60,6 @@ from .skeleton import (
 from .words import (
     Word,
     compose,
-    exponent_vector,
     free_reduce,
     invert,
     same_element,
@@ -316,18 +315,18 @@ def _symmetries(s, oracle):
     """Label maps of the signed generator permutations the walks may use,
     identity first.
 
-    Only on a presentation complex, where edge i is generator i, and not
-    for a finite table: it may describe a quotient that the permutation
-    does not preserve.  Every other oracle answers for the presented group,
-    whose automorphisms these are."""
-    identity = {(edge, e): (edge, e) for edge in range(s.n_cells(1)) for e in (1, -1)}
+    Only on a presentation complex, where edge i is generator i, and only
+    when the oracle's group is the presented one (`presents_group`), whose
+    automorphisms these are: a quotient, such as a finite table may
+    describe, need not be preserved by them."""
     maps = _SYMMETRIES.get(s)
     if maps is None:
+        identity = {(edge, e): (edge, e) for edge in range(s.n_cells(1)) for e in (1, -1)}
         perms = _relator_symmetries(s.presentation) if is_presentation_complex(s) else None
         maps = _SYMMETRIES[s] = [identity] + [
             g for g in ({(x, e): (j, sign * e) for x, (j, sign) in perm.items()
                          for e in (1, -1)} for perm in perms or ()) if g != identity]
-    return maps if getattr(oracle, "kind", None) != "finite-table" else [identity]
+    return maps if oracle.presents_group else maps[:1]
 
 
 def _least_rotation(labels):
@@ -401,25 +400,15 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
     """
     steps = _walk_steps(s)
     maps = _symmetries(s, oracle)
-    kind = getattr(oracle, "kind", None)
-    exact = getattr(oracle, "has_normal_forms", False)
-    moves = {}  # vertex -> [(label, next vertex, step word, step vector)]
+    exact = oracle.has_normal_forms
+    moves = {}  # vertex -> [(label, next vertex, step word)]
     for label, (a, b, w, _) in steps.items():
-        moves.setdefault(a, []).append((label, b, w, exponent_vector(w)))
+        moves.setdefault(a, []).append((label, b, w))
     low = {x: min(g[y] for g in maps for y in (x, (x[0], -x[1]))) for x in steps}
-    # closing cuts: a step moves the exponent vector by at most `reach` in l1
-    # norm, and the vector is a group invariant when no relator moves it,
-    # though not in a finite quotient; it is then the abelian and bounded-bfs
-    # state, and is carried beside any other.  In a free group a step moves
-    # the reduced vertex word, the state, by at most `longest` letters
-    reach = longest = 0
-    if kind != "finite-table" and not any(any(exponent_vector(r))
-                                          for r in s.presentation.relators):
-        reach = max((sum(map(abs, vec)) for ms in moves.values()
-                     for *_, vec in ms), default=0)
-    carry = reach and kind not in ("abelian", "bounded-bfs")
-    if kind == "free":
-        longest = max((len(w) for _, _, w, _ in steps.values()), default=0)
+    # closing cut: the word norm is subadditive and a step moves it by at
+    # most `reach`, so a state of norm above reach * (steps left) cannot close
+    reach = max((oracle.word_norm(oracle.step(oracle.start(), w))
+                 for _, _, w, _ in steps.values()), default=0)
     out = {n: [] for n in range(1, max_norm + 1)}
     labels = []
     path = {}  # (vertex, state) -> [position]
@@ -431,7 +420,7 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
         since = (x for label in labels[i:] for x in steps[label][2].letters)
         return same_element(oracle, e, free_reduce(Word(e.gens, tuple(since))))
 
-    def extend(v, state, vec, tied):
+    def extend(v, state, tied):
         nonlocal expanded, deepest
         expanded += 1
         deepest = max(deepest, len(labels))
@@ -439,7 +428,7 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
             raise BudgetExceededError(
                 f"cycle enumeration expanded more than {node_cap} walks, "
                 f"reaching walk length {deepest} of {max_norm}")
-        for label, nv, w, wvec in moves.get(v, ()):
+        for label, nv, w in moves.get(v, ()):
             if labels and label == (labels[-1][0], -labels[-1][1]):
                 continue
             if low[label] < (labels[0] if labels else label):
@@ -454,24 +443,21 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
                 images = _orbit_images(tuple(labels), maps)
                 if images is not None:
                     out[n].append(images)
-            elif at is None and n < max_norm:
-                left = max_norm - n
-                qvec = tuple(map(sum, zip(vec, wvec))) if carry else key[1]
-                if ((not reach or -(-sum(map(abs, qvec)) // reach) <= left)
-                        and (not longest or -(-len(key[1]) // longest) <= left)):
-                    entries = path.setdefault(key, [])
-                    entries.append(n)
-                    extend(nv, key[1], qvec, [g for g in tied if g[label] == label])
-                    entries.pop()
-                    if not entries:
-                        del path[key]
+            elif at is None and n < max_norm and (
+                    not reach or -(-oracle.word_norm(key[1]) // reach) <= max_norm - n):
+                entries = path.setdefault(key, [])
+                entries.append(n)
+                extend(nv, key[1], [g for g in tied if g[label] == label])
+                entries.pop()
+                if not entries:
+                    del path[key]
             labels.pop()
 
     for v in sorted(moves):
         state = oracle.start()
         path.clear()
         path[(v, state)] = [0]
-        extend(v, state, exponent_vector(e), maps[1:])
+        extend(v, state, maps[1:])
     return {n: sorted(orbits) for n, orbits in out.items()}
 
 

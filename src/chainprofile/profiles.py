@@ -6,9 +6,9 @@ aspherical (Lyndon's identity theorem, Ann. of Math. 52, 1950): the
 boundary map is injective on finite 2-chains of the cover, so every 1-cycle
 has exactly one filling and that filling is the least.  The code checks this
 gate once per skeleton, and on every call that the oracle's group is the
-presented one rather than a quotient (a finite table may be one), so that
-the complex is the universal cover.  Inside it the filling is derived
-without search, in the manner of Dehn's algorithm (Lyndon-Schupp,
+presented one rather than a quotient (`presents_group`; a finite table may
+be one), so that the complex is the universal cover.  Inside it the filling
+is derived without search, in the manner of Dehn's algorithm (Lyndon-Schupp,
 Combinatorial Group Theory, V): the cycle splits into closed walks of the
 Cayley graph, and each walk label is rewritten to the empty word by rules
 p -> q^-1, one for each cyclic form p q of r or r^-1 with p longer than q,
@@ -121,7 +121,6 @@ from .words import (
     Word,
     _reduce_letters,
     compose,
-    exponent_vector,
 )
 
 logger = logging.getLogger(__name__)
@@ -172,7 +171,7 @@ def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Ch
     if not cycle.terms:
         return zero_chain(dim)
     rules = None
-    if cycle.dim == 1 and _oracle_is_the_group(s, oracle):
+    if cycle.dim == 1 and oracle.presents_group:
         rules = _rewriting_rules(s)
     total = _rewritten_filling(cycle, s, oracle, rules, budget) if rules else None
     if total is None:
@@ -257,28 +256,6 @@ def _rewriting_rules(s):
     return rules
 
 
-def _oracle_is_the_group(s, oracle) -> bool:
-    """Whether the oracle's group is the presented group, not a quotient.
-
-    Only then is the complex the universal cover, where fillings are
-    unique: a finite quotient makes it a finite cover with nonzero H2 (the
-    torus of Z/4 x Z/4 for the grid).  A finite table is only checked to
-    satisfy the relators, so it may be a quotient; the free oracle does not
-    satisfy the one relator; the free abelian oracle is the group only when
-    the relator is a commutator of the two generators.  Any other oracle
-    answers for the presented group by the `WordOracle` contract.
-    """
-    kind = getattr(oracle, "kind", None)
-    if kind in ("finite-table", "free"):
-        return False
-    if kind == "abelian":
-        p = s.presentation
-        return (len(p.generators) == 2 and len(p.relators) == 1
-                and len(p.relators[0].letters) == 4
-                and not any(exponent_vector(p.relators[0])))
-    return True
-
-
 def _rewritten_filling(cycle: Chain, s, oracle, rules, budget: Budget):
     """The filling of a 1-cycle summed from relator rewriting, or None.
 
@@ -348,7 +325,7 @@ def _forked_fill(cycle: Chain) -> Chain:
 
 
 def _check_infinite_route(oracle):
-    if getattr(oracle, "kind", None) == "finite-table":
+    if oracle.kind == "finite-table":
         raise WrongAlgorithmError(
             "the cover of a finite presentation is finite; use the exact "
             "finite profile instead of the enumeration profiles")
@@ -686,7 +663,7 @@ def _finite_fillings(s, oracle, cycles: dict, n: int, budget: Budget,
 def finite_profile(s, oracle, n: int, budget: Budget | None = None) -> ProfileTable:
     """Exact profile for a finite presentation: list the cycles of the finite
     cover up to norm n, then reach each by a breadth-first sweep of boundaries."""
-    if getattr(oracle, "kind", None) != "finite-table":
+    if oracle.kind != "finite-table":
         raise WrongAlgorithmError(
             "the exact finite profile needs a finite-table oracle")
     budget = budget or Budget()

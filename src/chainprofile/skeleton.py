@@ -228,7 +228,7 @@ class _Elements:
 
     def __init__(self, oracle, cells=()):
         self.oracle = oracle
-        self.normal = getattr(oracle, "has_normal_forms", False)
+        self.normal = oracle.has_normal_forms
         self.buckets: dict[tuple, list[Word]] = {}
         if self.normal:
             self.known = _NORMAL_FORMS.setdefault(oracle, {})
@@ -371,18 +371,10 @@ def coboundary(c: LiftedCell, s: SkeletonSpec, oracle) -> Chain:
     dim = c.dim
     if dim >= s.q:
         raise InputError(f"no cells above dimension {s.q}")
-    elements = _Elements(oracle)
-    out = []
-    for tbase in range(s.n_cells(dim + 1)):
-        cands = sorted(((compose(c.word, invert(bc.word)), bn)
-                        for bc, bn in s.boundary_chain(dim + 1, tbase).terms
-                        if bc.base == c.base), key=lambda gn: word_key(gn[0]))
-        totals: dict[Word, int] = {}
-        for g, bn in cands:
-            rep = elements.rep(tbase, g)
-            totals[rep] = totals.get(rep, 0) + bn
-        out.extend((LiftedCell(dim + 1, tbase, rep), n) for rep, n in totals.items() if n)
-    return Chain(dim + 1, tuple(sorted(out, key=lambda t: (t[0].base, word_key(t[0].word)))))
+    return build_chain(dim + 1, [
+        (LiftedCell(dim + 1, tbase, compose(c.word, invert(bc.word))), bn)
+        for tbase in range(s.n_cells(dim + 1))
+        for bc, bn in s.boundary_chain(dim + 1, tbase).terms if bc.base == c.base], oracle)
 
 
 # ----------------------------------------------------- subchains, components
@@ -428,7 +420,7 @@ def _coeff_lookup(a: Chain, oracle):
 def chains_equal(a: Chain, b: Chain, oracle) -> bool:
     if a.dim != b.dim or len(a.terms) != len(b.terms):
         return False
-    if getattr(oracle, "has_normal_forms", False):
+    if oracle.has_normal_forms:
         return a.terms == b.terms
     bcoeff = _coeff_lookup(b, oracle)
     return all(bcoeff(c) == n for c, n in a.terms) and norm(a) == norm(b)
@@ -587,17 +579,21 @@ def chain_to_json(a: Chain, s: SkeletonSpec) -> dict:
 
 def chain_from_json(data: dict, s: SkeletonSpec, oracle) -> Chain:
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
+        if not _is_int(dim):
+            raise InputError(f"chain dimension {dim!r} is not an integer")
         raw = []
         for t in data["terms"]:
-            base_id = t["base"]
+            base_id, coeff = t["base"], t["coeff"]
             if base_id not in s.index:
                 raise InputError(f"unknown cell id {base_id!r}")
+            if not _is_int(coeff):
+                raise InputError(f"coefficient {coeff!r} of cell {base_id!r} is not an integer")
             bdim, bidx = s.index[base_id]
             if bdim != dim:
                 raise InputError(f"cell {base_id!r} has dimension {bdim}, chain says {dim}")
             w = parse_word(t["word"], s.presentation.generators)
-            raw.append((LiftedCell(dim, bidx, w), int(t["coeff"])))
+            raw.append((LiftedCell(dim, bidx, w), coeff))
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed chain data: {e}") from None
     return build_chain(dim, raw, oracle)

@@ -15,16 +15,18 @@ it can cheaply (finite tables are validated against the relators, and
 bounded-bfs decides by Dehn's algorithm only on relators it has checked to
 be C'(1/6)).
 
-An oracle state is the one key of a group element: `start()` is the state
-of the identity, `step(state, w)` that of the element times the word w.
-Walks carry the state of their vertex; without normal forms, cells are
-filed under the state of their word.  With normal forms states are hashable
-and equal exactly when their elements are: the exponent vector (`abelian`),
-the reduced letters (`free`), the element index (`finite-table`).  Without
-them a state is a hashable sound key, like the exponent vector modulo the
-relators' (`bounded-bfs`).  The default state is the word, hashed by
-`invariant_key` (its one reader) and, with normal forms, compared by
-`normalize`; an oracle may override `start` and `step` together.
+An oracle answers everything the package asks about its group, and this
+module is the one place that knows those answers.  A state is the one key
+of a group element: `start()` is the state of the identity, `step(state,
+w)` that of the element times the word w.  With normal forms states are
+equal exactly when their elements are: the exponent vector (`abelian`), the
+reduced letters (`free`), the element index (`finite-table`), by default
+the normal form's letters.  Without them a state is a sound key, like the
+exponent vector modulo the relators' (`bounded-bfs`), by default the one
+key `()`, and `is_trivial` settles equal keys.  `word_norm(state)` is a
+length function (0 at the identity, equal on inverses, subadditive), 0
+when none is known; `presents_group` says whether the oracle's group is
+the presented one rather than a quotient.
 """
 
 from __future__ import annotations
@@ -398,10 +400,12 @@ class IntegerLattice:
 # -------------------------------------------------------------------- oracles
 
 class WordOracle:
-    """Interface: answer whether a word is trivial in the presented group."""
+    """Interface: answer whether a word is trivial in the presented group.
+    With normal forms the default `is_trivial` compares states."""
 
     kind = "abstract"
     has_normal_forms = False
+    presents_group = True  # the contract: it answers for the presented group
 
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
@@ -411,48 +415,29 @@ class WordOracle:
         return self.kind
 
     def is_trivial(self, w: Word) -> OracleVerdict:
-        raise NotImplementedError
+        if not self.has_normal_forms:
+            raise NotImplementedError(f"{self.kind} oracle must define is_trivial")
+        if self.step(self.start(), free_reduce(w)) != self.start():
+            return OracleVerdict.NONTRIVIAL
+        return OracleVerdict.TRIVIAL
 
     def normalize(self, w: Word) -> Word:
         raise NotImplementedError(f"{self.kind} oracle has no normal forms")
 
-    def invariant_key(self, w: Word):
-        """The older contract's cheap sound invariant, which the default
-        state hashes by: equal elements share the key.  None = none."""
-        return None
-
     def start(self):
         """The state of the identity element."""
-        return _Spelled(self, Word(self.presentation.generators))
+        return ()
 
     def step(self, state, w: Word):
-        """The state of the element of `state` times w."""
-        return _Spelled(self, compose(state.word, w))
+        """The state of the element of `state` times w: by default the
+        letters of its normal form, or the one key () without them."""
+        if not self.has_normal_forms:
+            return ()
+        return self.normalize(compose(Word(w.gens, state), w)).letters
 
-
-class _Spelled:
-    """The default state: a word, hashed by the oracle's `invariant_key`.
-    States of equal keys are equal, and with normal forms so must those be:
-    without them a state is only a key."""
-
-    __slots__ = ("oracle", "word", "key", "_normal")
-
-    def __init__(self, oracle, word):
-        self.oracle, self.word, self.key = oracle, word, oracle.invariant_key(word)
-        self._normal = None
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __eq__(self, other):
-        return self.key == other.key and (
-            not self.oracle.has_normal_forms or self.normal() == other.normal())
-
-    def normal(self):
-        """The normal form, computed once."""
-        if self._normal is None:
-            self._normal = self.oracle.normalize(self.word)
-        return self._normal
+    def word_norm(self, state) -> int:
+        """A length function on the group at a state; 0 when none is known."""
+        return 0
 
 
 def is_trivial(oracle: WordOracle, w: Word) -> OracleVerdict:
@@ -479,19 +464,18 @@ class FreeOracle(WordOracle):
     kind = "free"
     has_normal_forms = True
 
-    def is_trivial(self, w: Word) -> OracleVerdict:
-        if free_reduce(w).letters:
-            return OracleVerdict.NONTRIVIAL
-        return OracleVerdict.TRIVIAL
+    @property
+    def presents_group(self) -> bool:
+        return not self.presentation.relators
 
     def normalize(self, w: Word) -> Word:
         return w
 
-    def start(self):
-        return ()
-
     def step(self, state, w: Word):
         return _concat_reduced(state, w.letters)
+
+    def word_norm(self, state) -> int:
+        return len(state)
 
 
 class FreeAbelianOracle(WordOracle):
@@ -500,10 +484,20 @@ class FreeAbelianOracle(WordOracle):
     kind = "abelian"
     has_normal_forms = True
 
-    def is_trivial(self, w: Word) -> OracleVerdict:
-        if any(self.step(self.start(), w)):
-            return OracleVerdict.NONTRIVIAL
-        return OracleVerdict.TRIVIAL
+    @cached_property
+    def presents_group(self) -> bool:
+        """Whether each relator is a rotation of a commutator x^e y^f x^-e
+        y^-f of two distinct generators, and each pair of generators has
+        one: the presented group is then free abelian on them."""
+        pairs = set()
+        for r in self.presentation.relators:
+            x = r.letters
+            if not (len(x) == 4 and x[0][0] != x[1][0]
+                    and x[2] == (x[0][0], -x[0][1]) and x[3] == (x[1][0], -x[1][1])):
+                return False
+            pairs.add(frozenset((x[0][0], x[1][0])))
+        n = len(self.presentation.generators)
+        return len(pairs) == n * (n - 1) // 2
 
     def normalize(self, w: Word) -> Word:
         letters = []
@@ -518,6 +512,9 @@ class FreeAbelianOracle(WordOracle):
     def step(self, state, w: Word):
         return _add_letters(state, w.letters)
 
+    def word_norm(self, state) -> int:
+        return sum(map(abs, state))
+
 
 class FiniteTableOracle(WordOracle):
     """Exact word problem from a finite multiplication table.
@@ -530,6 +527,7 @@ class FiniteTableOracle(WordOracle):
 
     kind = "finite-table"
     has_normal_forms = True
+    presents_group = False  # the table may be a quotient
 
     def __init__(self, presentation, elements, table, generator_map):
         super().__init__(presentation)
@@ -611,11 +609,6 @@ class FiniteTableOracle(WordOracle):
     def element_word(self, i: int) -> Word:
         return Word(self.presentation.generators, self._words[i])
 
-    def is_trivial(self, w: Word) -> OracleVerdict:
-        if self.evaluate(w) == self.identity_index:
-            return OracleVerdict.TRIVIAL
-        return OracleVerdict.NONTRIVIAL
-
     def normalize(self, w: Word) -> Word:
         return Word(w.gens, self._words[self.evaluate(w)])
 
@@ -696,6 +689,10 @@ class BoundedBFSOracle(WordOracle):
 
     def step(self, state, w: Word):
         return self._lattice.residue(_add_letters(state, w.letters))
+
+    def word_norm(self, state) -> int:
+        """The l1 norm of the exponent vector, when no relator moves it."""
+        return 0 if self._lattice.pivots else sum(map(abs, state))
 
     def _radius_for(self, length: int) -> int:
         if self.radius is not None:

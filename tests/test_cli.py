@@ -1,5 +1,7 @@
 """End-to-end command-line checks."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -134,17 +136,39 @@ def _boolean_finite_coeff(value):
     wit["filling"][0]["coeff"] = True
 
 
+def _string_psi_coeff(value):
+    terms = value["witnesses"][4]["cycle"]["terms"]
+    term = next(t for t in terms if t["coeff"] == -1)
+    term["coeff"] = " -1 "
+
+
+def _string_psi_dim(value):
+    assert value["witnesses"][4]["filling"]["dim"] == 2
+    value["witnesses"][4]["filling"]["dim"] = "2"
+
+
+def _boolean_fv_coeff(value):
+    (term,) = value["filling"]["terms"]
+    assert term["coeff"] == 1
+    term["coeff"] = True
+
+
 @pytest.mark.parametrize("query, forge", [
     (("psi", "--input", "z2", "-n", "5"), _booleans_in_psi_values),
     (("fv", "--input", "z2", "--chain", SQUARE), _boolean_fv_value),
-    (("finite-profile", "--input", "zmod2", "-n", "4"), _boolean_finite_coeff)],
-    ids=["psi-values", "fv-value", "finite-coeff"])
+    (("finite-profile", "--input", "zmod2", "-n", "4"), _boolean_finite_coeff),
+    (("psi", "--input", "z2", "-n", "4"), _string_psi_coeff),
+    (("psi", "--input", "z2", "-n", "4"), _string_psi_dim),
+    (("fv", "--input", "z2", "--chain", SQUARE), _boolean_fv_coeff)],
+    ids=["psi-values", "fv-value", "finite-coeff", "psi-coeff-string", "psi-dim-string",
+         "fv-coeff"])
 def test_boolean_numbers_in_the_cache_are_recomputed(tmp_path, capsys, query, forge):
     args = (*query, "--cache", str(tmp_path), "--format", "json")
     code, first, _ = run(capsys, *args)
     assert code == 0
     (entry_file,) = tmp_path.glob("*.json")
-    data = json.loads(entry_file.read_text())
+    stored = entry_file.read_text()
+    data = json.loads(stored)
     forge(data["value"])
     entry_file.write_text(json.dumps(data))
     code, second, err = run(capsys, *args)
@@ -152,6 +176,7 @@ def test_boolean_numbers_in_the_cache_are_recomputed(tmp_path, capsys, query, fo
     assert second == first and "true" not in second
     assert "recomputing" in err
     assert "true" not in entry_file.read_text()
+    assert entry_file.read_text() == stored  # evicted and written again
 
 
 def test_psi_output_and_worker_independence(tmp_path, capsys):
@@ -437,6 +462,62 @@ def test_verbose_logs_the_finite_sweep_levels_to_stderr():
     levels = [line for line in verbose.stderr.splitlines()
               if "finite filling sweep level" in line]
     assert len(levels) == 3 and levels[-1].endswith(" 0 cycles pending")
+    assert all(line.startswith("DEBUG:chainprofile.profiles:") for line in levels)
+
+
+@pytest.mark.parametrize("query", [
+    ("psi", "--input", "z2", "-n", "2", "--no-cache"),
+    ("finite-profile", "--input", "zmod2", "-n", "6", "--format", "json", "--no-cache")],
+    ids=["short", "long"])
+def test_closed_pipe_exits_1_without_a_traceback(query):
+    # the reader is gone before the command writes: short output fails at
+    # the flush in main, long output at a print
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "chainprofile.cli", *query],
+                              stdout=w, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def _delta_file(tmp_path):
+    path = tmp_path / "delta.txt"
+    path.write_text("0 1 1 2 2")
+    return str(path)
+
+
+# each command with the options of one small query; -v where it is accepted
+COMMANDS = {
+    "examples": lambda tmp: ["examples"],
+    "validate": lambda tmp: ["validate", "--input", "z2", "-v"],
+    "enumerate": lambda tmp: ["enumerate", "--input", "z2", "--chain-dim", "1",
+                              "--max-norm", "4", "--cycles", "-v"],
+    "fv": lambda tmp: ["fv", "--input", "z2", "--chain", SQUARE, "--cache", str(tmp), "-v"],
+    "psi": lambda tmp: ["psi", "--input", "z2", "-n", "4", "--cache", str(tmp), "-v"],
+    "phi": lambda tmp: ["phi", "--input", "f2", "-n", "4", "--cache", str(tmp), "-v"],
+    "finite-profile": lambda tmp: ["finite-profile", "--input", "zmod2", "-n", "4",
+                                   "--cache", str(tmp), "-v"],
+    "chain2-bound": lambda tmp: ["chain2-bound", "--delta", _delta_file(tmp)],
+    "disk-bound": lambda tmp: ["disk-bound", "--delta", _delta_file(tmp), "--parts", "2"],
+}
+# validate prints its human report for csv too, so it is left out there
+FORMATS = [(name, fmt) for name in COMMANDS for fmt in ("human", "json", "csv")
+           if not (fmt == "csv" and name in ("examples", "validate"))]
+
+
+@pytest.mark.parametrize("name, fmt", FORMATS, ids=[f"{n}-{f}" for n, f in FORMATS])
+def test_every_command_prints_each_format(tmp_path, capsys, name, fmt):
+    code, out, _ = run(capsys, *COMMANDS[name](tmp_path), "--format", fmt)
+    assert code == 0 and out.strip()
+    if fmt == "json":
+        json.loads(out)
+    elif fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(row) == len(header) for row in rows)
 
 
 def test_import_leaves_multiprocessing_out():

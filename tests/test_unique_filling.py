@@ -16,7 +16,6 @@ from chainprofile.errors import BudgetExceededError
 from chainprofile.inputs import load_example, parse_chain
 from chainprofile.profiles import (
     Budget,
-    _oracle_is_the_group,
     _rewriting_rules,
     _rewritten_filling,
     _search_filling,
@@ -36,7 +35,6 @@ from chainprofile.words import (
     BoundedBFSOracle,
     FiniteTableOracle,
     FreeAbelianOracle,
-    OracleVerdict,
     Word,
     WordOracle,
     exponent_vector,
@@ -106,7 +104,8 @@ def test_finite_quotient_oracle_takes_the_search():
 
 def test_abelian_oracle_is_the_group_only_for_a_commutator():
     # the free abelian oracle on a non-abelian one-relator group is a
-    # quotient, so the gate leaves it to the search
+    # quotient, so the gate leaves it to the search; with a commutator for
+    # every pair of generators it is the group
     for text, faithful in (("<a, b | a b a^-1 b^-1>", True),
                            ("<a, b | b a^-1 b^-1 a>", True),
                            ("<a, b | a^2 b a^-2 b^-1>", False),
@@ -114,10 +113,12 @@ def test_abelian_oracle_is_the_group_only_for_a_commutator():
         p = parse_presentation(text)
         s = presentation_complex(p)
         assert _rewriting_rules(s)
-        assert _oracle_is_the_group(s, FreeAbelianOracle(p)) is faithful
+        assert FreeAbelianOracle(p).presents_group is faithful
+    z3 = parse_presentation("<a, b, c | a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1>")
+    assert FreeAbelianOracle(z3).presents_group
     s, oracle = load_example("surface2")
-    assert _oracle_is_the_group(s, oracle)
-    assert not _oracle_is_the_group(s, FreeAbelianOracle(s.presentation))
+    assert oracle.presents_group
+    assert not FreeAbelianOracle(s.presentation).presents_group
 
 
 def test_rewriting_equals_search_on_the_grid_to_norm_8():
@@ -179,14 +180,15 @@ def test_fill_cap_names_the_unique_norm():
 
 class BS13Oracle(WordOracle):
     """BS(1, 3) = <a, b | b a b^-1 a^-3> as affine maps of the rationals,
-    a: x -> x + 1 and b: x -> 3x; normal form b^-j a^c b^(j+k) for the map
-    x -> 3^k x + c / 3^j."""
+    a: x -> x + 1 and b: x -> 3x.  The state of an element is its map
+    x -> m x + t as (m, t), and the normal form for 3^k x + c / 3^j is
+    b^-j a^c b^(j+k); the default `is_trivial` compares states."""
 
     kind = "bs13"
     has_normal_forms = True
 
-    def _map(self, w):
-        m, t = Fraction(1), Fraction(0)
+    def _map(self, state, w):
+        m, t = state
         for g, e in w.letters:
             if g == 0:
                 t += m * e
@@ -194,13 +196,14 @@ class BS13Oracle(WordOracle):
                 m *= Fraction(3) ** e
         return m, t
 
-    def is_trivial(self, w):
-        if self._map(w) == (1, 0):
-            return OracleVerdict.TRIVIAL
-        return OracleVerdict.NONTRIVIAL
+    def start(self):
+        return Fraction(1), Fraction(0)
+
+    def step(self, state, w):
+        return self._map(state, w)
 
     def normalize(self, w):
-        m, t = self._map(w)
+        m, t = self._map((Fraction(1), Fraction(0)), w)
         k = j = 0
         while m > 1:
             m, k = m / 3, k + 1
@@ -212,9 +215,6 @@ class BS13Oracle(WordOracle):
         letters = (((1, -1),) * j + ((0, 1 if c > 0 else -1),) * abs(c)
                    + ((1, 1 if j + k > 0 else -1),) * abs(j + k))
         return Word(w.gens, letters)
-
-    def invariant_key(self, w):
-        return self._map(w)
 
 
 def test_stuck_rewriting_falls_back_to_the_search():

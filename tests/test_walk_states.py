@@ -4,8 +4,8 @@ Outputs and walk counts are pinned to values computed before the walks
 carried states (the bounded-bfs grid row, and the words the surface2 walks
 ask bounded-bfs about, to values computed while walks still carried their
 vertex words); the exact walk searches make no oracle calls; oracles that
-keep only the older contract (`normalize`, `invariant_key`) still work
-through the default state.
+define only `is_trivial`, or `normalize`, work through the default state;
+the closing cut prunes as pinned.
 """
 
 import contextlib
@@ -21,6 +21,7 @@ import pytest
 from chainprofile.cli import main
 from chainprofile.enumeration import (
     _closed_walks,
+    _symmetries,
     connected_chains_up_to_action,
     connected_cycles_up_to_action,
     cycle_orbits,
@@ -33,8 +34,8 @@ from chainprofile.words import (
     BoundedBFSOracle,
     FiniteTableOracle,
     FreeAbelianOracle,
+    OracleVerdict,
     WordOracle,
-    exponent_vector,
     parse_presentation,
     parse_word,
 )
@@ -105,7 +106,7 @@ def test_outputs_and_walk_counts_are_frozen(name, n, psi_sha, enum_sha, walks, t
 def test_exact_walk_searches_make_no_oracle_calls(case, max_norm, monkeypatch):
     s, oracle = zmod2() if case == "zmod2" else load_example(case)
     calls = Counter()
-    for name in ("is_trivial", "invariant_key", "normalize"):
+    for name in ("is_trivial", "normalize"):
         def counted(self, w, method=getattr(type(oracle), name), name=name):
             calls[name] += 1
             return method(self, w)
@@ -131,16 +132,23 @@ def test_surface2_walk_queries_are_pinned(monkeypatch):
     assert _sha(repr(asked)) == "7bb6e021528e836bbca0306417a5569c67713b01372be0b9d3d75c49513669f9"
 
 
+class BS13Default(BS13Oracle):
+    """BS(1, 3) through the default state, the letters of its normal form."""
+
+    start, step = WordOracle.start, WordOracle.step
+
+
 def test_bs13_keeps_working_through_the_default_state():
-    assert "step" not in vars(BS13Oracle) and "start" not in vars(BS13Oracle)
     p = parse_presentation("<a, b | b a b^-1 a^-3>")
-    table = psi_table(presentation_complex(p), BS13Oracle(p), 8)
-    assert table.values == [0, 0, 0, 0, 0, 0, 1, 1, 2]  # computed before states
+    for cls in (BS13Oracle, BS13Default):
+        table = psi_table(presentation_complex(p), cls(p), 8)
+        assert table.values == [0, 0, 0, 0, 0, 0, 1, 1, 2]  # computed before states
 
 
 class KeyedAbelian(WordOracle):
-    """The abelian word problem behind the older contract only: no normal
-    forms, and an invariant key or none."""
+    """The abelian word problem through `is_trivial` alone, without normal
+    forms.  Keyed, it keeps its own state, the exponent vector, a sound
+    key; otherwise the default state, the one key ()."""
 
     kind = "keyed"
 
@@ -151,11 +159,16 @@ class KeyedAbelian(WordOracle):
     def is_trivial(self, w):
         return self.inner.is_trivial(w)
 
-    def invariant_key(self, w):
-        return exponent_vector(w) if self.keyed else None
+    def start(self):
+        return self.inner.start() if self.keyed else super().start()
+
+    def step(self, state, w):
+        return self.inner.step(state, w) if self.keyed else super().step(state, w)
 
 
 class NormalAbelian(KeyedAbelian):
+    """With normal forms: unkeyed, the default state is their letters."""
+
     has_normal_forms = True
 
     def normalize(self, w):
@@ -210,3 +223,35 @@ def test_default_states_compare_by_element(keyed):
     ba = oracle.step(oracle.start(), parse_word("b a", GENS))
     assert ab == ba and hash(ab) == hash(ba)
     assert oracle.step(ab, parse_word("a", GENS)) != oracle.step(ba, parse_word("a^-1", GENS))
+    assert oracle.is_trivial(parse_word("a b a^-1 b^-1", GENS)) is OracleVerdict.TRIVIAL
+    assert oracle.is_trivial(parse_word("a b a^-1", GENS)) is OracleVerdict.NONTRIVIAL
+    assert KeyedAbelian(s.presentation, False).step((), parse_word("a", GENS)) == ()
+
+
+def _walk_input(name):
+    if name == "zmod2":
+        return zmod2()
+    if name in EXTRA:
+        return load_input({"dim": 2, "presentation": EXTRA[name],
+                           "oracle": ORACLES.get(name, {"kind": "abelian"})})
+    return load_example(name)
+
+
+# the least node cap each walk search passes, taken while the closing cuts
+# still tested the oracle's kind (the l1 norm of the exponent vector, and
+# the reduced length for the free oracle)
+LEAST_CAPS = [("z2", 10, 364), ("f2", 10, 64), ("surface2", 6, 358), ("z3", 6, 25),
+              ("grid-bfs", 8, 74), ("zmod2", 6, 2)]
+
+
+@pytest.mark.parametrize("name, n, cap", LEAST_CAPS, ids=[c[0] for c in LEAST_CAPS])
+def test_word_norm_cut_prunes_as_the_kind_cuts_did(name, n, cap):
+    s, oracle = _walk_input(name)
+    _closed_walks(s, oracle, n, node_cap=cap)
+    with pytest.raises(BudgetExceededError, match=f"more than {cap - 1} walks"):
+        _closed_walks(s, oracle, n, node_cap=cap - 1)
+
+
+def test_three_commutators_keep_the_symmetries():
+    s, oracle = _walk_input("z3")
+    assert oracle.presents_group and len(_symmetries(s, oracle)) == 48

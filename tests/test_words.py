@@ -1,10 +1,13 @@
 """Word algebra, presentations, and word-problem oracles."""
 
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
 
+import chainprofile
 from chainprofile.errors import InputError, OracleUndecidedError, ParseError
 from chainprofile.words import (
     BoundedBFSOracle,
@@ -446,3 +449,95 @@ def test_word_producers_hand_out_reduced_words(monkeypatch):
                     assert all(_is_reduced(c.word.letters) for c, _ in x.terms)
     assert walked and filled
     assert all(map(_is_reduced, walked)) and all(map(_is_reduced, filled))
+
+
+def _norm_oracles():
+    z2 = parse_presentation("<a, b | a b a^-1 b^-1>")
+    grid = parse_presentation("<a, b | a b a^-1 b^-1, b a b^-1 a^-1>")
+    return [FreeOracle(parse_presentation("<a, b |>")), FreeAbelianOracle(z2),
+            BoundedBFSOracle(grid, radius=8, sufficient_len=4),
+            BoundedBFSOracle(parse_presentation("<a, b | a^2 b^-3>"))]
+
+
+@pytest.mark.parametrize("oracle", _norm_oracles(), ids=lambda o: o.name)
+def test_word_norm_is_a_length_function(oracle):
+    # 0 at the identity, equal on inverses, subadditive
+    rng = random.Random(5)
+    letters = [(g, e) for g in range(2) for e in (1, -1)]
+    e = oracle.start()
+    assert oracle.word_norm(e) == 0
+    for _ in range(200):
+        u, v = (free_reduce(Word(AB, tuple(rng.choice(letters) for _ in range(rng.randrange(7)))))
+                for _ in range(2))
+        nu, nv = (oracle.word_norm(oracle.step(e, x)) for x in (u, v))
+        assert oracle.word_norm(oracle.step(e, invert(u))) == nu
+        assert oracle.word_norm(oracle.step(oracle.step(e, u), v)) <= nu + nv
+
+
+def test_word_norms_and_group_answers_of_the_built_in_oracles():
+    z2 = parse_presentation("<a, b | a b a^-1 b^-1>")
+    f2 = parse_presentation("<a, b |>")
+    bent = parse_presentation("<a, b | a^2 b^-3>")
+    table = FiniteTableOracle(parse_presentation("<a | a^2>"), ["e", "a"],
+                              [[0, 1], [1, 0]], {"a": 1})
+    aab = w("a a b^-1")
+    assert FreeOracle(f2).word_norm(FreeOracle(f2).step((), aab)) == 3
+    assert FreeAbelianOracle(z2).word_norm((2, -1)) == 3
+    assert BoundedBFSOracle(z2).word_norm((2, -1)) == 3
+    assert BoundedBFSOracle(bent).word_norm(BoundedBFSOracle(bent).start()) == 0
+    assert BoundedBFSOracle(bent).word_norm((1, 0)) == 0  # a relator moves the vector
+    assert table.word_norm(1) == 0
+    assert FreeOracle(f2).presents_group and not FreeOracle(z2).presents_group
+    assert FreeAbelianOracle(z2).presents_group and not FreeAbelianOracle(f2).presents_group
+    assert BoundedBFSOracle(bent).presents_group and not table.presents_group
+
+
+def test_default_is_trivial_compares_states():
+    for oracle in (FreeOracle(parse_presentation("<a, b |>")),
+                   FreeAbelianOracle(parse_presentation("<a, b | a b a^-1 b^-1>"))):
+        assert "is_trivial" not in vars(type(oracle))
+        assert oracle.is_trivial(w("a b b^-1 a^-1")) is OracleVerdict.TRIVIAL
+        assert oracle.is_trivial(w("a b^-1")) is OracleVerdict.NONTRIVIAL
+    assert (FreeOracle(parse_presentation("<a, b |>")).is_trivial(w("a b a^-1 b^-1"))
+            is OracleVerdict.NONTRIVIAL)
+    assert (FreeAbelianOracle(parse_presentation("<a, b |>")).is_trivial(w("a b a^-1 b^-1"))
+            is OracleVerdict.TRIVIAL)
+
+
+# the functions that need a finite table itself, not an answer about its group
+KIND_READERS = {"_check_infinite_route", "finite_profile", "verify_profile_entry"}
+
+
+class _OracleReads(ast.NodeVisitor):
+    """Where the package reads `oracle.kind` or calls getattr on an oracle."""
+
+    def __init__(self):
+        self.where, self.kind, self.getattr = [], set(), []
+
+    def visit_FunctionDef(self, node):
+        self.where.append(node.name)
+        self.generic_visit(node)
+        self.where.pop()
+
+    def visit_Attribute(self, node):
+        if isinstance(node.value, ast.Name) and node.value.id == "oracle" and node.attr == "kind":
+            self.kind.add(self.where[-1] if self.where else "<module>")
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        if (isinstance(node.func, ast.Name) and node.func.id == "getattr" and node.args
+                and isinstance(node.args[0], ast.Name) and node.args[0].id == "oracle"):
+            self.getattr.append(self.where[-1] if self.where else "<module>")
+        self.generic_visit(node)
+
+
+def test_only_the_oracle_answers_what_its_group_is():
+    # callers ask an oracle through its contract (`step`, `word_norm`,
+    # `presents_group`), never by its kind, outside the finite-table routes
+    reads = _OracleReads()
+    for path in sorted(pathlib.Path(chainprofile.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert "invariant_key" not in text and "_Spelled" not in text, path.name
+        reads.visit(ast.parse(text))
+    assert not reads.getattr
+    assert reads.kind and reads.kind <= KIND_READERS, sorted(reads.kind - KIND_READERS)
