@@ -135,6 +135,12 @@ def cmd_validate(args) -> int:
     }
     if args.format == "json":
         _print_json(info)
+    elif args.format == "csv":
+        print("key,value")
+        for key in ("fingerprint", "dim", "oracle"):
+            print(f"{key},{info[key]}")
+        for d, count in info["cells"].items():
+            print(f"cells_{d},{count}")
     else:
         print("ok: boundary of boundary vanishes on every cell")
         print(f"fingerprint {info['fingerprint']}, dimension {s.q}, "
@@ -277,7 +283,8 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--node-cap", type=_at_least(1), default=1_000_000,
                         help="largest number of search states per query")
     common.add_argument("--workers", type=_at_least(1), default=1,
-                        help="worker processes for independent fillings")
+                        help="worker processes for independent fillings; "
+                             "used by psi and phi only")
     common.add_argument("-v", "--verbose", action="store_true",
                         help="log DEBUG progress to stderr")
 

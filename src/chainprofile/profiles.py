@@ -57,15 +57,19 @@ without a least cycle (isomorph-free generation, McKay, J. Algorithms 26,
   has a convex left side that holds at c = 0, so the passing c of each
   sign run from +-1 and each sign's scan stops at its first failure;
 - orbit: moving a cell to element 0 and negating shows a least cycle
-  starts at element 0 with a negative coefficient; once the block of an
-  element e > 0 is complete, the image moving e to 0 starts with
-  +-(block of e) where the cycle starts with block 0, both followed by
-  other elements' cells, so if it compares below block 0 (a proper prefix
-  counting larger) that image is smaller.
-A cycle found is kept if it is least among its images, their number its
-orbit size.  Norm and FV are constant on orbits, and the least cycle of a
-union of orbits is the least of their least cycles, so the least
-(norm, cycle) of largest FV, the witness, is a representative.
+  starts at element 0 with a negative coefficient; for e > 0 the image
+  moving e to 0 starts with +-(block of e) where the cycle starts with
+  block 0, both followed by other elements' cells, so once either sign
+  compares below block 0 (a proper prefix counting larger), which more
+  cells of e cannot undo, that image is smaller and the search stays at e.
+  The comparison is carried down the search as state.
+A cycle found is dropped if the state has an image start below it.  Else
+only the images moving to 0 an element x with +-(block of x) = block 0 can
+tie or beat it, the rest starting above; it is kept if none is smaller, and
+its orbit size is 2|G| over its stabilizer, the images among them equal to
+it.  Norm and FV are constant on orbits, and the least cycle of a union of
+orbits is the least of their least cycles, so the least (norm, cycle) of
+largest FV, the witness, is a representative.
 
 A q-chain x is a sum of |x|_1 signed unit cells, so FV(z) is the word
 length of z in the lattice of boundaries over the steps +-(boundary of a
@@ -460,8 +464,13 @@ def _finite_cycles(s, oracle, n: int, node_cap: int) -> tuple[dict, int]:
     nodes visited.
 
     Depth-first over the cells in `_finite_cells` order, choosing the next
-    nonzero cell and its coefficient; the partial boundary is updated and
-    undone in place.  The cuts are argued in the module docstring."""
+    nonzero cell and its coefficient; a step that passes the norm cut
+    updates the partial boundary in place and undoes it after.  Block 0 is
+    the first m0 cells.  The orbit cut of the current element e > 0 is the
+    state (k, tie): tie is the sign s with s * (block of e) equal to the
+    first k cells of block 0, 0 once both signs compare above and None once
+    one compares below; ties holds the (x, s) of earlier elements with
+    s * (block of x) = block 0.  The cuts are argued in the module docstring."""
     dim = s.q - 1
     cells = _finite_cells(s, oracle, dim)
     bases = s.n_cells(dim)
@@ -472,33 +481,47 @@ def _finite_cycles(s, oracle, n: int, node_cap: int) -> tuple[dict, int]:
     last = {f: i for i, bnd in enumerate(bnds) for f, _ in bnd}
     closing = [[(f, d) for f, d in bnd if last[f] == i] for i, bnd in enumerate(bnds)]
     beta = max((sum(abs(c) for _, c in bnd) for bnd in bnds), default=0)
+    to0 = {row.index(0): row for row in oracle.table}   # the row moving x to 0
+    size = 2 * len(to0)
+    end = ((0, bases), 0)   # block 0's end mark: a proper prefix compares larger
     vec = [0] * len(faces)
     picked: list = []
     cycles: dict = {}
-    nodes = reached = 0
+    nodes = reached = m0 = 0
 
-    def block(e, sign=1):
-        # the picked (base, coeff) of element e; the end mark makes a
-        # proper prefix compare larger
-        return [(b, sign * c) for (x, b), c in picked if x == e] + [(bases, 0)]
-
-    def step(j, c, left, bnorm):
+    def step(j, c, left, bnorm, e, k, tie, ties):
         # visit with c on cell j if the norm cut holds; whether it held
+        nonlocal m0
         nb = bnorm
         for f, d in bnds[j]:
             old = vec[f]
-            vec[f] = old + c * d
-            nb += abs(vec[f]) - abs(old)
-        held = nb <= beta * (left - abs(c))
-        if held:
-            picked.append((cells[j], c))
-            visit(j + 1, left - abs(c), nb)
-            picked.pop()
+            nb += abs(old + c * d) - abs(old)
+        if nb > beta * (left - abs(c)):
+            return False
+        x, b = cell = cells[j]
+        if x != e:
+            if not e:
+                m0 = len(picked)
+            elif tie and k == m0:
+                ties += ((e, tie),)
+            # the sign making the first coefficient negative, as in block 0
+            k, tie = 0, -1 if c > 0 else 1
+        if x and tie:
+            (_, b0), c0 = picked[k] if k < m0 else end
+            diff = b - b0 or tie * c - c0
+            if diff:
+                tie = 0 if diff > 0 else None
+            k += 1
+        for f, d in bnds[j]:
+            vec[f] += c * d
+        picked.append((cell, c))
+        visit(j + 1, left - abs(c), nb, k, tie, ties)
+        picked.pop()
         for f, d in bnds[j]:
             vec[f] -= c * d
-        return held
+        return True
 
-    def visit(i, left, bnorm):
+    def visit(i, left, bnorm, k, tie, ties):
         nonlocal nodes, reached
         nodes += 1
         reached = max(reached, n - left)
@@ -507,38 +530,45 @@ def _finite_cycles(s, oracle, n: int, node_cap: int) -> tuple[dict, int]:
                 f"finite cycle enumeration passed {node_cap} nodes, with "
                 f"partial chains reaching norm {reached} of {n} and "
                 f"{len(cycles)} cycle orbits found")
-        if bnorm == 0:
-            # the cells of an image are distinct, so negating keeps its order
+        e = picked[-1][0][0] if picked else 0
+        if bnorm == 0 and tie is not None:
             key = tuple(picked)
-            images = set()
-            for row in oracle.table:
-                image = tuple(sorted([((row[x], b), c) for (x, b), c in key]))
-                images.add(image)
-                images.add(tuple([(cell, -c) for cell, c in image]))
-            if min(images) == key:
-                cycles[key] = (n - left, len(images))
+            # the identity fixes a cycle, and with both signs the zero chain
+            fixed = 1 if key else size
+            for x, sign in ties + ((e, tie),) if tie and k == m0 else ties:
+                row = to0[x]
+                image = tuple(sorted([((row[y], b), sign * c) for (y, b), c in key]))
+                if image < key:
+                    break
+                fixed += image == key
+            else:
+                cycles[key] = (n - left, size // fixed)
         if left == 0:
             return
         stop = len(cells) if picked else bases
-        e = picked[-1][0][0] if picked else 0
-        if e and min(block(e), block(e, -1)) < block(0):
+        if e and tie is None:
             stop = (e + 1) * bases
         for j in range(i, stop):
             if closing[j]:
-                need = {-vec[f] // d if vec[f] % d == 0 else None for f, d in closing[j]}
-                if need == {0}:
-                    continue
-                if len(need) == 1 and None not in need:
-                    step(j, need.pop(), left, bnorm)
+                f, d = closing[j][0]
+                c = -vec[f] // d
+                for f, d in closing[j]:
+                    if vec[f] + c * d:
+                        break
+                else:
+                    if not c:
+                        continue
+                    step(j, c, left, bnorm, e, k, tie, ties)
                 # cell j stays zero from here on, and a closing face with it
                 break
-            signs = (1, -1) if picked else (-1,)
+            up, down = bool(picked), True
             for mag in range(1, left + 1):
-                signs = [sign for sign in signs if step(j, sign * mag, left, bnorm)]
-                if not signs:
+                up = up and step(j, mag, left, bnorm, e, k, tie, ties)
+                down = down and step(j, -mag, left, bnorm, e, k, tie, ties)
+                if not (up or down):
                     break
 
-    visit(0, n, 0)
+    visit(0, n, 0, 0, 0, ())
     return cycles, nodes
 
 

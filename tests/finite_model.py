@@ -41,19 +41,22 @@ def freeze(chain):
     return tuple(sorted(chain.items()))
 
 
+def cycles_of(s, oracle, n):
+    """{cycle: norm} for the cycles of norm at most n, each cycle a sorted
+    ((element, base), coeff) tuple."""
+    dim = s.q - 1
+    cells = _finite_cells(s, oracle, dim)
+    bnds = [_finite_unit_boundary(s, oracle, dim, e, b) for e, b in cells]
+    return {freeze(chain): total for total in range(n + 1)
+            for chain, bnd in chains_of_norm(cells, bnds, total) if not bnd}
+
+
 def sweep(s, oracle, n, fill_cap=24):
     """({cycle: norm}, {cycle: FV}) for the cycles of norm at most n, each
     cycle a sorted ((element, base), coeff) tuple."""
-    dim = s.q - 1
-    cyc_cells = _finite_cells(s, oracle, dim)
-    cyc_bnds = [_finite_unit_boundary(s, oracle, dim, e, b) for e, b in cyc_cells]
     fill_cells = _finite_cells(s, oracle, s.q)
     fill_bnds = [_finite_unit_boundary(s, oracle, s.q, e, b) for e, b in fill_cells]
-    cycles = {}
-    for total in range(n + 1):
-        for chain, bnd in chains_of_norm(cyc_cells, cyc_bnds, total):
-            if not bnd:
-                cycles[freeze(chain)] = total
+    cycles = cycles_of(s, oracle, n)
     fv = {}
     for v in range(fill_cap + 1):
         if len(fv) == len(cycles):

@@ -43,6 +43,20 @@ def test_validate_json(capsys):
     assert len(data["fingerprint"]) == 16
 
 
+def test_validate_csv_has_the_json_fields(capsys):
+    _, out, _ = run(capsys, "validate", "--input", "z2", "--no-cache",
+                    "--format", "json")
+    data = json.loads(out)
+    code, out, _ = run(capsys, "validate", "--input", "z2", "--no-cache",
+                       "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["key", "value"]
+    assert rows == [["fingerprint", data["fingerprint"]], ["dim", "2"],
+                    ["oracle", data["oracle"]],
+                    ["cells_0", "1"], ["cells_1", "2"], ["cells_2", "1"]]
+
+
 def test_enumerate_counts(capsys):
     code, out, _ = run(capsys, "enumerate", "--input", "z2", "--no-cache",
                        "--chain-dim", "1", "--max-norm", "6", "--cycles",
@@ -504,9 +518,9 @@ COMMANDS = {
     "chain2-bound": lambda tmp: ["chain2-bound", "--delta", _delta_file(tmp)],
     "disk-bound": lambda tmp: ["disk-bound", "--delta", _delta_file(tmp), "--parts", "2"],
 }
-# validate prints its human report for csv too, so it is left out there
+# examples has no csv format
 FORMATS = [(name, fmt) for name in COMMANDS for fmt in ("human", "json", "csv")
-           if not (fmt == "csv" and name in ("examples", "validate"))]
+           if not (fmt == "csv" and name == "examples")]
 
 
 @pytest.mark.parametrize("name, fmt", FORMATS, ids=[f"{n}-{f}" for n, f in FORMATS])

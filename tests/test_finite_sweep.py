@@ -44,6 +44,12 @@ TABLES = {
     "s3": (list(itertools.permutations(range(3))),
            lambda p, q: tuple(p[q[i]] for i in range(3)),
            {"a": (1, 0, 2), "b": (0, 2, 1)}, "<a, b | a^2, b^2, a b a b a b>"),
+    "z4": (list(range(4)), lambda p, q: (p + q) % 4, {"a": 1}, "<a | a^4>"),
+    "z6": (list(range(6)), lambda p, q: (p + q) % 6, {"a": 1}, "<a | a^6>"),
+    # (rotation, flip): a flip reverses the rotation that follows it
+    "d4": ([(r, f) for f in (0, 1) for r in range(4)],
+           lambda p, q: ((p[0] + (-1) ** p[1] * q[0]) % 4, (p[1] + q[1]) % 2),
+           {"a": (1, 0), "b": (0, 1)}, "<a, b | a^4, b^2, a b a b>"),
 }
 
 
@@ -79,18 +85,22 @@ def _orbit(key, table):
             for row in table for sign in (1, -1)}
 
 
+def _model_orbits(model_cycles, table):
+    """One cycle per orbit, the least of its images, with (norm, orbit size)."""
+    orbits = {}
+    for key, m in model_cycles.items():
+        images = _orbit(key, table)
+        orbits[min(images)] = (m, len(images))
+    return orbits
+
+
 @pytest.mark.parametrize("group, n", [("zmod2", 6), ("klein", 6), ("s3", 5)])
 def test_sweep_matches_exhaustive_model(group, n):
     s, oracle = GROUPS[group]()
     cycles, nodes = _finite_cycles(s, oracle, n, Budget().node_cap)
     fv, _ = _finite_fillings(s, oracle, cycles, n, Budget(), nodes)
     model_cycles, model_fv = finite_model.sweep(s, oracle, n)
-    # one cycle per orbit, the least of its images, with the orbit's size
-    orbits = {}
-    for key, m in model_cycles.items():
-        images = _orbit(key, oracle.table)
-        orbits[min(images)] = (m, len(images))
-    assert cycles == orbits
+    assert cycles == _model_orbits(model_cycles, oracle.table)
     for k in range(n + 1):
         assert (sum(size for m, size in cycles.values() if m == k)
                 == sum(m == k for m in model_cycles.values()))
@@ -105,6 +115,39 @@ def test_sweep_matches_exhaustive_model(group, n):
         assert wit["cycle"] == [{"element": oracle.elements[e],
                                  "base": s.cell_id(1, base), "coeff": c}
                                 for (e, base), c in key]
+
+
+def _relabelled(group, seed):
+    """The group's table reordered so that the identity leaves index 0, with
+    shuffled labels."""
+    elements, mul, gens, presentation = TABLES[group]
+    rng = random.Random(seed)
+    order = list(elements)
+    while order[0] == elements[0]:
+        rng.shuffle(order)
+    labels = rng.sample([f"x{k}" for k in range(len(elements))], len(elements))
+    return load_input(_group_input(order, mul, gens, presentation, labels))
+
+
+@pytest.mark.parametrize("group, n, seed, sizes", [
+    ("klein", 6, 1, {1, 2, 4, 8}),
+    ("klein", 6, 2, {1, 2, 4, 8}),
+    ("s3", 5, 1, {1, 6, 12}),
+    ("s3", 5, 2, {1, 6, 12}),
+    ("z4", 8, None, {1, 2}),
+    ("z6", 6, None, {1, 2}),
+    ("d4", 4, None, {1, 4, 8, 16}),
+])
+def test_orbit_sizes_match_the_model(group, n, seed, sizes):
+    # a cycle is tested only against the translations moving one of its
+    # elements to element 0, and its orbit size is 2|G| over the images among
+    # them equal to it, with either sign.  Off index 0 the identity is not
+    # element 0; on the cyclic tables the loop around G is fixed by all of G
+    s, oracle = (_relabelled(group, seed) if seed
+                 else load_input(_group_input(*TABLES[group])))
+    cycles, _ = _finite_cycles(s, oracle, n, Budget().node_cap)
+    assert cycles == _model_orbits(finite_model.cycles_of(s, oracle, n), oracle.table)
+    assert {size for _, size in cycles.values()} == sizes
 
 
 @pytest.mark.parametrize("group, n, values", [
@@ -196,6 +239,19 @@ def test_node_cap_in_cycle_enumeration():
                        match=r"finite cycle enumeration passed 100 nodes, "
                              r"with partial chains reaching norm \d+ of 8"):
         finite_profile(s, oracle, 8, Budget(node_cap=100))
+
+
+@pytest.mark.parametrize("group, n, cap, orbits", [
+    ("klein", 8, 100, 18), ("klein", 8, 300, 56),
+    ("s3", 6, 100, 26), ("s3", 6, 300, 53),
+])
+def test_node_cap_pins_the_search_order(group, n, cap, orbits):
+    # the orbits found before the cap fix the order the search visits nodes in
+    with pytest.raises(BudgetExceededError,
+                       match=rf"^finite cycle enumeration passed {cap} nodes, "
+                             rf"with partial chains reaching norm {n} of {n} "
+                             rf"and {orbits} cycle orbits found$"):
+        finite_profile(*GROUPS[group](), n, Budget(node_cap=cap))
 
 
 def test_node_cap_in_filling_sweep():
