@@ -24,8 +24,8 @@ import os
 import tempfile
 
 from .errors import ChainProfileError
-from .profiles import _finite_boundary
-from .skeleton import boundary, chain_from_json, chains_equal, norm
+from .profiles import _check_filling, _finite_boundary
+from .skeleton import chain_from_json, norm
 from .words import _is_int
 
 logger = logging.getLogger(__name__)
@@ -108,13 +108,12 @@ def _values_ok(values, n) -> bool:
 
 
 # A witness check returns (cycle norm, filling norm) when the stored filling
-# bounds the stored cycle, else None.
+# bounds the stored cycle, and raises ChainProfileError when it does not.
 
 def _psi_witness(wit, s, oracle):
     cyc = chain_from_json(wit["cycle"], s, oracle)
     fill = chain_from_json(wit["filling"], s, oracle)
-    if not chains_equal(boundary(fill, s, oracle), cyc, oracle):
-        return None
+    _check_filling(fill, cyc, s, oracle)
     return norm(cyc), norm(fill)
 
 
@@ -135,7 +134,7 @@ def _finite_witness(wit, s, oracle):
     cyc = _finite_chain(wit["cycle"], s.q - 1, s, oracle)
     fill = _finite_chain(wit["filling"], s.q, s, oracle)
     if _finite_boundary(s, oracle, fill) != cyc:
-        return None
+        raise ChainProfileError("finite filling witness failed verification")
     return sum(map(abs, cyc.values())), sum(map(abs, fill.values()))
 
 
@@ -164,7 +163,7 @@ def verify_profile_entry(entry, kind: str, n: int, s, oracle) -> bool:
                     return False
                 continue
             norms = check(wit, s, oracle)
-            if norms is None or norms[0] > k or norms[1] != values[k]:
+            if norms[0] > k or norms[1] != values[k]:
                 return False
         return True
     except _BAD_ENTRY:
@@ -174,7 +173,7 @@ def verify_profile_entry(entry, kind: str, n: int, s, oracle) -> bool:
 def verify_fv_entry(entry, target, s, oracle) -> bool:
     try:
         fill = chain_from_json(entry["filling"], s, oracle)
-        return (_is_int(entry["value"]) and norm(fill) == entry["value"]
-                and chains_equal(boundary(fill, s, oracle), target, oracle))
+        _check_filling(fill, target, s, oracle)
+        return _is_int(entry["value"]) and norm(fill) == entry["value"]
     except _BAD_ENTRY:
         return False

@@ -278,9 +278,9 @@ def _parser() -> argparse.ArgumentParser:
                              "or ~/.cache/chainprofile)")
     common.add_argument("--no-cache", action="store_true",
                         help="compute without reading or writing the cache")
-    common.add_argument("--fill-cap", type=_at_least(0), default=24,
+    common.add_argument("--fill-cap", type=_at_least(0), default=Budget.fill_volume_cap,
                         help="largest filling norm the search will try")
-    common.add_argument("--node-cap", type=_at_least(1), default=1_000_000,
+    common.add_argument("--node-cap", type=_at_least(1), default=Budget.node_cap,
                         help="largest number of search states per query")
     common.add_argument("--workers", type=_at_least(1), default=1,
                         help="worker processes for independent fillings; "

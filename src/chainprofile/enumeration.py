@@ -10,15 +10,16 @@ generation (McKay, J. Algorithms 26, 1998): one walk per orbit, the least
 rotation of the least image, with the deck orbits of its images listed
 beside it.  The group holds the reversal z -> -z, on every skeleton, and on
 a presentation complex each signed permutation of the generators that maps
-the relators onto themselves up to cyclic permutation and inversion.  Such
-a permutation is an automorphism of the presented group (it keeps the
+the relators onto themselves up to cyclic permutation and inversion, as
+the presentation lists them (`Presentation.symmetries`).  Such a
+permutation is an automorphism of the presented group (it keeps the
 normal closure of the relators) that carries relator cells to relator cells
 up to sign, so it is a cellular automorphism of the cover.  Boundaries
 commute with automorphisms and with z -> -z, both preserve norms, and both
 are invertible, so they map the least fillings of z onto those of its
 image: every cycle of an orbit has one filling volume.  An oracle whose
 group may be a quotient (`presents_group` false: a finite table) gets the
-reversal alone, as does a group of more than `_MAX_SYMMETRIES` elements.
+reversal alone, as does a presentation past the caps of its symmetry search.
 A walk carries the oracle's state of its vertex (`WordOracle.step`), not
 its vertex word, so that with normal forms it meets a vertex again without
 asking the oracle.
@@ -43,7 +44,6 @@ Undecided verdict stops the enumeration with OracleUndecidedError.
 
 from __future__ import annotations
 
-import weakref
 from functools import partial
 
 from .errors import BudgetExceededError, InputError
@@ -54,7 +54,6 @@ from .skeleton import (
     build_chain,
     identity_word,
     is_connected,
-    is_presentation_complex,
     norm,
 )
 from .words import (
@@ -221,112 +220,18 @@ class _IdEngine:
 
 # ------------------------------------------------- closed walks (1-cycles)
 
-# skeleton -> label maps of its signed generator permutations, identity
-# first; filled lazily
-_SYMMETRIES = weakref.WeakKeyDictionary()
-_MAX_SYMMETRIES = 64          # a larger group falls back to the identity
-_MAX_SYMMETRY_NODES = 10_000  # and so does a longer backtracking search
-
-
-def _cyclic_class(letters):
-    """The least rotation of the cyclic reduction of a reduced word or its
-    inverse: relators of one class bound cells whose boundaries agree up to
-    translation and sign."""
-    while len(letters) > 1 and letters[0] == (letters[-1][0], -letters[-1][1]):
-        letters = letters[1:-1]
-    inverse = tuple((g, -e) for g, e in reversed(letters))
-    return min(w[i:] + w[:i] for w in (letters, inverse) for i in range(len(w)))
-
-
-def _forced_images(r, form):
-    """generator -> (image generator, sign) mapping the word r onto form,
-    or None when r has a generator that no one image would do for."""
-    out = {}
-    for (g, e), (j, f) in zip(r, form):
-        if out.setdefault(g, (j, e * f)) != (j, e * f):
-            return None
-    return out
-
-
-def _relator_symmetries(p):
-    """The signed generator permutations that map the relators onto
-    themselves up to cyclic permutation and inversion, each as a dict
-    generator -> (image generator, sign); None past the caps.
-
-    Backtracking over generator images, relator by relator: the image of a
-    relator's class word is a rotation of a class word or its inverse, and
-    each rotation forces the images of the relator's generators.  The word
-    is first rotated to start at a generator placed already, whose image
-    fixes the first letter.  The generators in no relator then go to each
-    other freely."""
-    rels = [_cyclic_class(r.letters) for r in p.relators]
-    forms = {}  # length -> rotations of the class words and their inverses
-    for r in rels:
-        inverse = tuple((g, -e) for g, e in reversed(r))
-        forms.setdefault(len(r), set()).update(
-            w[i:] + w[:i] for w in (r, inverse) for i in range(len(r)))
-    forms = {n: sorted(ws) for n, ws in forms.items()}
-    loose = [g for g in range(len(p.generators)) if all(g != h for r in rels for h, _ in r)]
-    image, found, nodes = {}, [], 0
-
-    def place(i):
-        """Extend image over relator i on; False once a cap is passed."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > _MAX_SYMMETRY_NODES or len(found) > _MAX_SYMMETRIES:
-            return False
-        taken = {j for j, _ in image.values()}
-        if i < len(rels):
-            r = rels[i]
-            at = next((x for x, (g, _) in enumerate(r) if g in image), 0)
-            r = r[at:] + r[:at]
-            head = image.get(r[0][0])
-            for form in forms[len(r)]:
-                if head is not None and form[0] != (head[0], head[1] * r[0][1]):
-                    continue
-                want = _forced_images(r, form)
-                if want is None or any(image.get(g, w) != w for g, w in want.items()):
-                    continue
-                new = {g: w for g, w in want.items() if g not in image}
-                if len({j for j, _ in new.values()} - taken) < len(new):
-                    continue
-                image.update(new)
-                if not place(i + 1):
-                    return False
-                for g in new:
-                    del image[g]
-        elif i - len(rels) < len(loose):
-            g = loose[i - len(rels)]
-            for j in (j for j in loose if j not in taken):
-                for e in (1, -1):
-                    image[g] = (j, e)
-                    if not place(i + 1):
-                        return False
-                    del image[g]
-        elif sorted(_cyclic_class(tuple((image[g][0], image[g][1] * e) for g, e in r))
-                    for r in rels) == sorted(rels):
-            found.append(dict(image))
-        return True
-
-    return found if place(0) and len(found) <= _MAX_SYMMETRIES else None
-
-
 def _symmetries(s, oracle):
     """Label maps of the signed generator permutations the walks may use,
-    identity first.
-
-    Only on a presentation complex, where edge i is generator i, and only
-    when the oracle's group is the presented one (`presents_group`), whose
+    identity first: those of `Presentation.symmetries`, but only on a
+    presentation complex, where edge i is generator i, and only when the
+    oracle's group is the presented one (`presents_group`), whose
     automorphisms these are: a quotient, such as a finite table may
     describe, need not be preserved by them."""
-    maps = _SYMMETRIES.get(s)
-    if maps is None:
-        identity = {(edge, e): (edge, e) for edge in range(s.n_cells(1)) for e in (1, -1)}
-        perms = _relator_symmetries(s.presentation) if is_presentation_complex(s) else None
-        maps = _SYMMETRIES[s] = [identity] + [
-            g for g in ({(x, e): (j, sign * e) for x, (j, sign) in perm.items()
-                         for e in (1, -1)} for perm in perms or ()) if g != identity]
-    return maps if oracle.presents_group else maps[:1]
+    identity = {(edge, e): (edge, e) for edge in range(s.n_cells(1)) for e in (1, -1)}
+    use = oracle.presents_group and s.is_presentation_complex
+    perms = s.presentation.symmetries[1:] if use else ()
+    return [identity] + [{(x, e): (j, sign * e) for x, (j, sign) in perm.items()
+                          for e in (1, -1)} for perm in perms]
 
 
 def _least_rotation(labels):

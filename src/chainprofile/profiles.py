@@ -4,18 +4,20 @@ Unique fillings.  When the complex is the presentation complex of one
 cyclically reduced relator r that is not a proper power, the complex is
 aspherical (Lyndon's identity theorem, Ann. of Math. 52, 1950): the
 boundary map is injective on finite 2-chains of the cover, so every 1-cycle
-has exactly one filling and that filling is the least.  The code checks this
-gate once per skeleton, and on every call that the oracle's group is the
-presented one rather than a quotient (`presents_group`; a finite table may
-be one), so that the complex is the universal cover.  Inside it the filling
-is derived without search, in the manner of Dehn's algorithm (Lyndon-Schupp,
+has exactly one filling and that filling is the least.  The presentation
+answers the gate (`Presentation.aspherical`) and the skeleton whether it is
+the presentation complex (`SkeletonSpec.is_presentation_complex`), each
+once; every call asks the oracle whether its group is the presented one
+rather than a quotient (`presents_group`; a finite table may be one), so
+that the complex is the universal cover.  Inside it the filling is derived
+without search, in the manner of Dehn's algorithm (Lyndon-Schupp,
 Combinatorial Group Theory, V): the cycle splits into closed walks of the
 Cayley graph, and each walk label is rewritten to the empty word by rules
 p -> q^-1, one for each cyclic form p q of r or r^-1 with p longer than q,
 or as long with q^-1 shortlex-smaller: the presentation's `RelatorRules`,
-one table that the bounded-bfs oracle's Dehn path reads too.  Each step
-adds one relator cell at the current prefix and lowers the word in
-shortlex order.  The longer-half rules decide C'(1/6) groups such as the
+whose one table and one rewrite loop the bounded-bfs oracle's Dehn path
+uses too.  Each step adds one relator cell at the current prefix and
+lowers the word in shortlex order.  The longer-half rules decide C'(1/6) groups such as the
 genus-two surface; the half rules sort grid words.  The rules are not
 complete for every one-relator group: a walk they leave nonempty sends the
 cycle to the search.
@@ -95,7 +97,6 @@ have distinct ints and adding ints adds vectors.
 from __future__ import annotations
 
 import logging
-import weakref
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -116,16 +117,11 @@ from .skeleton import (
     chain_to_json,
     chains_equal,
     coboundary,
-    is_presentation_complex,
     norm,
     skeleton_fingerprint,
     zero_chain,
 )
-from .words import (
-    Word,
-    _reduce_letters,
-    compose,
-)
+from .words import Word, compose
 
 logger = logging.getLogger(__name__)
 
@@ -237,27 +233,12 @@ def _search_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Ch
 
 # ------------------------------------------------ unique fillings by rewriting
 
-# skeleton -> its rewriting rules, or None outside the gate; filled lazily
-_RULES = weakref.WeakKeyDictionary()
-
-
 def _rewriting_rules(s):
     """The rules of s's presentation (`Presentation.rules`), or None outside
-    the gate: s is the presentation complex of a presentation whose one
-    relator is cyclically reduced and not a proper power."""
-    if s in _RULES:
-        return _RULES[s]
-    rules = None
+    the gate: s is the presentation complex of a presentation that passes
+    Lyndon's gate (`Presentation.aspherical`)."""
     p = s.presentation
-    if s.q == 2 and len(p.relators) == 1:
-        r = p.relators[0].letters
-        n = len(r)
-        cyclic = r[0] != (r[-1][0], -r[-1][1])
-        power = any(n % d == 0 and r == r[:d] * (n // d) for d in range(1, n))
-        if cyclic and not power and is_presentation_complex(s):
-            rules = p.rules
-    _RULES[s] = rules
-    return rules
+    return p.rules if p.aspherical and s.is_presentation_complex else None
 
 
 def _rewritten_filling(cycle: Chain, s, oracle, rules, budget: Budget):
@@ -274,18 +255,16 @@ def _rewritten_filling(cycle: Chain, s, oracle, rules, budget: Budget):
     steps = 0
     cells = []
     for start, w in _cycle_walks(cycle, oracle, gens):
-        while w:
-            found = rules.leftmost(w)
-            if found is None:
+        for step in rules.rewrite(w):
+            if step is None:
                 return None
             steps += 1
             if steps > budget.node_cap:
                 raise BudgetExceededError(
                     f"filling rewriting took more than {budget.node_cap} steps")
-            i, k, (tail, base, sign, offset) = found
-            at = compose(Word(gens, w[:i]), Word(gens, offset))
+            prefix, (_, base, sign, offset) = step
+            at = compose(Word(gens, prefix), Word(gens, offset))
             cells.append((LiftedCell(2, base, compose(start, at)), sign))
-            w = _reduce_letters(w[:i] + tail + w[i + k:])
     return build_chain(2, cells, oracle)
 
 

@@ -26,6 +26,7 @@ import itertools
 import json
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError, InvalidSkeletonError
 from .words import (
@@ -143,6 +144,13 @@ class SkeletonSpec:
     def n_cells(self, dim: int) -> int:
         return len(self.ids[dim])
 
+    @cached_property
+    def is_presentation_complex(self) -> bool:
+        """Whether this is `presentation_complex` of its own presentation,
+        worked out on first use."""
+        pc = presentation_complex(self.presentation)
+        return (self.ids, self.boundaries) == (pc.ids, pc.boundaries)
+
     def cell_id(self, dim: int, base: int) -> str:
         return self.ids[dim][base]
 
@@ -200,12 +208,6 @@ def presentation_complex(p: Presentation) -> SkeletonSpec:
 
 def identity_word(gens) -> Word:
     return Word(tuple(gens), ())
-
-
-def is_presentation_complex(s: SkeletonSpec) -> bool:
-    """Whether s is `presentation_complex` of its own presentation."""
-    pc = presentation_complex(s.presentation)
-    return (s.ids, s.boundaries) == (pc.ids, pc.boundaries)
 
 
 # ------------------------------------------------------------ canonical form

@@ -7,6 +7,11 @@ reduced where they enter: `parse_word`, `make_presentation`, `SkeletonSpec`
 boundary terms, `build_chain` and each oracle's `is_trivial`; an oracle's
 `normalize` must return a reduced word.
 
+A `Presentation` answers, once each, what its relators say: their cyclic
+forms (`relator_forms`; no other module rotates relators), rewriting
+rules and classes, Lyndon's gate for unique fillings (`aspherical`) and
+the signed generator permutations that keep them (`symmetries`).
+
 Oracles answer the word problem for the group presented by a presentation.
 A verdict is Trivial, Nontrivial, or Undecided; Undecided means the oracle's
 budget or scope ran out, never that the answer is unknowable.  Soundness of
@@ -184,8 +189,13 @@ def parse_word(text: str, gens: tuple[str, ...]) -> Word:
     return Word(gens, _reduce_letters(letters))
 
 
+_MAX_SYMMETRIES = 64          # a larger group falls back to the identity
+_MAX_SYMMETRY_NODES = 10_000  # and so does a longer backtracking search
+
+
 @dataclass(frozen=True)
 class Presentation:
+    """Generators and relators, and what the relators say."""
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
 
@@ -194,9 +204,113 @@ class Presentation:
         return f"<{', '.join(self.generators)} | {rels}>"
 
     @cached_property
+    def forms(self) -> tuple:
+        """`relator_forms` of each relator, in order."""
+        return tuple(relator_forms(r) for r in self.relators)
+
+    @cached_property
     def rules(self) -> "RelatorRules":
-        """The rewriting rules of the relators, built on first use."""
-        return RelatorRules(self.relators)
+        """The rewriting rules of the relators."""
+        return RelatorRules(self.forms)
+
+    @cached_property
+    def classes(self) -> tuple:
+        """The least cyclic form of the cyclic reduction of each relator, in
+        order: relators of one class bound cells whose boundaries agree up
+        to translation and sign."""
+        out = []
+        for r in self.relators:
+            x = r.letters
+            while len(x) > 1 and x[0] == (x[-1][0], -x[-1][1]):
+                x = x[1:-1]
+            out.append(min(form for form, _, _ in relator_forms(Word(r.gens, x))))
+        return tuple(out)
+
+    @cached_property
+    def aspherical(self) -> bool:
+        """Lyndon's gate: one relator, cyclically reduced and not a proper
+        power, so equal to none of its other rotations; the presentation
+        complex is then aspherical (Lyndon, Ann. of Math. 52, 1950)."""
+        if len(self.relators) != 1:
+            return False
+        r = self.relators[0].letters
+        rotations = [form for form, sign, _ in self.forms[0] if sign > 0]
+        return len(self.classes[0]) == len(r) and rotations.count(r) == 1
+
+    @cached_property
+    def symmetries(self) -> tuple:
+        """The signed generator permutations that map the relators onto
+        themselves up to cyclic permutation and inversion, automorphisms of
+        the presented group, each a dict generator -> (image generator,
+        sign); the identity first, and alone past the caps.
+
+        Backtracking relator by relator: the image of a relator's class,
+        rotated to start at a generator placed already, is a rotation of a
+        class or its inverse, which forces the images of its generators.
+        The generators in no relator then go to each other freely."""
+        gens = self.generators
+        rels = self.classes
+        # each rotation of a class or its inverse -> the class, and by length
+        cls = {form: r for r in rels for form, _, _ in relator_forms(Word(gens, r))}
+        by_length = {}
+        for form in sorted(cls):
+            by_length.setdefault(len(form), []).append(form)
+        loose = [g for g in range(len(gens)) if all(g != h for r in rels for h, _ in r)]
+        image, found, nodes = {}, [], 0
+
+        def place(i):
+            """Extend image over relator i on; False once a cap is passed."""
+            nonlocal nodes
+            nodes += 1
+            if nodes > _MAX_SYMMETRY_NODES or len(found) > _MAX_SYMMETRIES:
+                return False
+            taken = {j for j, _ in image.values()}
+            if i < len(rels):
+                r = rels[i]
+                at = next((x for x, (g, _) in enumerate(r) if g in image), 0)
+                r = r[at:] + r[:at]
+                head = image.get(r[0][0])
+                for form in by_length[len(r)]:
+                    if head is not None and form[0] != (head[0], head[1] * r[0][1]):
+                        continue
+                    want = _forced_images(r, form)
+                    if want is None or any(image.get(g, w) != w for g, w in want.items()):
+                        continue
+                    new = {g: w for g, w in want.items() if g not in image}
+                    if len({j for j, _ in new.values()} - taken) < len(new):
+                        continue
+                    image.update(new)
+                    if not place(i + 1):
+                        return False
+                    for g in new:
+                        del image[g]
+            elif i - len(rels) < len(loose):
+                g = loose[i - len(rels)]
+                for j in (j for j in loose if j not in taken):
+                    for e in (1, -1):
+                        image[g] = (j, e)
+                        if not place(i + 1):
+                            return False
+                        del image[g]
+            elif sorted(cls[tuple((image[g][0], image[g][1] * e) for g, e in r)]
+                        for r in rels) == sorted(rels):
+                found.append(dict(image))
+            return True
+
+        identity = {g: (g, 1) for g in range(len(gens))}
+        if not place(0) or len(found) > _MAX_SYMMETRIES:
+            return (identity,)
+        return (identity,) + tuple(g for g in found if g != identity)
+
+
+def _forced_images(r, form):
+    """generator -> (image generator, sign) mapping the letters r onto form,
+    or None when r has a generator that no one image would do for."""
+    out = {}
+    for (g, e), (j, f) in zip(r, form):
+        if out.setdefault(g, (j, e * f)) != (j, e * f):
+            return None
+    return out
 
 
 def relator_forms(r: Word):
@@ -227,13 +341,13 @@ class RelatorRules:
     of a path from x adds sign times the cell of r at x u offset (see
     `relator_forms`).  A rule whose head is longer than half its relator
     shortens the word; the half rules only lower it in shortlex order.
-    Built from letter tuples of cyclically reduced relators.
+    Built from `Presentation.forms`.
     """
 
-    def __init__(self, relators):
+    def __init__(self, forms):
         self.rules: dict = {}
-        for index, r in enumerate(relators):
-            for form, sign, offset in relator_forms(r):
+        for index, relator in enumerate(forms):
+            for form, sign, offset in relator:
                 n = len(form)
                 for k in range((n + 1) // 2, n + 1):
                     head, tail = form[:k], _invert_letters(form[k:])
@@ -241,17 +355,26 @@ class RelatorRules:
                         self.rules.setdefault(head, (tail, index, sign, offset))
         self.lengths = sorted({len(head) for head in self.rules}, reverse=True)
 
-    def leftmost(self, w, shortening=False):
-        """(position, length, rule) of the leftmost rule applying to the
-        letters w, longest head first, or None; with `shortening` only the
-        rules whose head is longer than half its relator."""
-        n = len(w)
-        for i in range(n):
-            for k in self.lengths:
-                rule = self.rules.get(w[i:i + k]) if i + k <= n else None
-                if rule is not None and (not shortening or len(rule[0]) < k):
-                    return i, k, rule
-        return None
+    def rewrite(self, w, shortening=False):
+        """Rewrite the letters w by the leftmost rule, longest head first,
+        until they are empty; with `shortening` only by the rules whose head
+        is longer than half its relator.  Yields (letters before the head,
+        rule) per step, and a last None if no rule applies to a word left."""
+        while w:
+            n = len(w)
+            for i in range(n):
+                for k in self.lengths:
+                    rule = self.rules.get(w[i:i + k]) if i + k <= n else None
+                    if rule is not None and (not shortening or len(rule[0]) < k):
+                        break
+                else:
+                    continue
+                break
+            else:
+                yield None
+                return
+            yield w[:i], rule
+            w = _reduce_letters(w[:i] + rule[0] + w[i + k:])
 
 
 def small_cancellation_c6(relators) -> bool:
@@ -486,18 +609,13 @@ class FreeAbelianOracle(WordOracle):
 
     @cached_property
     def presents_group(self) -> bool:
-        """Whether each relator is a rotation of a commutator x^e y^f x^-e
-        y^-f of two distinct generators, and each pair of generators has
-        one: the presented group is then free abelian on them."""
-        pairs = set()
-        for r in self.presentation.relators:
-            x = r.letters
-            if not (len(x) == 4 and x[0][0] != x[1][0]
-                    and x[2] == (x[0][0], -x[0][1]) and x[3] == (x[1][0], -x[1][1])):
-                return False
-            pairs.add(frozenset((x[0][0], x[1][0])))
-        n = len(self.presentation.generators)
-        return len(pairs) == n * (n - 1) // 2
+        """Whether the relators are, up to cyclic reduction, rotation and
+        inversion (`Presentation.classes`), the commutators x y x^-1 y^-1
+        of distinct generators, each pair of generators at least once: the
+        presented group is then free abelian on them."""
+        pairs = itertools.combinations(range(len(self.presentation.generators)), 2)
+        return set(self.presentation.classes) == {
+            ((i, -1), (j, -1), (i, 1), (j, 1)) for i, j in pairs}
 
     def normalize(self, w: Word) -> Word:
         letters = []
@@ -665,10 +783,12 @@ class BoundedBFSOracle(WordOracle):
             raise InputError(f"node_cap must be an integer >= 1, got {node_cap!r}")
         self.radius = radius
         self.policy = policy
-        self.sufficient_len = sufficient_len
+        # null is the default gate, under its one name
+        self.sufficient_len = "auto" if sufficient_len is None else sufficient_len
         self.node_cap = node_cap
         self.maxrel = max((len(r.letters) for r in presentation.relators), default=0)
-        self._forms = self._symmetrized_forms()
+        self._forms = tuple(sorted({form for forms in presentation.forms
+                                    for form, _, _ in forms}))
         self._lattice = IntegerLattice(
             [exponent_vector(r) for r in presentation.relators],
             len(presentation.generators))
@@ -679,10 +799,6 @@ class BoundedBFSOracle(WordOracle):
     def name(self) -> str:
         return (f"bounded-bfs:radius={self.radius}:policy={self.policy}"
                 f":sufficient={self.sufficient_len}:cap={self.node_cap}")
-
-    def _symmetrized_forms(self):
-        return tuple(sorted({form for r in self.presentation.relators
-                             for form, _, _ in relator_forms(r) if form}))
 
     def start(self):
         return (0,) * len(self.presentation.generators)
@@ -704,7 +820,7 @@ class BoundedBFSOracle(WordOracle):
     def _gate(self, length: int, r: int) -> bool:
         if self.sufficient_len == "all":
             return True
-        if self.sufficient_len == "auto" or self.sufficient_len is None:
+        if self.sufficient_len == "auto":
             return r >= max(2 * length, 2 * self.maxrel)
         return length <= self.sufficient_len
 
@@ -756,13 +872,8 @@ class BoundedBFSOracle(WordOracle):
         return OracleVerdict.TRIVIAL if verdict else OracleVerdict.NONTRIVIAL
 
     def _dehn_verdict(self, u) -> OracleVerdict:
-        rules = self.presentation.rules
-        while u:
-            found = rules.leftmost(u, shortening=True)
-            if found is None:
-                return OracleVerdict.NONTRIVIAL
-            i, k, (tail, _, _, _) = found
-            u = _reduce_letters(u[:i] + tail + u[i + k:])
+        if None in self.presentation.rules.rewrite(u, shortening=True):
+            return OracleVerdict.NONTRIVIAL
         return OracleVerdict.TRIVIAL
 
 

@@ -26,6 +26,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def test_a_query_without_caps_gets_the_default_budget():
+    from chainprofile.cli import _budget, _parser
+
+    assert _budget(_parser().parse_args(["psi", "--input", "z2", "-n", "4"])) == Budget()
+
+
 def test_examples_listing(capsys):
     code, out, _ = run(capsys, "examples")
     assert code == 0

@@ -1,5 +1,6 @@
 """Connected-chain enumeration checked against the independent grid model."""
 
+import itertools
 import random
 
 import pytest
@@ -377,6 +378,44 @@ def test_symmetry_group_is_capped(gens, size):
     # 3! * 2^3 = 48 are kept, and 4! * 2^4 = 384 are past the cap
     p = parse_presentation(f"<{gens} |>")
     assert len(_symmetries(presentation_complex(p), FreeOracle(p))) == size
+
+
+def _brute_class(letters):
+    """The least rotation of the cyclic reduction of the letters or their
+    inverse, by listing every rotation."""
+    while len(letters) > 1 and letters[0] == (letters[-1][0], -letters[-1][1]):
+        letters = letters[1:-1]
+    inverse = tuple((g, -e) for g, e in reversed(letters))
+    return min(w[i:] + w[:i] for w in (letters, inverse) for i in range(len(w)))
+
+
+def brute_symmetries(p):
+    """Every signed generator permutation that maps the relator classes,
+    with their multiplicities, onto themselves, found by trying them all."""
+    n = len(p.generators)
+    want = sorted(_brute_class(r.letters) for r in p.relators)
+    out = []
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            image = {g: (perm[g], signs[g]) for g in range(n)}
+            got = sorted(_brute_class(tuple((image[g][0], image[g][1] * e) for g, e in r.letters))
+                         for r in p.relators)
+            if got == want:
+                out.append(image)
+    return out
+
+
+@pytest.mark.parametrize("name", ["z2", "f2", "surface2", "z3", "grid2", "abab"])
+def test_symmetries_match_the_brute_force_model(name):
+    if name == "abab":
+        p = parse_presentation("<a, b | a b a b>")
+    else:
+        p = INPUTS[name]()[0].presentation
+    got = p.symmetries
+    assert got[0] == {g: (g, 1) for g in range(len(p.generators))}
+    assert len({tuple(sorted(g.items())) for g in got}) == len(got)
+    assert (sorted(tuple(sorted(g.items())) for g in got)
+            == sorted(tuple(sorted(g.items())) for g in brute_symmetries(p)))
 
 
 @pytest.mark.parametrize("name,max_norm,want", [

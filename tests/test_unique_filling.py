@@ -53,6 +53,20 @@ def face_boundary(s, oracle, words):
     return boundary(faces, s, oracle)
 
 
+def test_presentation_complex_is_built_once_per_skeleton(monkeypatch):
+    # the walks' symmetries and the filling gate share one check of the
+    # skeleton against its presentation complex
+    from chainprofile import profiles, skeleton
+
+    s, oracle = load_example("z2")
+    built = []
+    real = skeleton.presentation_complex
+    monkeypatch.setattr(skeleton, "presentation_complex", lambda p: built.append(p) or real(p))
+    profiles.psi_table(s, oracle, 8)
+    minimal_filling(face_boundary(s, oracle, ["1", "a"]), s, oracle)
+    assert built == [s.presentation]
+
+
 def test_gate_admits_the_bundled_one_relator_inputs():
     for name in ("z2", "surface2"):
         s, _ = load_example(name)

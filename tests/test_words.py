@@ -377,7 +377,23 @@ def test_bounded_bfs_config_bounds_are_accepted():
                           ("sufficient_len", "all"), ("sufficient_len", None),
                           ("sufficient_len", 0), ("node_cap", 1)):
         o = oracle_from_config(p, {"kind": "bounded-bfs", option: value})
-        assert getattr(o, option) == value
+        # null is the default gate, stored under its one name
+        want = "auto" if (option, value) == ("sufficient_len", None) else value
+        assert getattr(o, option) == want
+
+
+def test_null_and_auto_sufficiency_name_one_oracle():
+    # one gate, so one name, one fingerprint and one cache entry
+    from chainprofile.inputs import load_input
+    from chainprofile.skeleton import skeleton_fingerprint
+
+    loaded = [load_input({"dim": 2, "presentation": "<a, b | a b a b>",
+                          "oracle": {"kind": "bounded-bfs", "sufficient_len": v}})
+              for v in (None, "auto")]
+    (s, null), (_, auto) = loaded
+    assert null.name == auto.name == BoundedBFSOracle(s.presentation).name
+    assert "sufficient=auto" in null.name
+    assert len({skeleton_fingerprint(*pair) for pair in loaded}) == 1
 
 
 def test_oracle_names_distinguish_configs():
