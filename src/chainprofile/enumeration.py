@@ -40,6 +40,9 @@ translation-invariant signature.  `_Elements` settles the ids: a word's
 normal form when the oracle has them; otherwise its exact spelling, and
 then `same_element` among the words that share its oracle state, so an
 Undecided verdict stops the enumeration with OracleUndecidedError.
+
+The engine, the grower and the walks read the incidences the skeleton
+builds once: `SkeletonSpec.cofaces`, `unit_norms` and `edge_steps`.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from .skeleton import (
     build_chain,
     identity_word,
     is_connected,
-    norm,
 )
 from .words import (
     Word,
@@ -64,11 +66,6 @@ from .words import (
     same_element,
     word_key,
 )
-
-
-def _unit_boundary_norm(s, dim: int) -> int:
-    """Largest boundary norm of a single cell of the given dimension."""
-    return max((norm(s.boundary_chain(dim, b)) for b in range(s.n_cells(dim))), default=0)
 
 
 # --------------------------------------------------------------- chain engine
@@ -89,17 +86,11 @@ class _IdEngine:
         self._cob = {}
         self.seen = set()
         self.e = self.intern(identity_word(s.presentation.generators))
-        self.base_bnd = []
-        for base in range(s.n_cells(dim)):
-            self.base_bnd.append(tuple(
-                (bc.base, self.intern(bc.word), n)
-                for bc, n in s.boundary_chain(dim, base).terms))
-        # cells of dimension dim reachable through a shared boundary cell:
-        # for each base cell, its stored boundary terms grouped for the scan
-        self._down = {}
-        for tbase, terms in enumerate(self.base_bnd):
-            for hbase, hwid, _ in terms:
-                self._down.setdefault(hbase, []).append((tbase, hwid))
+        self.base_bnd = [tuple((bc.base, self.intern(bc.word), n) for bc, n in bnd.terms)
+                         for bnd in s.boundaries[dim]]
+        # the cofaces' words are the boundary words above, so each is a hit
+        self.cofaces = [tuple((upper, self.intern(h)) for upper, h, _ in terms)
+                        for terms in s.cofaces[dim - 1]]
 
     def intern(self, word) -> int:
         w = self.elements.rep(0, word)
@@ -144,58 +135,11 @@ class _IdEngine:
         if out is None:
             bbase, bwid = bcell
             found = {}
-            for tbase, hwid in self._down.get(bbase, ()):
-                found[(tbase, self.compose(bwid, self.invert(hwid)))] = None
+            for upper, hwid in self.cofaces[bbase]:
+                found[(upper, self.compose(bwid, self.invert(hwid)))] = None
             out = tuple(found)
             self._cob[bcell] = out
         return out
-
-    def seed(self, base: int, sign: int):
-        bnd = {cell: n * sign for cell, n in self.unit_boundary(base, self.e)}
-        return (((base, self.e), sign),), bnd, sum(abs(v) for v in bnd.values())
-
-    def candidates(self, chain, bnd):
-        """Sorted ((cell, sign), on support) moves: each support cell in the
-        sign it has, and each cell off the support that touches the boundary
-        in both signs."""
-        out = {(cell, 1 if n > 0 else -1): True for cell, n in chain}
-        support = {cell for cell, _ in chain}
-        for bcell in bnd:
-            for cell in self.adjacent_cells(bcell):
-                if cell not in support:
-                    out[(cell, 1)] = out[(cell, -1)] = False
-        return sorted(out.items())
-
-    def norm_change(self, bnd, move):
-        """The change in the norm of bnd that adding the move's boundary
-        makes, and the move's boundary norm; bnd is left alone."""
-        cell, sign = move
-        delta = unit_norm = 0
-        for bcell, c in self.unit_boundary(*cell):
-            c *= sign
-            unit_norm += abs(c)
-            old = bnd.get(bcell, 0)
-            delta += abs(old + c) - abs(old)
-        return delta, unit_norm
-
-    def add_boundary(self, bnd, move):
-        """A copy of bnd plus the boundary of the move."""
-        cell, sign = move
-        out = dict(bnd)
-        for bcell, c in self.unit_boundary(*cell):
-            v = out.get(bcell, 0) + c * sign
-            if v:
-                out[bcell] = v
-            else:
-                del out[bcell]
-        return out
-
-    def add_unit(self, chain, move):
-        """chain + sign on cell, keeping terms sorted by cell."""
-        cell, sign = move
-        out = dict(chain)
-        out[cell] = out.get(cell, 0) + sign
-        return tuple(sorted((c, n) for c, n in out.items() if n))
 
     def is_new(self, chain) -> bool:
         """Record the orbit of chain; False if it was seen before."""
@@ -253,31 +197,12 @@ def _orbit_images(labels, maps):
     return tuple(sorted(images))
 
 
-def _walk_steps(s):
-    """label -> (vertex, next vertex, step word, edge offset).
-
-    An edge with boundary -(w0, v0) + (w1, v1) steps from v0 to v1 by the
-    word w0^-1 w1 under label (edge, +1), and back under (edge, -1); the
-    edge sits at the vertex word times the offset.
-    """
-    e = identity_word(s.presentation.generators)
-    loop = [(LiftedCell(0, 0, e), 0)] * 2  # ends merged at load; any vertex will do
-    out = {}
-    for edge in range(s.n_cells(1)):
-        ends = sorted(s.boundary_chain(1, edge).terms, key=lambda t: t[1])
-        (tail, _), (head, _) = ends or loop
-        for label, a, b in (((edge, 1), tail, head), ((edge, -1), head, tail)):
-            off = invert(a.word)
-            out[label] = (a.base, b.base, compose(off, b.word), off)
-    return out
-
-
-def _walk_chain(s, oracle, steps, labels) -> Chain:
+def _walk_chain(s, oracle, labels) -> Chain:
     """The 1-cycle of the closed walk with these labels from the identity."""
     p = identity_word(s.presentation.generators)
     cells = []
     for edge, sign in labels:
-        _, _, w, off = steps[(edge, sign)]
+        _, _, w, off = s.edge_steps[(edge, sign)]
         cells.append((LiftedCell(1, edge, compose(p, off)), sign))
         p = compose(p, w)
     return build_chain(1, cells, oracle)
@@ -303,7 +228,7 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
     Returns {n: [images, ...]}, images as `_orbit_images` gives them; the
     first, the walk itself, is the orbit's representative.
     """
-    steps = _walk_steps(s)
+    steps = s.edge_steps
     maps = _symmetries(s, oracle)
     exact = oracle.has_normal_forms
     moves = {}  # vertex -> [(label, next vertex, step word)]
@@ -383,13 +308,14 @@ def reachable_chains(s, oracle, dim: int, max_norm: int,
     if dim < 1 or dim > s.q:
         raise InputError(f"enumeration dimension {dim} outside 1..{s.q}")
     eng = _IdEngine(s, oracle, dim)
-    beta = _unit_boundary_norm(s, dim)
+    beta = s.unit_norms[dim]
     frontier = []
     for base in range(s.n_cells(dim)):
         for sign in (1, -1):
-            chain, bnd, bnorm = eng.seed(base, sign)
+            chain = (((base, eng.e), sign),)
+            bnd = {cell: n * sign for cell, n in eng.unit_boundary(base, eng.e)}
             if eng.is_new(chain):
-                frontier.append((chain, bnd, bnorm))
+                frontier.append((chain, bnd, sum(map(abs, bnd.values()))))
     out = {}
     processed = 0
     for n in range(1, max_norm + 1):
@@ -407,15 +333,37 @@ def reachable_chains(s, oracle, dim: int, max_norm: int,
                 raise BudgetExceededError(
                     f"chain enumeration expanded more than {node_cap} chains, "
                     f"reaching norm {n} of {max_norm}")
-            for move, on_support in eng.candidates(chain, bnd):
-                delta, unit_norm = eng.norm_change(bnd, move)
+            # the moves: each support cell in the sign it has, and each cell
+            # off the support that touches the boundary, in both signs
+            support = dict(chain)
+            moves = {(cell, 1 if c > 0 else -1): True for cell, c in chain}
+            for bcell in bnd:
+                for cell in eng.adjacent_cells(bcell):
+                    if cell not in support:
+                        moves[(cell, 1)] = moves[(cell, -1)] = False
+            for (cell, sign), on_support in sorted(moves.items()):
+                # the change the unit makes in the boundary norm, and its own
+                unit = eng.unit_boundary(*cell)
+                delta = unit_norm = 0
+                for bcell, c in unit:
+                    c *= sign
+                    unit_norm += abs(c)
+                    old = bnd.get(bcell, 0)
+                    delta += abs(old + c) - abs(old)
                 if not on_support and delta >= unit_norm:
                     continue
                 if cycle_target and bnorm + delta > beta * (max_norm - n - 1):
                     continue
-                grown = eng.add_unit(chain, move)
+                grown = tuple(sorted({**support, cell: support.get(cell, 0) + sign}.items()))
                 if eng.is_new(grown):
-                    nxt.append((grown, eng.add_boundary(bnd, move), bnorm + delta))
+                    grown_bnd = dict(bnd)
+                    for bcell, c in unit:
+                        v = grown_bnd.get(bcell, 0) + c * sign
+                        if v:
+                            grown_bnd[bcell] = v
+                        else:
+                            del grown_bnd[bcell]
+                    nxt.append((grown, grown_bnd, bnorm + delta))
         frontier = nxt
     return out
 
@@ -441,11 +389,9 @@ def cycle_orbits(s, oracle, dim: int, max_norm: int, node_cap: int | None = None
                                    node_cap=node_cap, cycle_target=True)
         return {n: [(a, partial(list, (a,))) for a in chains if is_connected(a, s, oracle)]
                 for n, chains in reached.items()}
-    steps = _walk_steps(s)
-
     def orbit(images):
-        rep = _walk_chain(s, oracle, steps, images[0])
-        return rep, lambda: [rep] + [_walk_chain(s, oracle, steps, t) for t in images[1:]]
+        rep = _walk_chain(s, oracle, images[0])
+        return rep, lambda: [rep] + [_walk_chain(s, oracle, t) for t in images[1:]]
 
     return {n: [orbit(images) for images in walks]
             for n, walks in _closed_walks(s, oracle, max_norm, node_cap).items()}

@@ -12,12 +12,13 @@ rather than a quotient (`presents_group`; a finite table may be one), so
 that the complex is the universal cover.  Inside it the filling is derived
 without search, in the manner of Dehn's algorithm (Lyndon-Schupp,
 Combinatorial Group Theory, V): the cycle splits into closed walks of the
-Cayley graph, and each walk label is rewritten to the empty word by rules
-p -> q^-1, one for each cyclic form p q of r or r^-1 with p longer than q,
-or as long with q^-1 shortlex-smaller: the presentation's `RelatorRules`,
-whose one table and one rewrite loop the bounded-bfs oracle's Dehn path
-uses too.  Each step adds one relator cell at the current prefix and
-lowers the word in shortlex order.  The longer-half rules decide C'(1/6) groups such as the
+Cayley graph along the skeleton's edge steps (`SkeletonSpec.edge_steps`),
+and each walk label is rewritten to the empty word by rules p -> q^-1, one
+for each cyclic form p q of r or r^-1 with p longer than q, or as long with
+q^-1 shortlex-smaller: the presentation's `RelatorRules`, whose one table
+and one rewrite loop the bounded-bfs oracle's Dehn path uses too.  Each
+step adds one relator cell at the current prefix and lowers the word in
+shortlex order.  The longer-half rules decide C'(1/6) groups such as the
 genus-two surface; the half rules sort grid words.  The rules are not
 complete for every one-relator group: a walk they leave nonempty sends the
 cycle to the search.
@@ -27,9 +28,10 @@ q-chain of norm v is a sum of v signed unit cells, so FV(z) is the least
 number of signed unit cells whose boundaries sum to z (Gersten's l1 view of
 Dehn functions, MSRI Publ. 23, 1992).  A node holds the part t of the cycle
 still to fill and the number rem of units left.  It is cut when the norm of
-t exceeds rem times beta, the largest norm of a cell's boundary; otherwise it
-takes the least cell x of t, with coefficient c, and branches only on the
-cells tau above x, with coefficient k in the coboundary of x, adding the
+t exceeds rem times beta, the largest norm of a cell's boundary
+(`SkeletonSpec.unit_norms`); otherwise it takes the least cell x of t, with
+coefficient c, and branches only on the cells tau above x, with coefficient
+k in the coboundary of x (a lookup in `SkeletonSpec.cofaces`), adding the
 unit sign(c k) tau.  This covers every filling: t_x is the sum of the
 contributions [boundary of tau : x] of the units of any filling x' of t, so
 some unit of x' contributes with the sign of c, and removing it leaves a
@@ -62,16 +64,16 @@ without a least cycle (isomorph-free generation, McKay, J. Algorithms 26,
   starts at element 0 with a negative coefficient; for e > 0 the image
   moving e to 0 starts with +-(block of e) where the cycle starts with
   block 0, both followed by other elements' cells, so once either sign
-  compares below block 0 (a proper prefix counting larger), which more
-  cells of e cannot undo, that image is smaller and the search stays at e.
-  The comparison is carried down the search as state.
-A cycle found is dropped if the state has an image start below it.  Else
-only the images moving to 0 an element x with +-(block of x) = block 0 can
-tie or beat it, the rest starting above; it is kept if none is smaller, and
-its orbit size is 2|G| over its stabilizer, the images among them equal to
-it.  Norm and FV are constant on orbits, and the least cycle of a union of
-orbits is the least of their least cycles, so the least (norm, cycle) of
-largest FV, the witness, is a representative.
+  compares below block 0 (a proper prefix counting larger), which no later
+  cell can undo, that image is smaller for every cycle below: the step is
+  cut.  The comparison is carried down the search as state.
+Of a cycle found only the images moving to 0 an element x with
++-(block of x) = block 0 can tie or beat it, the rest starting above; it
+is kept if none is smaller, and its orbit size is 2|G| over its
+stabilizer, the images among them equal to it.  Norm and FV are constant
+on orbits, and the least cycle of a union of orbits is the least of their
+least cycles, so the least (norm, cycle) of largest FV, the witness, is a
+representative.
 
 A q-chain x is a sum of |x|_1 signed unit cells, so FV(z) is the word
 length of z in the lattice of boundaries over the steps +-(boundary of a
@@ -100,7 +102,7 @@ import logging
 from dataclasses import dataclass, field
 from functools import partial
 
-from .enumeration import _chain_sort_key, _unit_boundary_norm, cycle_orbits
+from .enumeration import _chain_sort_key, cycle_orbits
 from .errors import (
     BudgetExceededError,
     ChainProfileError,
@@ -121,7 +123,7 @@ from .skeleton import (
     skeleton_fingerprint,
     zero_chain,
 )
-from .words import Word, compose
+from .words import Word, compose, invert
 
 logger = logging.getLogger(__name__)
 
@@ -193,7 +195,7 @@ def _search_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Ch
     """Least filling of a nonzero cycle by iterative deepening on its norm."""
     budget = budget or Budget()
     dim = cycle.dim + 1
-    beta = _unit_boundary_norm(s, dim)
+    beta = s.unit_norms[dim]
     if beta == 0:
         raise InputError("no cells available one dimension up")
     nodes = 0
@@ -254,7 +256,7 @@ def _rewritten_filling(cycle: Chain, s, oracle, rules, budget: Budget):
     gens = s.presentation.generators
     steps = 0
     cells = []
-    for start, w in _cycle_walks(cycle, oracle, gens):
+    for start, w in _cycle_walks(cycle, s, oracle):
         for step in rules.rewrite(w):
             if step is None:
                 return None
@@ -268,27 +270,30 @@ def _rewritten_filling(cycle: Chain, s, oracle, rules, budget: Budget):
     return build_chain(2, cells, oracle)
 
 
-def _cycle_walks(cycle: Chain, oracle, gens):
+def _cycle_walks(cycle: Chain, s, oracle):
     """Closed walks (start vertex word, letters) that a 1-cycle of a
-    presentation complex splits into; vertices are matched by the oracle.
-    The labels are freely reduced: stepping back along an edge would need a
-    coefficient of the other sign on it."""
-    ends = [(c.word, compose(c.word, Word(gens, ((c.base, 1),)))) for c, _ in cycle.terms]
-    vertex = _canonical_cells(((0, w) for pair in ends for w in pair), oracle)
+    presentation complex splits into, each edge traversed by its step
+    (`SkeletonSpec.edge_steps`) in the sign of its coefficient; vertices are
+    matched by the oracle.  The labels are freely reduced: stepping back
+    along an edge would need a coefficient of the other sign on it."""
+    traversals = []
+    for c, n in cycle.terms:
+        a, b, w, off = s.edge_steps[(c.base, 1 if n > 0 else -1)]
+        start = compose(c.word, invert(off))
+        traversals.append(((a, start), (b, compose(start, w)), w.letters, abs(n)))
+    vertex = _canonical_cells((end for t in traversals for end in t[:2]), oracle)
     arcs: dict[tuple, list] = {}
-    for (c, n), pair in zip(cycle.terms, ends):
-        a, b = (vertex[(0, w.letters)][1].letters for w in pair)
-        if n < 0:
-            a, b = b, a
-        arcs.setdefault(a, []).extend([(b, (c.base, 1 if n > 0 else -1))] * abs(n))
+    for *ends, label, k in traversals:
+        a, b = (vertex[(v, w.letters)] for v, w in ends)
+        arcs.setdefault(a, []).extend([(b, label)] * k)
     # every vertex is balanced, so a walk from v can only stop back at v
     for v, out in arcs.items():
         while out:
             letters, u = [], v
             while not letters or u != v:
-                u, letter = arcs[u].pop()
-                letters.append(letter)
-            yield Word(gens, v), tuple(letters)
+                u, label = arcs[u].pop()
+                letters += label
+            yield v[1], tuple(letters)
 
 
 def filling_volume(cycle: Chain, s, oracle, budget: Budget | None = None) -> int:
@@ -444,12 +449,13 @@ def _finite_cycles(s, oracle, n: int, node_cap: int) -> tuple[dict, int]:
 
     Depth-first over the cells in `_finite_cells` order, choosing the next
     nonzero cell and its coefficient; a step that passes the norm cut
-    updates the partial boundary in place and undoes it after.  Block 0 is
-    the first m0 cells.  The orbit cut of the current element e > 0 is the
+    updates the partial boundary in place and undoes it after, unless one
+    sign of its element's block compares below block 0.  Block 0 is the
+    first m0 cells.  The orbit cut of the current element e > 0 is the
     state (k, tie): tie is the sign s with s * (block of e) equal to the
-    first k cells of block 0, 0 once both signs compare above and None once
-    one compares below; ties holds the (x, s) of earlier elements with
-    s * (block of x) = block 0.  The cuts are argued in the module docstring."""
+    first k cells of block 0, and 0 once both signs compare above; ties
+    holds the (x, s) of earlier elements with s * (block of x) = block 0.
+    The cuts are argued in the module docstring."""
     dim = s.q - 1
     cells = _finite_cells(s, oracle, dim)
     bases = s.n_cells(dim)
@@ -469,7 +475,8 @@ def _finite_cycles(s, oracle, n: int, node_cap: int) -> tuple[dict, int]:
     nodes = reached = m0 = 0
 
     def step(j, c, left, bnorm, e, k, tie, ties):
-        # visit with c on cell j if the norm cut holds; whether it held
+        # visit with c on cell j if the norm and orbit cuts hold; whether the
+        # norm cut held
         nonlocal m0
         nb = bnorm
         for f, d in bnds[j]:
@@ -488,8 +495,10 @@ def _finite_cycles(s, oracle, n: int, node_cap: int) -> tuple[dict, int]:
         if x and tie:
             (_, b0), c0 = picked[k] if k < m0 else end
             diff = b - b0 or tie * c - c0
+            if diff < 0:
+                return True
             if diff:
-                tie = 0 if diff > 0 else None
+                tie = 0
             k += 1
         for f, d in bnds[j]:
             vec[f] += c * d
@@ -510,7 +519,7 @@ def _finite_cycles(s, oracle, n: int, node_cap: int) -> tuple[dict, int]:
                 f"partial chains reaching norm {reached} of {n} and "
                 f"{len(cycles)} cycle orbits found")
         e = picked[-1][0][0] if picked else 0
-        if bnorm == 0 and tie is not None:
+        if bnorm == 0:
             key = tuple(picked)
             # the identity fixes a cycle, and with both signs the zero chain
             fixed = 1 if key else size
@@ -524,10 +533,7 @@ def _finite_cycles(s, oracle, n: int, node_cap: int) -> tuple[dict, int]:
                 cycles[key] = (n - left, size // fixed)
         if left == 0:
             return
-        stop = len(cells) if picked else bases
-        if e and tie is None:
-            stop = (e + 1) * bases
-        for j in range(i, stop):
+        for j in range(i, len(cells) if picked else bases):
             if closing[j]:
                 f, d = closing[j][0]
                 c = -vec[f] // d

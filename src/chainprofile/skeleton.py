@@ -12,6 +12,12 @@ freely reduced spelling among the words being merged, and words are matched
 by the oracle only among those of one base cell that share its oracle
 state.  An Undecided verdict raises OracleUndecidedError.
 
+The skeleton answers for the incidences of its base cells, each table built
+on first use: the cofaces of each cell, the boundary terms one dimension up
+that meet it, which make `coboundary` a lookup; the largest boundary norm
+of a unit cell per dimension; and the steps of the edges.  Every other
+module reads these tables.
+
 Subchains, components, and connectivity follow the coefficient-window
 definitions: B is a subchain of A when, cell by cell, the coefficient of B
 lies between 0 and that of A; a component is a subchain whose boundary is a
@@ -146,10 +152,43 @@ class SkeletonSpec:
 
     @cached_property
     def is_presentation_complex(self) -> bool:
-        """Whether this is `presentation_complex` of its own presentation,
-        worked out on first use."""
+        """Whether this is `presentation_complex` of its own presentation."""
         pc = presentation_complex(self.presentation)
         return (self.ids, self.boundaries) == (pc.ids, pc.boundaries)
+
+    @cached_property
+    def cofaces(self) -> list[list[list[tuple]]]:
+        """cofaces[d][b]: the (upper base, word h, coeff) of every boundary
+        term coeff * (h, b) of a (d+1)-cell, upper bases in order."""
+        out = [[[] for _ in self.ids[d]] for d in range(self.q)]
+        for d in range(self.q):
+            for upper, bnd in enumerate(self.boundaries[d + 1]):
+                for c, n in bnd.terms:
+                    out[d][c.base].append((upper, c.word, n))
+        return out
+
+    @cached_property
+    def unit_norms(self) -> list[int]:
+        """unit_norms[d]: the largest boundary norm of one d-cell."""
+        return [max(map(norm, bnds), default=0) for bnds in self.boundaries]
+
+    @cached_property
+    def edge_steps(self) -> dict:
+        """label -> (vertex, next vertex, step word, edge offset).
+
+        An edge with boundary -(w0, v0) + (w1, v1) steps from v0 to v1 by the
+        word w0^-1 w1 under label (edge, +1), and back under (edge, -1); the
+        edge sits at the vertex word times the offset.
+        """
+        e = identity_word(self.presentation.generators)
+        loop = [(LiftedCell(0, 0, e), 0)] * 2  # ends merged at load; any vertex will do
+        out = {}
+        for edge, bnd in enumerate(self.boundaries[1]):
+            (tail, _), (head, _) = sorted(bnd.terms, key=lambda t: t[1]) or loop
+            for label, a, b in (((edge, 1), tail, head), ((edge, -1), head, tail)):
+                off = invert(a.word)
+                out[label] = (a.base, b.base, compose(off, b.word), off)
+        return out
 
     def cell_id(self, dim: int, base: int) -> str:
         return self.ids[dim][base]
@@ -366,17 +405,15 @@ def validate(s: SkeletonSpec, oracle) -> bool:
 def coboundary(c: LiftedCell, s: SkeletonSpec, oracle) -> Chain:
     """All lifted (dim+1)-cells whose boundary touches c, with coefficients.
 
-    Scan rule: for each base cell tau one dimension up and each boundary term
-    (h, base(c)) of tau, the candidate lift sits at g = word(c) * h^-1; its
-    coefficient is the sum over matching terms.
+    Each coface (tau, h, k) of base(c) (`SkeletonSpec.cofaces`) puts the
+    lift of tau at g = word(c) * h^-1, with coefficient the sum of its k.
     """
     dim = c.dim
     if dim >= s.q:
         raise InputError(f"no cells above dimension {s.q}")
     return build_chain(dim + 1, [
-        (LiftedCell(dim + 1, tbase, compose(c.word, invert(bc.word))), bn)
-        for tbase in range(s.n_cells(dim + 1))
-        for bc, bn in s.boundary_chain(dim + 1, tbase).terms if bc.base == c.base], oracle)
+        (LiftedCell(dim + 1, upper, compose(c.word, invert(h))), k)
+        for upper, h, k in s.cofaces[dim][c.base]], oracle)
 
 
 # ----------------------------------------------------- subchains, components

@@ -354,16 +354,21 @@ class RelatorRules:
                     if 2 * k > n or _shortlex(tail) < _shortlex(head):
                         self.rules.setdefault(head, (tail, index, sign, offset))
         self.lengths = sorted({len(head) for head in self.rules}, reverse=True)
+        # the head lengths of the rules that shorten: with several relators a
+        # length may be past half of one and not of another
+        self.shortening_lengths = sorted({len(head) for head, (tail, *_) in self.rules.items()
+                                          if len(tail) < len(head)}, reverse=True)
 
     def rewrite(self, w, shortening=False):
         """Rewrite the letters w by the leftmost rule, longest head first,
         until they are empty; with `shortening` only by the rules whose head
         is longer than half its relator.  Yields (letters before the head,
         rule) per step, and a last None if no rule applies to a word left."""
+        lengths = self.shortening_lengths if shortening else self.lengths
         while w:
             n = len(w)
             for i in range(n):
-                for k in self.lengths:
+                for k in lengths:
                     rule = self.rules.get(w[i:i + k]) if i + k <= n else None
                     if rule is not None and (not shortening or len(rule[0]) < k):
                         break

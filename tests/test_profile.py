@@ -116,6 +116,21 @@ def test_tiny_cap_is_reported():
         minimal_filling(cyc, s, oracle, budget=Budget(fill_volume_cap=2))
 
 
+@pytest.mark.parametrize("cap", [1, 2])
+def test_search_budget_names_the_fill_cap(cap):
+    # Z^3 is outside the rewriting gate; the 1 x 3 rectangle needs 3 faces,
+    # and deepening starts at ceil(8 / 4) = 2: past the cap at 1, exhausted
+    # at 2
+    p = parse_presentation("<a, b, c | a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1>")
+    s, oracle = presentation_complex(p), FreeAbelianOracle(p)
+    faces = build_chain(2, [(LiftedCell(2, 0, parse_word(f"a^{x}", p.generators)), 1)
+                            for x in range(3)], oracle)
+    cyc = boundary(faces, s, oracle)
+    with pytest.raises(BudgetExceededError, match=f"^no filling of norm at most {cap} found$"):
+        minimal_filling(cyc, s, oracle, budget=Budget(fill_volume_cap=cap))
+    assert filling_volume(cyc, s, oracle) == 3
+
+
 def test_search_budget_names_the_filling_norm_reached():
     # two relators put the grid outside the rewriting gate; the 3 x 3 block
     # needs 9 faces, deepening starts at ceil(12 / 4) = 3, and level 3 is

@@ -5,7 +5,12 @@ import random
 import pytest
 
 import window_oracle as wo
+from test_enumeration import z3
+from test_profile import three_torus, two_relator_grid
+
 from chainprofile.errors import InputError, InvalidSkeletonError
+from chainprofile.inputs import load_example
+from chainprofile.profiles import minimal_filling, psi_table
 from chainprofile.skeleton import (
     Chain,
     LiftedCell,
@@ -36,7 +41,9 @@ from chainprofile.words import (
     FiniteTableOracle,
     FreeAbelianOracle,
     FreeOracle,
+    compose,
     format_word,
+    invert,
     parse_presentation,
     parse_word,
 )
@@ -380,6 +387,47 @@ def test_coboundary_is_adjoint_to_boundary():
                             unit = build_chain(dim + 1, [(tau, 1)], o)
                             coeff_in_boundary = boundary(unit, s, o).coeff(c)
                             assert cb.coeff(tau) == coeff_in_boundary
+
+
+def scanned_coboundary(c, s, o):
+    """The coboundary by a scan of every cell one dimension up: each
+    boundary term (h, base(c)) of tau puts tau at word(c) * h^-1."""
+    return build_chain(c.dim + 1, [
+        (LiftedCell(c.dim + 1, tbase, compose(c.word, invert(bc.word))), k)
+        for tbase in range(s.n_cells(c.dim + 1))
+        for bc, k in s.boundary_chain(c.dim + 1, tbase).terms if bc.base == c.base], o)
+
+
+@pytest.mark.parametrize("make", [z2, lambda: load_example("surface2"), z3,
+                                  two_relator_grid, three_torus],
+                         ids=["z2", "surface2", "z3", "grid", "three_torus"])
+def test_coboundary_matches_a_scan_of_the_cells_above(make):
+    s, o = make()
+    gens = s.presentation.generators
+    words = [parse_word(t, gens) for t in ("1", "a", "b^-1", "a^-1 b^2")]
+    for dim in range(s.q):
+        for base in range(s.n_cells(dim)):
+            for word in words:
+                c = LiftedCell(dim, base, word)
+                assert coboundary(c, s, o) == scanned_coboundary(c, s, o)
+
+
+def test_incidences_are_built_once_per_skeleton(monkeypatch):
+    # on the two-relator grid the walks read the edge steps and the filling
+    # search reads the cofaces and the unit norms; loading builds none
+    s, oracle = two_relator_grid()
+    tables = ("cofaces", "unit_norms", "edge_steps")
+    assert not set(tables) & set(vars(s))
+    built = []
+    for name in tables:
+        prop = vars(SkeletonSpec)[name]
+        monkeypatch.setattr(prop, "func", lambda self, real=prop.func, name=name:
+                            built.append(name) or real(self))
+    psi_table(s, oracle, 8)
+    cyc = boundary(build_chain(2, [(cell(s, "f0", "1"), 1), (cell(s, "f0", "a"), 1)],
+                               oracle), s, oracle)
+    assert norm(minimal_filling(cyc, s, oracle)) == 2
+    assert sorted(built) == sorted(tables)
 
 
 # ---------------------------------------------------------------- persistence

@@ -67,6 +67,16 @@ def test_presentation_complex_is_built_once_per_skeleton(monkeypatch):
     assert built == [s.presentation]
 
 
+def test_rewriting_budget_counts_steps():
+    # the 2 x 3 disk takes one rewriting step per face
+    s, oracle = load_example("z2")
+    cyc = face_boundary(s, oracle, [f"a^{x} b^{y}" for x in range(3) for y in range(2)])
+    with pytest.raises(BudgetExceededError,
+                       match="^filling rewriting took more than 3 steps$"):
+        minimal_filling(cyc, s, oracle, Budget(node_cap=3))
+    assert norm(minimal_filling(cyc, s, oracle, Budget(node_cap=6))) == 6
+
+
 def test_gate_admits_the_bundled_one_relator_inputs():
     for name in ("z2", "surface2"):
         s, _ = load_example(name)

@@ -30,6 +30,7 @@ from chainprofile.words import (
     parse_word,
     relator_forms,
     same_element,
+    small_cancellation_c6,
     word_key,
     words_equal,
 )
@@ -310,6 +311,17 @@ def test_lattice_merges_pivots():
     assert not any(lattice.residue((6, 0))) and any(lattice.residue((3, 0)))
     o = BoundedBFSOracle(parse_presentation("<a, b | a^2 b^4, a^4 b^2>"))
     assert is_trivial(o, w("a^3")) is OracleVerdict.NONTRIVIAL
+
+
+def test_bounded_bfs_integer_gate():
+    # Z/2 * Z is not C'(1/6) and the commutator abelianizes to 0, so only the
+    # exhausted search decides it: Nontrivial while its length 4 is within
+    # sufficient_len, Undecided past it
+    p = parse_presentation("<a, b | a^2>")
+    word = w("b a b^-1 a^-1")
+    assert not small_cancellation_c6(p.relators)
+    assert is_trivial(BoundedBFSOracle(p, sufficient_len=8), word) is OracleVerdict.NONTRIVIAL
+    assert is_trivial(BoundedBFSOracle(p, sufficient_len=2), word) is OracleVerdict.UNDECIDED
 
 
 def test_bounded_bfs_matches_abelian_on_random_words():
