@@ -24,7 +24,7 @@ import os
 import tempfile
 
 from .errors import ChainProfileError
-from .profiles import _check_filling, _finite_boundary
+from .profiles import _check_delta, _check_filling, _finite_boundary
 from .skeleton import chain_from_json, norm
 from .words import _is_int
 
@@ -100,13 +100,6 @@ def fv_key(fingerprint: str, chain_json, budget) -> str:
     return f"{fingerprint}:fv:{digest}:{budget.fill_volume_cap}:{budget.node_cap}"
 
 
-def _values_ok(values, n) -> bool:
-    return (isinstance(values, list) and len(values) == n + 1
-            and all(map(_is_int, values))
-            and all(b >= a for a, b in zip(values, values[1:]))
-            and (not values or values[0] == 0))
-
-
 # A witness check returns (cycle norm, filling norm) when the stored filling
 # bounds the stored cycle, and raises ChainProfileError when it does not.
 
@@ -153,9 +146,10 @@ def verify_profile_entry(entry, kind: str, n: int, s, oracle) -> bool:
     try:
         values = entry["values"]
         witnesses = entry["witnesses"]
-        if (not _values_ok(values, n) or len(witnesses) != n + 1
-                or witnesses[0] is not None):
+        if (not isinstance(values, list) or len(values) != n + 1
+                or len(witnesses) != n + 1 or witnesses[0] is not None):
             return False
+        _check_delta(values)
         for k in range(1, n + 1):
             wit = witnesses[k]
             if wit is None:

@@ -1,5 +1,11 @@
 """Command-line interface.
 
+One handler per kind of query: `cmd_examples`, `cmd_validate`,
+`cmd_enumerate` and `cmd_fv`; `cmd_profile` answers psi, phi and
+finite-profile, and `cmd_bound` answers chain2-bound and disk-bound.
+`cmd_fv` and `cmd_profile` go through `_cached`, which reuses a cache entry
+only after its witnesses are verified.
+
 `main(argv)` may be called repeatedly in one process.  The argument parser
 is built on the first call and reused, so the `cmd_*` handlers are bound
 then: to change what a command does, patch what its handler calls (such as
@@ -63,32 +69,16 @@ def _budget(args) -> Budget:
     return Budget(fill_volume_cap=args.fill_cap, node_cap=args.node_cap)
 
 
-def _cache_for(args):
-    if args.no_cache:
-        return None
-    return ResultCache(args.cache or default_cache_dir())
-
-
 def _print_json(data):
     print(json.dumps(data, indent=2, sort_keys=True))
-
-
-def _emit_table(table: ProfileTable, fmt: str, notes=()):
-    if fmt == "json":
-        _print_json(table.to_json_dict())
-        return
-    _emit_values(table.values, fmt)
-    if fmt == "human":
-        for note in notes:
-            print(f"note: {note}")
 
 
 def _cached(args, key, verify, compute):
     """The cache entry under key if it passes verify, else compute()'s entry,
     which is then stored.  A failing entry is evicted with a notice."""
-    cache = _cache_for(args)
-    if cache is None:
+    if args.no_cache:
         return compute()
+    cache = ResultCache(args.cache or default_cache_dir())
     entry = cache.get(key)
     if entry is not None:
         if verify(entry):
@@ -98,15 +88,6 @@ def _cached(args, key, verify, compute):
     entry = compute()
     cache.put(key, entry)
     return entry
-
-
-def _cached_profile(args, kind, s, oracle, n, budget, compute):
-    fingerprint = skeleton_fingerprint(s, oracle)
-    entry = _cached(args, profile_key(kind, fingerprint, n, budget),
-                    lambda e: verify_profile_entry(e, kind, n, s, oracle),
-                    lambda: compute().to_json_dict())
-    return ProfileTable(kind, fingerprint, budget.to_json_dict(),
-                        entry["values"], entry["witnesses"])
 
 
 _DIM4_NOTE = ("in dimension 4 and above this table equals the manifold-type "
@@ -203,28 +184,32 @@ def cmd_fv(args) -> int:
     return 0
 
 
-def cmd_psi_phi(args) -> int:
-    """psi, or phi derived from the cached psi table by the partition
-    recurrence."""
+def cmd_profile(args) -> int:
+    """psi or finite-profile from the verified cache, or phi derived from the
+    cached psi table by the partition recurrence."""
     s, oracle = _load(args)
     budget = _budget(args)
-    table = _cached_profile(
-        args, "psi", s, oracle, args.max_size, budget,
-        lambda: psi_table(s, oracle, args.max_size, budget=budget,
-                          workers=args.workers))
+    n = args.max_size
+    if args.command == "finite-profile":
+        kind, compute = "finite", lambda: finite_profile(s, oracle, n, budget=budget)
+    else:
+        kind, compute = "psi", lambda: psi_table(s, oracle, n, budget=budget,
+                                                 workers=args.workers)
+    fingerprint = skeleton_fingerprint(s, oracle)
+    entry = _cached(args, profile_key(kind, fingerprint, n, budget),
+                    lambda e: verify_profile_entry(e, kind, n, s, oracle),
+                    lambda: compute().to_json_dict())
+    # the stored budget is not read: the table reports this query's
+    table = ProfileTable(kind, fingerprint, budget.to_json_dict(),
+                         entry["values"], entry["witnesses"])
     if args.command == "phi":
-        table = phi_table(s, oracle, args.max_size, psi=table)
-    _emit_table(table, args.format, notes=[_DIM4_NOTE] if s.q >= 4 else [])
-    return 0
-
-
-def cmd_finite_profile(args) -> int:
-    s, oracle = _load(args)
-    budget = _budget(args)
-    table = _cached_profile(
-        args, "finite", s, oracle, args.max_size, budget,
-        lambda: finite_profile(s, oracle, args.max_size, budget=budget))
-    _emit_table(table, args.format)
+        table = phi_table(s, oracle, n, psi=table)
+    if args.format == "json":
+        _print_json(table.to_json_dict())
+        return 0
+    _emit_values(table.values, args.format)
+    if args.format == "human" and kind == "psi" and s.q >= 4:
+        print(f"note: {_DIM4_NOTE}")
     return 0
 
 
@@ -241,15 +226,11 @@ def _emit_values(values, fmt):
             print(f"{n:>{width}}  {v}")
 
 
-def cmd_chain2_bound(args) -> int:
+def cmd_bound(args) -> int:
     delta = read_delta(args.delta)
-    _emit_values(chain2_bound(delta), args.format)
-    return 0
-
-
-def cmd_disk_bound(args) -> int:
-    delta = read_delta(args.delta)
-    _emit_values(disk_combination(delta, args.parts), args.format)
+    values = (disk_combination(delta, args.parts) if args.command == "disk-bound"
+              else chain2_bound(delta))
+    _emit_values(values, args.format)
     return 0
 
 
@@ -319,34 +300,27 @@ def _parser() -> argparse.ArgumentParser:
                     help="chain literal such as '(1, e_a) + (a, e_b) - (b, e_a) - (1, e_b)'")
     sp.set_defaults(func=cmd_fv)
 
-    sp = sub.add_parser("psi", parents=[common],
-                        help="worst filling volume of one connected cycle, by size")
-    sp.add_argument("-n", "--max-size", type=int, required=True)
-    sp.set_defaults(func=cmd_psi_phi)
-
-    sp = sub.add_parser("phi", parents=[common],
-                        help="profile over all cycle sizes via partitions")
-    sp.add_argument("-n", "--max-size", type=int, required=True)
-    sp.set_defaults(func=cmd_psi_phi)
-
-    sp = sub.add_parser("finite-profile", parents=[common],
-                        help="exact profile over a finite multiplication table")
-    sp.add_argument("-n", "--max-size", type=int, required=True)
-    sp.set_defaults(func=cmd_finite_profile)
+    for name, text in (
+            ("psi", "worst filling volume of one connected cycle, by size"),
+            ("phi", "profile over all cycle sizes via partitions"),
+            ("finite-profile", "exact profile over a finite multiplication table")):
+        sp = sub.add_parser(name, parents=[common], help=text)
+        sp.add_argument("-n", "--max-size", type=int, required=True)
+        sp.set_defaults(func=cmd_profile)
 
     sp = sub.add_parser("chain2-bound",
                         help="profile bound from a one-piece filling table")
     sp.add_argument("--delta", required=True, metavar="FILE",
                     help="file of integers delta(0..n), delta(0) = 0")
     sp.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    sp.set_defaults(func=cmd_chain2_bound)
+    sp.set_defaults(func=cmd_bound)
 
     sp = sub.add_parser("disk-bound",
                         help="best table sum over a fixed number of pieces")
     sp.add_argument("--delta", required=True, metavar="FILE")
     sp.add_argument("--parts", type=int, required=True)
     sp.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    sp.set_defaults(func=cmd_disk_bound)
+    sp.set_defaults(func=cmd_bound)
 
     return p
 

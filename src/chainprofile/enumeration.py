@@ -179,7 +179,8 @@ def _symmetries(s, oracle):
 
 
 def _least_rotation(labels):
-    return min(labels[i:] + labels[:i] for i in range(len(labels)))
+    low = min(labels)  # only a rotation that starts at a least label can be least
+    return min(labels[i:] + labels[:i] for i, x in enumerate(labels) if x == low)
 
 
 def _orbit_images(labels, maps):

@@ -123,7 +123,7 @@ from .skeleton import (
     skeleton_fingerprint,
     zero_chain,
 )
-from .words import Word, compose, invert
+from .words import Word, _is_int, compose, invert
 
 logger = logging.getLogger(__name__)
 
@@ -709,13 +709,13 @@ def finite_profile(s, oracle, n: int, budget: Budget | None = None) -> ProfileTa
 
 # ------------------------------------------------------------ combined bounds
 
-def _check_delta(delta, expect_zero_start):
+def _check_delta(delta):
+    """The table as a list of nonnegative integers, nondecreasing from 0."""
     vals = list(delta)
-    if expect_zero_start:
-        if not vals or vals[0] != 0:
-            raise InputError("table must start with value 0 at size 0")
+    if not vals or vals[0] != 0:
+        raise InputError("table must start with value 0 at size 0")
     for v in vals:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        if not _is_int(v) or v < 0:
             raise InputError(f"table entries must be nonnegative integers, got {v!r}")
     for a, b in zip(vals, vals[1:]):
         if b < a:
@@ -729,7 +729,7 @@ def chain2_bound(delta) -> list:
     delta[k] bounds the worst filling volume of one connected cycle of norm
     at most k (delta[0] = 0); the result bounds the full profile.
     """
-    vals = _check_delta(delta, expect_zero_start=True)
+    vals = _check_delta(delta)
     phi, _ = _partition_recurrence(vals)
     return phi
 
@@ -738,7 +738,7 @@ def disk_combination(delta, parts: int) -> list:
     """Best sum of the table over exactly `parts` nonnegative sizes."""
     if parts < 1:
         raise InputError("number of parts must be at least 1")
-    vals = _check_delta(delta, expect_zero_start=True)
+    vals = _check_delta(delta)
     n = len(vals) - 1
     best = list(vals)
     for _ in range(parts - 1):

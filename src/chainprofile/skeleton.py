@@ -125,8 +125,7 @@ class SkeletonSpec:
             if dim == 1 and sorted(coeff for _, _, coeff in bnd) != [-1, 1]:
                 raise InvalidSkeletonError(
                     f"edge {cid!r} needs a boundary of one vertex with -1 and one with +1")
-            acc: dict[tuple, int] = {}
-            words_seen: dict[tuple, Word] = {}
+            terms = []
             for word, base_id, coeff in bnd:
                 if base_id not in self.index:
                     raise InvalidSkeletonError(
@@ -135,17 +134,8 @@ class SkeletonSpec:
                 if bdim != dim - 1:
                     raise InvalidSkeletonError(
                         f"cell {cid!r} boundary references {base_id!r} of dimension {bdim}")
-                w = free_reduce(word)
-                key = (bidx, w.letters)
-                acc[key] = acc.get(key, 0) + coeff
-                words_seen[key] = w
-            terms = tuple(
-                (LiftedCell(dim - 1, bidx, words_seen[(bidx, letters)]), n)
-                for (bidx, letters), n in sorted(
-                    acc.items(), key=lambda kv: (kv[0][0], word_key(words_seen[kv[0]])))
-                if n
-            )
-            self.boundaries[dim].append(Chain(dim - 1, terms))
+                terms.append((bidx, free_reduce(word), coeff))
+            self.boundaries[dim].append(_merged_chain(dim - 1, terms))
 
     def n_cells(self, dim: int) -> int:
         return len(self.ids[dim])
@@ -329,19 +319,22 @@ def build_chain(dim: int, pairs, oracle) -> Chain:
             raise InputError(f"cell of dimension {c.dim} in a {dim}-chain")
     raw = [(c.base, free_reduce(c.word), n) for c, n in raw]
     cellmap = _canonical_cells(((base, w) for base, w, _ in raw), oracle)
+    return _merged_chain(dim, [(*cellmap[(base, w.letters)], n) for base, w, n in raw])
+
+
+def _merged_chain(dim: int, terms) -> Chain:
+    """The chain of (base, reduced word, coeff) triples: equal words of one
+    base merged, zero coefficients dropped, sorted by base then shortlex."""
     acc: dict[tuple, tuple[Word, int]] = {}
-    for base, w, n in raw:
-        base, w = cellmap[(base, w.letters)]
+    for base, w, n in terms:
         key = (base, w.letters)
         prev = acc.get(key)
         acc[key] = (w, n if prev is None else prev[1] + n)
-    terms = tuple(
+    return Chain(dim, tuple(
         (LiftedCell(dim, base, w), n)
         for (base, _), (w, n) in sorted(acc.items(),
                                         key=lambda kv: (kv[0][0], word_key(kv[1][0])))
-        if n
-    )
-    return Chain(dim, terms)
+        if n))
 
 
 def add_chains(a: Chain, b: Chain, oracle) -> Chain:

@@ -409,6 +409,63 @@ def test_malformed_inputs_are_input_errors(tmp_path, capsys, case):
     assert code == 2 and err.startswith("error: "), err
 
 
+BASE_INPUT = {"dim": 2, "presentation": "<a |>", "oracle": {"kind": "free"}}
+# input files that load_input refuses, with the error line they give
+REFUSED = {
+    "json-list": ([], "input description must be a JSON object"),
+    "dim-string": ({**BASE_INPUT, "dim": "2"}, "dim must be an integer"),
+    "oracle-string": ({**BASE_INPUT, "oracle": "free"}, "oracle config must be an object"),
+    "cells-object": ({**BASE_INPUT, "cells": {}}, "cells must be a list"),
+    "cell-without-id": ({**BASE_INPUT, "cells": [{"dim": 0}]},
+                        "malformed cell entry {'dim': 0}"),
+    "term-without-coeff": (
+        {**BASE_INPUT, **_edge(boundary=[LOOP[1]["boundary"][0], {"word": "a", "base": "v"}])},
+        "malformed boundary term {'word': 'a', 'base': 'v'}"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_refused_input_files_name_the_fault(tmp_path, capsys, case):
+    data, message = REFUSED[case]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", "--input", str(path), "--no-cache")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_unreadable_files_and_chain_literals_are_input_errors(tmp_path, capsys):
+    code, _, err = run(capsys, "validate", "--input", str(tmp_path), "--no-cache")
+    assert code == 2 and err.startswith("error: cannot read input file: "), err
+    code, _, err = run(capsys, "chain2-bound", "--delta", str(tmp_path / "missing.txt"))
+    assert code == 2 and err.startswith("error: cannot read table file: "), err
+    code, _, err = run(capsys, "fv", "--input", "z2", "--chain", "a, e_a", "--no-cache")
+    assert (code, err) == (2, "error: expected '(' at position 0 of chain literal\n")
+
+
+def test_zero_cycle_has_the_zero_filling(capsys):
+    code, out, _ = run(capsys, "fv", "--input", "z2", "--chain", "(1, e_a) - (1, e_a)",
+                       "--no-cache")
+    assert (code, out) == (0, "filling volume 0\nfilling: 0\n")
+
+
+DIM4_NOTE = ("note: in dimension 4 and above this table equals the manifold-type "
+             "isoperimetric profile of the group")
+
+
+@pytest.mark.parametrize("command", ["psi", "phi"])
+def test_dimension_4_note_ends_the_human_table(tmp_path, capsys, command):
+    path = tmp_path / "dim4.json"
+    path.write_text(json.dumps({"dim": 4, "presentation": "<a | >",
+                                "oracle": {"kind": "free"}, "cells": LOOP}))
+    out = {}
+    for fmt in ("human", "json", "csv"):
+        code, out[fmt], _ = run(capsys, command, "--input", str(path), "-n", "2",
+                                "--no-cache", "--format", fmt)
+        assert code == 0
+    assert out["human"] == f"0  0\n1  0\n2  0\n{DIM4_NOTE}\n"
+    assert "note" not in out["json"] + out["csv"]
+
+
 @pytest.mark.parametrize("option, value, low", [
     ("--fill-cap", "-1", 0), ("--node-cap", "0", 1), ("--node-cap", "-5", 1),
     ("--workers", "0", 1), ("--workers", "-3", 1)])

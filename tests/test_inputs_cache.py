@@ -25,7 +25,13 @@ from chainprofile.inputs import (
     parse_chain,
     read_delta,
 )
-from chainprofile.profiles import Budget, finite_profile, minimal_filling, psi_table
+from chainprofile.profiles import (
+    Budget,
+    _check_delta,
+    finite_profile,
+    minimal_filling,
+    psi_table,
+)
 from chainprofile.skeleton import (
     boundary,
     chain_to_json,
@@ -160,6 +166,18 @@ def test_cache_file_bytes_are_pinned(tmp_path):
         b'"z": 1.5}, "b": null, "values": [0, 1]}}')
 
 
+def test_failed_put_removes_its_temp_file(tmp_path, monkeypatch):
+    cache = ResultCache(str(tmp_path))
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr("chainprofile.cache.os.replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        cache.put("k", {"v": 1})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_corrupt_cache_is_discarded(tmp_path, caplog):
     d = tmp_path / "c"
     ResultCache(str(d)).put("k", 0)
@@ -264,6 +282,43 @@ def test_finite_entry_verification_recomputes_boundary():
     assert not verify_profile_entry(moved, "finite", 4, s, oracle)
     z2, z2_oracle = load_example("z2")
     assert not verify_profile_entry(entry, "finite", 4, z2, z2_oracle)
+
+
+# Each tampering below keeps the table's shape, so only the witness loop of
+# verify_profile_entry can reject it.  The tables are z2 psi(6) =
+# [0, 0, 0, 0, 1, 1, 2] and zmod2 finite(6) = [0, 0, 1, 1, 2, 2, 3]; the
+# witness of size 6 has a cycle of norm 6.
+
+def _drop_top_witness(values, witnesses):
+    witnesses[6] = None  # while values[6] > 0
+
+
+def _raise_top_value(values, witnesses):
+    values[6] += 1  # the stored filling's norm no longer matches
+
+
+def _swap_witnesses(values, witnesses):
+    witnesses[4], witnesses[6] = witnesses[6], witnesses[4]
+
+
+def _copy_top_witness_down(values, witnesses):
+    # every filling norm matches its value; only the cycle norm is too big
+    for k in (4, 5):
+        values[k], witnesses[k] = values[6], witnesses[6]
+
+
+@pytest.mark.parametrize("tamper", [_drop_top_witness, _raise_top_value,
+                                    _swap_witnesses, _copy_top_witness_down])
+@pytest.mark.parametrize("name, kind", [("z2", "psi"), ("zmod2", "finite")])
+def test_profile_entry_rejects_tampered_witnesses(name, kind, tamper):
+    s, oracle = load_example(name)
+    table = (psi_table if kind == "psi" else finite_profile)(s, oracle, 6)
+    entry = {"values": table.values, "witnesses": table.witnesses}
+    assert verify_profile_entry(entry, kind, 6, s, oracle)
+    bad = copy.deepcopy(entry)
+    tamper(bad["values"], bad["witnesses"])
+    assert _check_delta(bad["values"]) == bad["values"]
+    assert not verify_profile_entry(bad, kind, 6, s, oracle)
 
 
 def test_fv_entry_verification(tmp_path):
