@@ -99,7 +99,6 @@ have distinct ints and adding ints adds vectors.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from functools import partial
 
 from .enumeration import _chain_sort_key, cycle_orbits
@@ -123,29 +122,57 @@ from .skeleton import (
     skeleton_fingerprint,
     zero_chain,
 )
-from .words import Word, _is_int, compose, invert
+from .words import Word, _is_count, _is_int, compose, invert
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass
 class Budget:
-    """Caps for the exhaustive parts of the computation."""
-    fill_volume_cap: int = 24
-    node_cap: int = 1_000_000
+    """Caps for the exhaustive parts of the computation.  The class
+    attributes are the defaults; a cap that is not an integer, or below
+    0 (`fill_volume_cap`) or 1 (`node_cap`), raises InputError."""
+    fill_volume_cap = 24
+    node_cap = 1_000_000
+
+    def __init__(self, fill_volume_cap: int = fill_volume_cap, node_cap: int = node_cap):
+        for name, cap, least in (("fill_volume_cap", fill_volume_cap, 0),
+                                 ("node_cap", node_cap, 1)):
+            if not _is_count(cap, least):
+                raise InputError(f"{name} must be an integer >= {least}, got {cap!r}")
+        self.fill_volume_cap = fill_volume_cap
+        self.node_cap = node_cap
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.to_json_dict() == other.to_json_dict()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Budget(fill_volume_cap={self.fill_volume_cap!r}, node_cap={self.node_cap!r})"
 
     def to_json_dict(self) -> dict:
         return {"fill_volume_cap": self.fill_volume_cap, "node_cap": self.node_cap}
 
 
-@dataclass
 class ProfileTable:
     """Values 0..n of one profile plus the certificates that produced them."""
-    kind: str
-    fingerprint: str
-    budget: dict
-    values: list
-    witnesses: list = field(default_factory=list)
+
+    def __init__(self, kind: str, fingerprint: str, budget: dict, values: list,
+                 witnesses: list | None = None):
+        self.kind = kind
+        self.fingerprint = fingerprint
+        self.budget = budget
+        self.values = values
+        self.witnesses = [] if witnesses is None else witnesses
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.to_json_dict() == other.to_json_dict()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.to_json_dict().items())
+        return f"ProfileTable({fields})"
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "fingerprint": self.fingerprint,

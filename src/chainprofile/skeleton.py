@@ -31,13 +31,13 @@ import hashlib
 import itertools
 import json
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError, InvalidSkeletonError
 from .words import (
     Presentation,
     Word,
+    _Frozen,
     _is_int,
     compose,
     format_word,
@@ -49,19 +49,39 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class LiftedCell:
+class LiftedCell(_Frozen):
     """A lift (g, sigma) of base cell number `base` in dimension `dim`."""
-    dim: int
-    base: int
-    word: Word
+    __slots__ = _fields = ("dim", "base", "word")
+
+    def __init__(self, dim: int, base: int, word: Word):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "word", word)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dim, self.base, self.word) == (other.dim, other.base, other.word)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.dim, self.base, self.word))
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(_Frozen):
     """Canonical integer chain: sorted merged terms with nonzero coefficients."""
-    dim: int
-    terms: tuple[tuple[LiftedCell, int], ...] = ()
+    __slots__ = _fields = ("dim", "terms")
+
+    def __init__(self, dim: int, terms: tuple[tuple[LiftedCell, int], ...] = ()):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dim, self.terms) == (other.dim, other.terms)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.dim, self.terms))
 
     def __bool__(self) -> bool:
         return bool(self.terms)

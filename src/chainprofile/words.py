@@ -41,7 +41,6 @@ import hashlib
 import heapq
 import itertools
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import AlphabetError, InputError, OracleUndecidedError, ParseError
@@ -49,11 +48,44 @@ from .errors import AlphabetError, InputError, OracleUndecidedError, ParseError
 Letter = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Word:
+class _Frozen:
+    """Base of the immutable value classes.  Each sets the fields it names
+    in `_fields` once, in `__init__`, with `object.__setattr__`; any later
+    assignment raises AttributeError.  Equality and hashing, by the tuple
+    of fields and only within one class, are written out in each class,
+    since they run in the hot loops."""
+    __slots__ = ()
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Word(_Frozen):
     """A word over a generator alphabet; letters are (index, +1/-1)."""
-    gens: tuple[str, ...]
-    letters: tuple[Letter, ...] = ()
+    __slots__ = _fields = ("gens", "letters")
+
+    def __init__(self, gens: tuple[str, ...], letters: tuple[Letter, ...] = ()):
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.gens, self.letters) == (other.gens, other.letters)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.gens, self.letters))
 
     def __mul__(self, other: "Word") -> "Word":
         return compose(self, other)
@@ -193,11 +225,22 @@ _MAX_SYMMETRIES = 64          # a larger group falls back to the identity
 _MAX_SYMMETRY_NODES = 10_000  # and so does a longer backtracking search
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """Generators and relators, and what the relators say."""
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+class Presentation(_Frozen):
+    """Generators and relators, and what the relators say.  No slots: the
+    cached answers below live in the instance's `__dict__`."""
+    _fields = ("generators", "relators")
+
+    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.generators, self.relators) == (other.generators, other.relators)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.generators, self.relators))
 
     def __str__(self) -> str:
         rels = ", ".join(format_word(r) for r in self.relators)

@@ -597,8 +597,12 @@ def test_every_command_prints_each_format(tmp_path, capsys, name, fmt):
         assert rows and all(len(row) == len(header) for row in rows)
 
 
-def test_import_leaves_multiprocessing_out():
+# modules no query needs at start-up: the worker pool is imported on
+# first use, and the value classes are written without `dataclasses`,
+# which would bring in `inspect`, `ast` and `dis`
+@pytest.mark.parametrize("module", ["multiprocessing", "dataclasses", "inspect", "ast", "dis"])
+def test_import_leaves_module_out(module):
     probe = _fresh_process(
-        "-c", "import sys, chainprofile.cli; print('multiprocessing' in sys.modules)",
+        "-c", f"import sys, chainprofile.cli; print({module!r} in sys.modules)",
         check=True)
     assert probe.stdout.strip() == "False"

@@ -11,6 +11,7 @@ from chainprofile.errors import BudgetExceededError, InputError, WrongAlgorithmE
 from chainprofile.inputs import load_example, load_input
 from chainprofile.profiles import (
     Budget,
+    ProfileTable,
     chain2_bound,
     disk_combination,
     filling_volume,
@@ -114,6 +115,28 @@ def test_tiny_cap_is_reported():
     cyc = square_cycle(s, oracle, scale=3)
     with pytest.raises(BudgetExceededError):
         minimal_filling(cyc, s, oracle, budget=Budget(fill_volume_cap=2))
+
+
+@pytest.mark.parametrize("name, cap", [
+    ("fill_volume_cap", "3"), ("fill_volume_cap", -1), ("fill_volume_cap", True),
+    ("node_cap", 2.5), ("node_cap", -5), ("node_cap", 0), ("node_cap", None)])
+def test_budget_refuses_caps_the_cli_refuses(name, cap):
+    with pytest.raises(InputError, match=f"^{name} must be an integer >= "):
+        Budget(**{name: cap})
+
+
+def test_budget_and_table_values():
+    assert Budget() == Budget(24, 1_000_000) != Budget(fill_volume_cap=0)
+    assert Budget(fill_volume_cap=0, node_cap=1).to_json_dict() == \
+        {"fill_volume_cap": 0, "node_cap": 1}
+    assert repr(Budget()) == "Budget(fill_volume_cap=24, node_cap=1000000)"
+    assert Budget() != (24, 1_000_000)
+    t1, t2 = (ProfileTable("psi", "f", Budget().to_json_dict(), [0]) for _ in range(2))
+    assert t1 == t2 and t1.witnesses == [] and t1.witnesses is not t2.witnesses
+    t1.witnesses.append(None)
+    assert t2.witnesses == [] and t1 != t2
+    assert repr(t2) == ("ProfileTable(kind='psi', fingerprint='f', budget="
+                        "{'fill_volume_cap': 24, 'node_cap': 1000000}, values=[0], witnesses=[])")
 
 
 @pytest.mark.parametrize("cap", [1, 2])

@@ -1,5 +1,6 @@
 """Chain algebra over lifted cells: boundaries, components, coboundary."""
 
+import pickle
 import random
 
 import pytest
@@ -484,3 +485,57 @@ def test_three_dimensional_complex_validates():
     assert norm(b) == 2
     assert not boundary(b, s, o).terms
     assert is_connected(b, s, o)
+
+
+# ------------------------------------------------------------- value objects
+
+def _value_objects():
+    """Two equal but distinct copies of a Word, LiftedCell, Chain and
+    Presentation, each with its fields."""
+    def make():
+        p = parse_presentation("<a, b | a b a^-1 b^-1>")
+        w = parse_word("a b^-1", p.generators)
+        cell = LiftedCell(1, 0, w)
+        return [(w, (w.gens, w.letters)), (cell, (1, 0, w)),
+                (Chain(1, ((cell, 2),)), (1, ((cell, 2),))),
+                (p, (p.generators, p.relators))]
+    return zip(make(), make())
+
+
+def test_equal_fields_give_equal_values_and_hashes():
+    for (x, fields), (y, _) in _value_objects():
+        assert x is not y and x == y and hash(x) == hash(y) == hash(fields)
+        # another class never compares equal, not even a tuple of the fields
+        assert x != fields and not x == fields
+    assert Chain(1) == Chain(1, ()) and hash(Chain(1)) == hash(Chain(1, ()))
+    a = parse_word("a", ("a",))
+    assert LiftedCell(1, 0, a) != LiftedCell(1, 1, a) != LiftedCell(2, 1, a)
+
+
+def test_value_reprs_spell_their_fields():
+    w = parse_word("a b^-1", ("a", "b"))
+    cell = LiftedCell(1, 0, w)
+    assert repr(w) == "Word('a b^-1')"
+    assert repr(cell) == "LiftedCell(dim=1, base=0, word=Word('a b^-1'))"
+    assert repr(Chain(1, ((cell, -1),))) == \
+        "Chain(dim=1, terms=((LiftedCell(dim=1, base=0, word=Word('a b^-1')), -1),))"
+    assert repr(parse_presentation("<a | a^2>")) == \
+        "Presentation(generators=('a',), relators=(Word('a^2'),))"
+
+
+def test_values_refuse_assignment():
+    for (x, _), _ in _value_objects():
+        name = x._fields[0]
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+
+
+def test_values_survive_pickling():
+    # the worker pool pickles fillings back from forked workers
+    s, o = z2()
+    chain = boundary(build_chain(2, [(LiftedCell(2, 0, identity_word(("a", "b"))), 1)], o), s, o)
+    for x in [chain, *(x for (x, _), _ in _value_objects())]:
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
