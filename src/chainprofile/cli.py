@@ -10,6 +10,12 @@ only after its witnesses are verified.
 is built on the first call and reused, so the `cmd_*` handlers are bound
 then: to change what a command does, patch what its handler calls (such as
 `chainprofile.cli.psi_table`), not the handler itself.
+
+Each `--input` is read on every call, but each distinct text is parsed once
+per process: the last few (skeleton, oracle) pairs are kept by text, so the
+queries that share an input share its cached tables and normal forms too.
+Editing the file gives a fresh parse.  The library loaders `load_input` and
+`load_example` still build fresh objects on every call.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ from .enumeration import connected_chains_up_to_action, connected_cycles_up_to_a
 from .errors import ChainProfileError
 from .inputs import (
     bundled_examples,
+    decode_input,
     format_chain,
-    load_example,
+    input_text,
     load_input,
     parse_chain,
     read_delta,
@@ -59,10 +66,15 @@ from .skeleton import (
 )
 
 
+@functools.lru_cache(maxsize=8)
+def _parsed(text: str):
+    """(skeleton, oracle) of one input text.  A refused text raises, and
+    lru_cache keeps no entry for it."""
+    return load_input(decode_input(text))
+
+
 def _load(args):
-    if os.path.exists(args.input):
-        return load_input(args.input)
-    return load_example(args.input)
+    return _parsed(input_text(args.input))
 
 
 def _budget(args) -> Budget:
@@ -305,7 +317,7 @@ def _parser() -> argparse.ArgumentParser:
             ("phi", "profile over all cycle sizes via partitions"),
             ("finite-profile", "exact profile over a finite multiplication table")):
         sp = sub.add_parser(name, parents=[common], help=text)
-        sp.add_argument("-n", "--max-size", type=int, required=True)
+        sp.add_argument("-n", "--max-size", type=_at_least(0), required=True)
         sp.set_defaults(func=cmd_profile)
 
     sp = sub.add_parser("chain2-bound",
@@ -318,7 +330,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("disk-bound",
                         help="best table sum over a fixed number of pieces")
     sp.add_argument("--delta", required=True, metavar="FILE")
-    sp.add_argument("--parts", type=int, required=True)
+    sp.add_argument("--parts", type=_at_least(1), required=True)
     sp.add_argument("--format", choices=("human", "json", "csv"), default="human")
     sp.set_defaults(func=cmd_bound)
 

@@ -41,13 +41,7 @@ def load_input(source):
     cells the two-dimensional complex of the presentation is used.
     """
     if isinstance(source, (str, os.PathLike)):
-        try:
-            with open(source) as fh:
-                data = json.load(fh)
-        except OSError as e:
-            raise InputError(f"cannot read input file: {e}") from None
-        except json.JSONDecodeError as e:
-            raise InputError(f"input file is not valid JSON: {e}") from None
+        data = decode_input(_file_text(source))
     else:
         data = source
     if not isinstance(data, dict):
@@ -96,6 +90,9 @@ def parse_chain(text: str, s, oracle):
     text = text.strip()
     if not text:
         raise InputError("empty chain literal")
+    if text == "0":
+        raise InputError("chain literal '0' is the zero chain, which has no dimension; "
+                         "write it as terms that cancel, such as '(1, c) - (1, c)'")
     i, n = 0, len(text)
     terms = []
     first = True
@@ -150,7 +147,8 @@ def parse_chain(text: str, s, oracle):
 
 
 def format_chain(a, s) -> str:
-    """Literal form of a chain; parse_chain inverts it."""
+    """Literal form of a chain; parse_chain inverts it, except on the zero
+    chain: its literal "0" names no dimension, so parse_chain refuses it."""
     if not a.terms:
         return "0"
     pieces = []
@@ -202,10 +200,36 @@ def bundled_examples() -> dict:
             for name, item in _bundled_files().items()}
 
 
-def load_example(name: str):
-    """(skeleton, oracle) of one bundled input; only its own file is read."""
+def _example_text(name: str) -> str:
     files = _bundled_files()
     if name not in files:
         raise InputError(f"input {name!r} is neither a file nor a bundled name; "
                          f"available: {', '.join(sorted(files))}")
-    return load_input(json.loads(files[name].read_text()))
+    return files[name].read_text()
+
+
+def _file_text(path) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as e:
+        raise InputError(f"cannot read input file: {e}") from None
+
+
+def input_text(source: str) -> str:
+    """The text of the input file at source if there is one, else of the
+    bundled input named source."""
+    return _file_text(source) if os.path.exists(source) else _example_text(source)
+
+
+def decode_input(text: str):
+    """The description held by an input text."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"input file is not valid JSON: {e}") from None
+
+
+def load_example(name: str):
+    """(skeleton, oracle) of one bundled input; only its own file is read."""
+    return load_input(decode_input(_example_text(name)))

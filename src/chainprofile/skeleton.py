@@ -206,6 +206,11 @@ class SkeletonSpec:
     def boundary_chain(self, dim: int, base: int) -> Chain:
         return self.boundaries[dim][base]
 
+    @cached_property
+    def canonical_json(self) -> str:
+        """to_json_dict() as sorted-key JSON text: what the fingerprint hashes."""
+        return json.dumps(self.to_json_dict(), sort_keys=True)
+
     def to_json_dict(self) -> dict:
         cells = []
         for dim in range(self.q + 1):
@@ -652,5 +657,5 @@ def chain_from_json(data: dict, s: SkeletonSpec, oracle) -> Chain:
 
 
 def skeleton_fingerprint(s: SkeletonSpec, oracle) -> str:
-    payload = json.dumps(s.to_json_dict(), sort_keys=True) + "|" + oracle.name
+    payload = s.canonical_json + "|" + oracle.name
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

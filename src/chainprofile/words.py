@@ -166,18 +166,22 @@ def format_word(w: Word) -> str:
     return " ".join(parts)
 
 
-_WORD_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\^\s*-?\d+|1|\S")
+# one pass classifies each token: findall gives one group per kind, and
+# only the group of the token's kind is nonempty
+_WORD_TOKEN = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<power>\^\s*-?\d+)"
+                         r"|(?P<one>1)|(?P<other>\S)")
 
 
-def _split_identifier(tok: str, gens: tuple[str, ...]) -> list[int]:
-    """Greedy longest-first split of a juxtaposed identifier into generators."""
-    by_len = sorted(gens, key=len, reverse=True)
+def _split_identifier(tok: str, index: dict) -> list[int]:
+    """Greedy longest-first split of a juxtaposed identifier into generators,
+    given as name -> position."""
+    by_len = sorted(index, key=len, reverse=True)
     out = []
     pos = 0
     while pos < len(tok):
         for name in by_len:
             if tok.startswith(name, pos):
-                out.append(gens.index(name))
+                out.append(index[name])
                 pos += len(name)
                 break
         else:
@@ -188,15 +192,21 @@ def _split_identifier(tok: str, gens: tuple[str, ...]) -> list[int]:
 def parse_word(text: str, gens: tuple[str, ...]) -> Word:
     """Parse a word like 'a b a^-1 b^-1', 'a^2 b', 'aba^-1'; '1' is empty."""
     gens = tuple(gens)
+    index = {}  # name -> first position, as gens.index gives
+    for i, name in enumerate(gens):
+        index.setdefault(name, i)
     letters: list[Letter] = []
     last_unit: list[Letter] = []  # letters of the unit a trailing power applies to
 
-    for tok in _WORD_TOKEN.findall(text):
-        if tok == "1":
-            last_unit = []
-            continue
-        if tok.startswith("^"):
-            k = int(tok[1:].strip())
+    for name, power, one, other in _WORD_TOKEN.findall(text):
+        if name:
+            g = index.get(name)
+            unit = ([(g, 1)] if g is not None
+                    else [(i, 1) for i in _split_identifier(name, index)])
+            letters.extend(unit)
+            last_unit = unit[-1:]
+        elif power:
+            k = int(power[1:].strip())
             if not last_unit:
                 raise ParseError(f"power with nothing to apply it to in {text!r}")
             del letters[len(letters) - len(last_unit):]
@@ -207,16 +217,10 @@ def parse_word(text: str, gens: tuple[str, ...]) -> Word:
             else:
                 letters.extend([(g, -s)] * (-k))
             last_unit = []
-            continue
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            if tok in gens:
-                unit = [(gens.index(tok), 1)]
-            else:
-                unit = [(i, 1) for i in _split_identifier(tok, gens)]
-            letters.extend(unit)
-            last_unit = unit[-1:]
-            continue
-        raise ParseError(f"unexpected token {tok!r} in word {text!r}")
+        elif one:
+            last_unit = []
+        else:
+            raise ParseError(f"unexpected token {other!r} in word {text!r}")
 
     return Word(gens, _reduce_letters(letters))
 

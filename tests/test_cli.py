@@ -448,6 +448,14 @@ def test_zero_cycle_has_the_zero_filling(capsys):
     assert (code, out) == (0, "filling volume 0\nfilling: 0\n")
 
 
+def test_the_printed_zero_chain_is_refused_by_name(capsys):
+    # "0" is how the zero chain prints, but it names no dimension to parse into
+    code, out, err = run(capsys, "fv", "--input", "z2", "--chain", " 0 ", "--no-cache")
+    assert (code, out, err) == (
+        2, "", "error: chain literal '0' is the zero chain, which has no dimension; "
+               "write it as terms that cancel, such as '(1, c) - (1, c)'\n")
+
+
 DIM4_NOTE = ("note: in dimension 4 and above this table equals the manifold-type "
              "isoperimetric profile of the group")
 
@@ -481,6 +489,32 @@ def test_budget_options_below_their_bounds_are_usage_errors(capsys, option, valu
     assert code == (4 if option == "--node-cap" else 0), err
 
 
+@pytest.mark.parametrize("argv, option, value, low", [
+    (("psi", "--input", "z2"), "-n/--max-size", "-1", 0),
+    (("phi", "--input", "z2"), "-n/--max-size", "-4", 0),
+    (("finite-profile", "--input", "zmod2"), "-n/--max-size", "-1", 0),
+    (("disk-bound", "--delta", "delta.txt"), "--parts", "0", 1),
+    (("disk-bound", "--delta", "delta.txt"), "--parts", "-2", 1)])
+def test_sizes_below_their_bounds_are_refused_before_loading(
+        capsys, monkeypatch, argv, option, value, low):
+    from chainprofile import cli
+
+    def unread(source):
+        raise AssertionError(f"{source} was read")
+    monkeypatch.setattr(cli, "input_text", unread)
+    monkeypatch.setattr(cli, "read_delta", unread)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option.split("/")[0], value])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be at least {low}, got {value}" in capsys.readouterr().err
+
+
+def test_a_size_that_is_not_a_number_is_an_invalid_int(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["psi", "--input", "z2", "-n", "six"])
+    assert exc.value.code == 2
+    assert "argument -n/--max-size: invalid int value: 'six'" in capsys.readouterr().err
+
 
 def test_negative_max_norm_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -505,28 +539,39 @@ def _fresh_process(*args, **kwargs):
 def test_reused_parser_matches_fresh_processes(tmp_path, capsys, monkeypatch):
     # argparse wraps its usage lines to the terminal width
     monkeypatch.setenv("COLUMNS", "80")
+    from chainprofile.cli import _parsed
+
+    _parsed.cache_clear()
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(grid_search_input()))
     queries = [
         ("fv", "--input", "z2", "--chain", SQUARE, "--format", "json"),
+        ("fv", "--input", str(grid), "--chain", SQUARE),
         ("psi", "--input", "z2", "-n", "6"),
         ("phi", "--input", "z2", "-n", "6", "--format", "csv"),
         ("finite-profile", "--input", "zmod2", "-n", "4"),
         ("validate", "--input", "z2"),
+        ("validate", "--input", str(grid), "--format", "json"),
         ("enumerate", "--input", "z2", "--chain-dim", "1", "--max-norm", "4",
          "--cycles", "--list"),
         ("psi", "--input", "z2", "-n", "six"),
         ("validate", "--input", "missing"),
     ]
+    # each query twice against one cache: the second call finds its input
+    # parsed and its answer cached, and must still print what a fresh
+    # process prints
     for i, query in enumerate(queries):
-        argv = [*query, "--cache", str(tmp_path / f"in-process-{i}")]
-        try:
-            code = main(argv)
-        except SystemExit as e:
-            code = e.code
-        got = capsys.readouterr()
-        argv[-1] = str(tmp_path / f"fresh-{i}")
-        fresh = _fresh_process("-m", "chainprofile.cli", *argv)
-        assert (code, got.out, got.err) == (
-            fresh.returncode, fresh.stdout, fresh.stderr), query
+        for attempt in ("cold", "warm"):
+            argv = [*query, "--cache", str(tmp_path / f"in-process-{i}")]
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            got = capsys.readouterr()
+            argv[-1] = str(tmp_path / f"fresh-{i}")
+            fresh = _fresh_process("-m", "chainprofile.cli", *argv)
+            assert (code, got.out, got.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), (query, attempt)
 
 
 def test_verbose_logs_the_finite_sweep_levels_to_stderr():
@@ -606,3 +651,100 @@ def test_import_leaves_module_out(module):
         "-c", f"import sys, chainprofile.cli; print({module!r} in sys.modules)",
         check=True)
     assert probe.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------- input memo
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The CLI's input memo, emptied, with a log of the texts it parses."""
+    from chainprofile import cli
+
+    cli._parsed.cache_clear()
+    log = []
+    real = cli.load_input
+    monkeypatch.setattr(cli, "load_input", lambda data: log.append(data) or real(data))
+    yield log
+    cli._parsed.cache_clear()
+
+
+def _validate(capsys, path):
+    code, out, err = run(capsys, "validate", "--input", str(path), "--no-cache",
+                         "--format", "json")
+    return code, json.loads(out) if code == 0 else err
+
+
+def test_two_calls_on_one_file_parse_it_once(tmp_path, capsys, parsed):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid_search_input()))
+    first = _validate(capsys, path)
+    code, out, _ = run(capsys, "fv", "--input", str(path), "--chain", SQUARE, "--no-cache")
+    assert first[0] == code == 0 and out.startswith("filling volume 1\n")
+    assert _validate(capsys, path) == first
+    assert len(parsed) == 1
+
+
+def test_a_rewritten_file_is_parsed_again(tmp_path, capsys, parsed):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(grid_search_input()))
+    _, grid = _validate(capsys, path)
+    path.write_text(json.dumps({**BASE_INPUT, "presentation": "<a, b>"}))
+    _, free = _validate(capsys, path)
+    assert (grid["cells"]["2"], free["cells"]["2"]) == (1, 0)
+    assert grid["fingerprint"] != free["fingerprint"]
+    assert len(parsed) == 2
+
+
+def test_a_refused_file_is_not_remembered(tmp_path, capsys, parsed):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(BASE_INPUT)[:-1])
+    code, err = _validate(capsys, path)
+    assert code == 2 and err.startswith("error: input file is not valid JSON: "), err
+    path.write_text(json.dumps({**BASE_INPUT, "dim": "2"}))
+    assert _validate(capsys, path) == (2, "error: dim must be an integer\n")
+    path.write_text(json.dumps(BASE_INPUT))
+    code, info = _validate(capsys, path)
+    assert code == 0 and info["oracle"] == "free"
+    from chainprofile.cli import _parsed
+    assert _parsed.cache_info().currsize == 1
+
+
+def test_the_memo_holds_at_most_its_bound(tmp_path, capsys, parsed):
+    from chainprofile.cli import _parsed
+
+    bound = _parsed.cache_info().maxsize
+    assert bound == 8
+    for k in range(bound + 3):
+        path = tmp_path / f"in-{k}.json"
+        path.write_text(json.dumps({**BASE_INPUT, "presentation": f"<x{k}>"}))
+        assert _validate(capsys, path)[0] == 0
+        assert _parsed.cache_info().currsize == min(k + 1, bound)
+    # the oldest input was dropped: asking for it again parses it again
+    assert _validate(capsys, tmp_path / "in-0.json")[0] == 0
+    assert len(parsed) == bound + 4
+
+
+def test_the_library_loaders_build_fresh_objects(tmp_path):
+    from chainprofile.inputs import load_input
+
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(bundled_examples()["z2"]))
+    for load, source in ((load_example, "z2"), (load_input, path)):
+        (s1, o1), (s2, o2) = load(source), load(source)
+        assert s1 is not s2 and o1 is not o2
+        assert skeleton_fingerprint(s1, o1) == skeleton_fingerprint(s2, o2)
+
+
+def test_the_fingerprint_serialises_each_skeleton_once(monkeypatch):
+    from chainprofile.skeleton import SkeletonSpec
+
+    s, oracle = load_example("z2")
+    served = []
+    real = SkeletonSpec.to_json_dict
+    monkeypatch.setattr(SkeletonSpec, "to_json_dict",
+                        lambda self: served.append(self) or real(self))
+    fingerprints = {skeleton_fingerprint(s, oracle) for _ in range(3)}
+    assert len(fingerprints) == 1 and served == [s]
+    other, _ = load_example("z2")
+    assert skeleton_fingerprint(other, oracle) in fingerprints
+    assert served == [s, other]

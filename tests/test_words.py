@@ -81,6 +81,27 @@ def test_parse_errors():
         w("(a b)^2")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("c", "unknown generator in 'c'"),
+    ("a1", "unknown generator in 'a1'"),
+    ("^2", "power with nothing to apply it to in '^2'"),
+    ("1^2", "power with nothing to apply it to in '1^2'"),
+    ("2a", "unexpected token '2' in word '2a'"),
+    ("a \u00e9", "unexpected token '\u00e9' in word 'a \u00e9'"),
+    # a caret without an exponent is a token of its own, not a bad power
+    ("a ^ b", "unexpected token '^' in word 'a ^ b'"),
+    ("a^", "unexpected token '^' in word 'a^'")])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        w(text)
+    assert str(exc.value) == message
+
+
+def test_parse_keeps_every_token_kind():
+    assert w("a^2 1 b^-1 ab a ^ 3").letters == (
+        (0, 1), (0, 1), (1, -1), (0, 1), (1, 1), (0, 1), (0, 1), (0, 1))
+
+
 def test_format_word():
     assert format_word(w("a a b^-1")) == "a^2 b^-1"
     assert format_word(w("1")) == "1"
