@@ -201,11 +201,15 @@ def bundled_examples() -> dict:
 
 
 def _example_text(name: str) -> str:
-    files = _bundled_files()
-    if name not in files:
-        raise InputError(f"input {name!r} is neither a file nor a bundled name; "
-                         f"available: {', '.join(sorted(files))}")
-    return files[name].read_text()
+    """The text of the bundled input called name.  Its file is opened by
+    name; the directory is listed only to say what is available."""
+    if os.sep not in name and "/" not in name:
+        try:
+            return (resources.files("chainprofile.data") / f"{name}.json").read_text()
+        except (OSError, ValueError):   # missing, or a name no file can have
+            pass
+    raise InputError(f"input {name!r} is neither a file nor a bundled name; "
+                     f"available: {', '.join(sorted(_bundled_files()))}")
 
 
 def _file_text(path) -> str:

@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +14,7 @@ import pytest
 
 import chainprofile
 from chainprofile.cache import ResultCache, profile_key
-from chainprofile.cli import main
+from chainprofile.cli import _json_text, main
 from chainprofile.inputs import bundled_examples, load_example
 from chainprofile.profiles import Budget
 from chainprofile.skeleton import skeleton_fingerprint
@@ -456,8 +458,9 @@ def test_the_printed_zero_chain_is_refused_by_name(capsys):
                "write it as terms that cancel, such as '(1, c) - (1, c)'\n")
 
 
-DIM4_NOTE = ("note: in dimension 4 and above this table equals the manifold-type "
-             "isoperimetric profile of the group")
+DIM4_NOTE = ("note: in dimension 4 and above this profile is equivalent up to scaling "
+             "to the manifold-type isoperimetric profile of the group: the same "
+             "growth, not the same values")
 
 
 @pytest.mark.parametrize("command", ["psi", "phi"])
@@ -640,6 +643,93 @@ def test_every_command_prints_each_format(tmp_path, capsys, name, fmt):
     elif fmt == "csv":
         header, *rows = csv.reader(io.StringIO(out))
         assert rows and all(len(row) == len(header) for row in rows)
+
+
+# every JSON-producing command, enumerate with its chain listing
+JSON_COMMANDS = {**COMMANDS, "enumerate": lambda tmp: [*COMMANDS["enumerate"](tmp), "--list"]}
+
+
+@pytest.mark.parametrize("name", JSON_COMMANDS)
+def test_json_output_is_the_indented_sorted_encoding(tmp_path, capsys, name):
+    # scripts may hash `--format json` output: it is exactly what
+    # json.dumps(indent=2, sort_keys=True) prints, cold and from the cache
+    for attempt in ("cold", "warm"):
+        code, out, _ = run(capsys, *JSON_COMMANDS[name](tmp_path), "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", attempt
+
+
+# ------------------------------------------------------------- JSON emitter
+
+ODD_TEXTS = ["", "plain", "caf\u00e9", "\u03c8(8)", "\U0001d4b3", "\ud800", 'say "hi"',
+             "back\\slash", "tab\tnew\nline\r", "\x00\x1f\x7f", "</script>"]
+ODD_NUMBERS = [0, 1, -1, 2 ** 70, -(2 ** 70), 0.0, -0.0, 0.1, -2.5, 1e300, 1e-300,
+               math.inf, -math.inf, math.nan]
+
+
+def _random_leaf(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice(ODD_TEXTS) + "".join(
+            chr(rng.randrange(0x20, 0x500)) for _ in range(rng.randrange(4)))
+    if kind == 1:
+        return rng.randrange(-10 ** 6, 10 ** 6)
+    if kind == 2:
+        return rng.choice([rng.uniform(-1e6, 1e6), *ODD_NUMBERS])
+    return [True, False, None][kind - 3]
+
+
+def _random_keys(rng, size):
+    # one kind of key per dict: json cannot sort str beside numbers or None
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [rng.choice(ODD_TEXTS) + str(i) for i in range(size)]
+    if kind == 1:
+        return [rng.randrange(-50, 50) for _ in range(size)]
+    if kind == 2:
+        return [rng.choice([True, False, rng.randrange(-3, 3), rng.uniform(-3, 3),
+                            math.inf, -0.0]) for _ in range(size)]
+    return [None]
+
+
+def _random_document(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return _random_leaf(rng)
+    size = rng.randrange(4)
+    kind = rng.randrange(3)
+    items = [_random_document(rng, depth - 1) for _ in range(size)]
+    if kind == 0:
+        return items
+    if kind == 1:
+        return tuple(items)
+    return dict(zip(_random_keys(rng, size), items))
+
+
+def test_the_emitter_matches_json_on_random_documents():
+    rng = random.Random(20090113)
+    for _ in range(400):
+        doc = _random_document(rng, 5)
+        assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True), doc
+
+
+@pytest.mark.parametrize("doc", [
+    [], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[], {}, ()], ((),), {"": ""},
+    [True, 1, False, 0, 1.0, 0.0], None, "", 0, 1.5,
+    [-1, -(10 ** 40), 10 ** 40, 2 ** 63], [math.nan, math.inf, -math.inf, -0.0, 1e16],
+    ODD_TEXTS, {t: t for t in ODD_TEXTS},
+    {3: "a", -2: "b", 2.5: "c", True: "d", False: "e"}, {None: 1}, {math.nan: 0},
+    {2: {1: {0: []}}}, {"b": (1, (2, [3])), "a": {"z": {}, "y": [None]}},
+], ids=repr)
+def test_the_emitter_matches_json_on_edge_cases(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [object(), [1, {2}], {(1,): 2}, {"a": 1, 2: "b"}], ids=repr)
+def test_the_emitter_refuses_what_json_refuses(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _json_text(doc)
 
 
 # modules no query needs at start-up: the worker pool is imported on
