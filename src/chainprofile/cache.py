@@ -4,15 +4,19 @@ One JSON file per entry, named by the sha256 of its key and holding
 {"key", "value"}; it is replaced atomically, so concurrent runs never lose
 each other's entries, and a file that cannot be read or holds another key
 is a miss.  A `cache.json` left by older versions is ignored.  Keys hold
-the skeleton fingerprint plus the query and budget.  Stored witnesses are
-re-checked before a hit is trusted, and entries that fail are evicted and
-recomputed.  A filling that passes proves FV(cycle) <= value.  On the
-aspherical one-relator complexes of the rewriting gate in `profiles`, with
-an oracle for the presented group itself (not a finite table, which may be a
-quotient), the complex is the universal cover and the filling is unique, so
-a passing fv or psi witness is exact there; elsewhere it is only an upper
-bound, and minimality rests on the exhaustive search that wrote it.  phi is
-not cached: it is derived from the cached psi table.
+the skeleton fingerprint plus the query and budget.  Before a hit is
+trusted, the route that wrote it (`profiles`) admits the oracle and
+re-checks each stored witness; entries that fail are evicted and recomputed.
+A filling that passes proves FV(cycle) <= value.  Inside Lyndon's gate of
+`profiles` (an aspherical one-relator presentation complex, with an oracle
+for the presented group itself, not a finite table, which may be a
+quotient) the complex is the universal cover and the filling is unique, so
+a passing fv witness is exact there.  A passing psi witness of size k is a
+connected (q-1)-cycle of norm at most k with a filling of norm values[k]:
+inside the gate that proves psi(k) >= values[k].  That no connected cycle
+does better, and every minimality outside the gate, rests on the run that
+wrote the entry.  phi is not cached: it is derived from the cached psi
+table.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import os
 import tempfile
 
 from .errors import ChainProfileError
-from .profiles import _check_delta, _check_filling, _finite_boundary
+from .profiles import _WITNESS_CHECKS, _check_delta, _check_filling, _check_route
 from .skeleton import chain_from_json, norm
 from .words import _is_int
 
@@ -100,50 +104,15 @@ def fv_key(fingerprint: str, chain_json, budget) -> str:
     return f"{fingerprint}:fv:{digest}:{budget.fill_volume_cap}:{budget.node_cap}"
 
 
-# A witness check returns (cycle norm, filling norm) when the stored filling
-# bounds the stored cycle, and raises ChainProfileError when it does not.
-
-def _psi_witness(wit, s, oracle):
-    cyc = chain_from_json(wit["cycle"], s, oracle)
-    fill = chain_from_json(wit["filling"], s, oracle)
-    _check_filling(fill, cyc, s, oracle)
-    return norm(cyc), norm(fill)
-
-
-def _finite_chain(terms, dim, s, oracle) -> dict:
-    """Stored cells of the finite cover as {(element, base cell): coeff}."""
-    out = {}
-    for t in terms:
-        cdim, base = s.index[t["base"]]
-        coeff = t["coeff"]
-        if cdim != dim or not _is_int(coeff):
-            raise ValueError(f"malformed finite witness cell {t!r}")
-        cell = (oracle.elements.index(t["element"]), base)
-        out[cell] = out.get(cell, 0) + coeff
-    return {cell: c for cell, c in out.items() if c}
-
-
-def _finite_witness(wit, s, oracle):
-    cyc = _finite_chain(wit["cycle"], s.q - 1, s, oracle)
-    fill = _finite_chain(wit["filling"], s.q, s, oracle)
-    if _finite_boundary(s, oracle, fill) != cyc:
-        raise ChainProfileError("finite filling witness failed verification")
-    return sum(map(abs, cyc.values())), sum(map(abs, fill.values()))
-
-
-_WITNESS_CHECKS = {"psi": _psi_witness, "finite": _finite_witness}
-
-
 def verify_profile_entry(entry, kind: str, n: int, s, oracle) -> bool:
-    """Structural and witness checks on a cached profile before reuse: the
-    witness for size 0 is empty, and the witness for size k is a filling
-    that bounds a cycle of norm at most k and has norm values[k]."""
+    """Checks on a cached profile before reuse: its route admits the oracle,
+    the witness for size 0 is empty, and the route's check passes the
+    witness for size k with a cycle of norm <= k and a filling of values[k]."""
     check = _WITNESS_CHECKS.get(kind)
     if check is None:
         return False
-    if kind == "finite" and oracle.kind != "finite-table":
-        return False
     try:
+        _check_route(kind, oracle)
         values = entry["values"]
         witnesses = entry["witnesses"]
         if (not isinstance(values, list) or len(values) != n + 1
@@ -156,7 +125,8 @@ def verify_profile_entry(entry, kind: str, n: int, s, oracle) -> bool:
                 if values[k] != 0:
                     return False
                 continue
-            norms = check(wit, s, oracle)
+            if wit != witnesses[k - 1]:  # a record's witness repeats over its sizes
+                norms = check(wit, s, oracle)
             if norms[0] > k or norms[1] != values[k]:
                 return False
         return True

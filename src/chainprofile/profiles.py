@@ -41,8 +41,8 @@ boundary operator before anything is returned.
 Profiles: psi(n) maximizes filling volume over connected cycles of norm at
 most n; phi(n) maximizes the sum of psi over partitions of n, computed by
 the standard recurrence.  Finite presentations backed by a multiplication
-table use the exact finite sweep instead and the two routes refuse each
-other's inputs.
+table use the exact finite sweep instead; the two routes, and the reload of
+their cached tables, refuse each other's oracles (`_check_route`).
 
 The exact finite sweep.  The cover of a finite presentation is finite, and
 norm and FV are invariant under G x {+-1}: left translation by the table
@@ -115,9 +115,11 @@ from .skeleton import (
     add_chains,
     boundary,
     build_chain,
+    chain_from_json,
     chain_to_json,
     chains_equal,
     coboundary,
+    is_connected,
     norm,
     skeleton_fingerprint,
     zero_chain,
@@ -185,10 +187,9 @@ class ProfileTable:
 def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Chain:
     """A filling of least norm: T one dimension up with boundary the cycle.
 
-    Inside the aspherical one-relator gate, and when the oracle's group is
-    the presented one, the unique filling is derived by rewriting;
-    everything else, and any walk the rewriting leaves nonempty, goes to
-    the search.
+    The routes only produce: rewriting answers inside Lyndon's gate, and the
+    search what it leaves.  Whichever answered, the filling is checked
+    against the cycle and the fill volume cap here.
     """
     budget = budget or Budget()
     dim = cycle.dim + 1
@@ -199,12 +200,9 @@ def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Ch
         raise InputError("filling target is not a cycle")
     if not cycle.terms:
         return zero_chain(dim)
-    rules = None
-    if cycle.dim == 1 and oracle.presents_group:
-        rules = _rewriting_rules(s)
-    total = _rewritten_filling(cycle, s, oracle, rules, budget) if rules else None
+    total = _rewritten_filling(cycle, s, oracle, budget)
     if total is None:
-        return _search_filling(cycle, s, oracle, budget)
+        total = _search_filling(cycle, s, oracle, budget)
     _check_filling(total, cycle, s, oracle)
     if norm(total) > budget.fill_volume_cap:
         raise BudgetExceededError(
@@ -253,38 +251,32 @@ def _search_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Ch
     for v in range(low, budget.fill_volume_cap + 1):
         found = search(cycle, v, v)
         if found is not None:
-            total = build_chain(dim, found, oracle)
-            _check_filling(total, cycle, s, oracle)
-            return total
+            return build_chain(dim, found, oracle)
     raise BudgetExceededError(
         f"no filling of norm at most {budget.fill_volume_cap} found")
 
 
 # ------------------------------------------------ unique fillings by rewriting
 
-def _rewriting_rules(s):
-    """The rules of s's presentation (`Presentation.rules`), or None outside
-    the gate: s is the presentation complex of a presentation that passes
-    Lyndon's gate (`Presentation.aspherical`)."""
-    p = s.presentation
-    return p.rules if p.aspherical and s.is_presentation_complex else None
-
-
-def _rewritten_filling(cycle: Chain, s, oracle, rules, budget: Budget):
+def _rewritten_filling(cycle: Chain, s, oracle, budget: Budget):
     """The filling of a 1-cycle summed from relator rewriting, or None.
 
-    The cycle splits into closed walks of the Cayley graph (coefficient c
-    is |c| traversals).  Each walk label is rewritten to the empty word:
-    applying p -> q^-1 at prefix u of a walk from x adds sign times the
-    relator cell at x u offset, and free reductions add nothing.  Every step
-    lowers the word in shortlex order, so this ends; a walk left nonempty
-    gives None.
+    None outside Lyndon's gate (module docstring).  The cycle splits into
+    closed walks of the Cayley graph (coefficient c is |c| traversals).
+    Each walk label is rewritten to the empty word: applying p -> q^-1 at
+    prefix u of a walk from x adds sign times the relator cell at x u
+    offset, and free reductions add nothing.  Every step lowers the word in
+    shortlex order, so this ends; a walk left nonempty gives None.
     """
-    gens = s.presentation.generators
+    p = s.presentation
+    if not (cycle.dim == 1 and oracle.presents_group and p.aspherical
+            and s.is_presentation_complex):
+        return None
+    gens = p.generators
     steps = 0
     cells = []
     for start, w in _cycle_walks(cycle, s, oracle):
-        for step in rules.rewrite(w):
+        for step in p.rules.rewrite(w):
             if step is None:
                 return None
             steps += 1
@@ -297,22 +289,30 @@ def _rewritten_filling(cycle: Chain, s, oracle, rules, budget: Budget):
     return build_chain(2, cells, oracle)
 
 
-def _cycle_walks(cycle: Chain, s, oracle):
-    """Closed walks (start vertex word, letters) that a 1-cycle of a
-    presentation complex splits into, each edge traversed by its step
-    (`SkeletonSpec.edge_steps`) in the sign of its coefficient; vertices are
-    matched by the oracle.  The labels are freely reduced: stepping back
-    along an edge would need a coefficient of the other sign on it."""
+def _cycle_arcs(cycle: Chain, s, oracle) -> dict:
+    """The arcs {vertex: [(next vertex, letters), ...]} of a 1-cycle: each
+    edge traversed |c| times by its step (`SkeletonSpec.edge_steps`) in the
+    sign of its coefficient c.  A vertex is (base, letters) of the word the
+    oracle matches its own to: tuples of ints, cheap to hash."""
     traversals = []
     for c, n in cycle.terms:
         a, b, w, off = s.edge_steps[(c.base, 1 if n > 0 else -1)]
         start = compose(c.word, invert(off))
         traversals.append(((a, start), (b, compose(start, w)), w.letters, abs(n)))
-    vertex = _canonical_cells((end for t in traversals for end in t[:2]), oracle)
+    vertex = {key: (base, w.letters) for key, (base, w) in _canonical_cells(
+        (end for t in traversals for end in t[:2]), oracle).items()}
     arcs: dict[tuple, list] = {}
     for *ends, label, k in traversals:
         a, b = (vertex[(v, w.letters)] for v, w in ends)
         arcs.setdefault(a, []).extend([(b, label)] * k)
+    return arcs
+
+
+def _cycle_walks(cycle: Chain, s, oracle):
+    """Closed walks (start vertex word, letters) that a 1-cycle splits into
+    along its arcs.  The labels are freely reduced: stepping back along an
+    edge would need a coefficient of the other sign on it."""
+    arcs = _cycle_arcs(cycle, s, oracle)
     # every vertex is balanced, so a walk from v can only stop back at v
     for v, out in arcs.items():
         while out:
@@ -320,7 +320,7 @@ def _cycle_walks(cycle: Chain, s, oracle):
             while not letters or u != v:
                 u, label = arcs[u].pop()
                 letters += label
-            yield v[1], tuple(letters)
+            yield Word(s.presentation.generators, v[1]), tuple(letters)
 
 
 def filling_volume(cycle: Chain, s, oracle, budget: Budget | None = None) -> int:
@@ -339,18 +339,22 @@ def _forked_fill(cycle: Chain) -> Chain:
     return _FORKED_FILL(cycle)
 
 
-def _check_infinite_route(oracle):
-    if oracle.kind == "finite-table":
-        raise WrongAlgorithmError(
-            "the cover of a finite presentation is finite; use the exact "
-            "finite profile instead of the enumeration profiles")
+def _check_route(kind: str, oracle):
+    """Refuse (WrongAlgorithmError) an oracle the profile route "psi" or
+    "finite" does not take: the exact finite sweep takes exactly the
+    finite-table oracles, and the enumeration profiles every other oracle."""
+    if (oracle.kind == "finite-table") != (kind == "finite"):
+        raise WrongAlgorithmError({
+            "psi": "the cover of a finite presentation is finite; use the exact "
+                   "finite profile instead of the enumeration profiles",
+            "finite": "the exact finite profile needs a finite-table oracle"}[kind])
 
 
 def psi_table(s, oracle, n: int, budget: Budget | None = None,
               workers: int = 1) -> ProfileTable:
     """psi(k) for k = 0..n: largest filling volume over connected cycles of
     norm at most k one dimension below the top."""
-    _check_infinite_route(oracle)
+    _check_route("psi", oracle)
     budget = budget or Budget()
     if n < 0:
         raise InputError("profile length must be nonnegative")
@@ -385,6 +389,32 @@ def psi_table(s, oracle, n: int, budget: Budget | None = None,
     witnesses = [None if i is None else chosen[i] for i in holders]
     return ProfileTable("psi", skeleton_fingerprint(s, oracle),
                         budget.to_json_dict(), values, witnesses)
+
+
+def _psi_witness(wit, s, oracle):
+    """(cycle norm, filling norm) of a stored psi witness that holds what
+    psi_table writes, a connected (q-1)-cycle and a filling of it; raises
+    ChainProfileError when it does not."""
+    cyc = chain_from_json(wit["cycle"], s, oracle)
+    fill = chain_from_json(wit["filling"], s, oracle)
+    _check_filling(fill, cyc, s, oracle)
+    if cyc.dim != s.q - 1 or not _is_connected_cycle(cyc, s, oracle):
+        raise ChainProfileError("psi witness cycle is not a connected (q-1)-cycle")
+    return norm(cyc), norm(fill)
+
+
+def _is_connected_cycle(cycle: Chain, s, oracle) -> bool:
+    """`is_connected` for a cycle, in linear time for a 1-cycle: that is
+    connected exactly when its arcs are one closed walk through distinct
+    vertices, one arc leaving each (so every coefficient is +-1)."""
+    if cycle.dim != 1:
+        return is_connected(cycle, s, oracle)
+    arcs = _cycle_arcs(cycle, s, oracle)
+    seen, v = set(), next(iter(arcs), None)
+    while v not in seen and len(arcs.get(v, ())) == 1:
+        seen.add(v)
+        v = arcs[v][0][0]
+    return len(seen) == len(arcs) > 0
 
 
 def _running_max(items, n: int):
@@ -458,14 +488,15 @@ def _finite_unit_boundary(s, oracle, dim, elem, base):
     return out
 
 
-def _finite_boundary(s, oracle, fill: dict) -> dict:
-    """Boundary of a q-chain {(element, base): coeff} of the finite cover, in
-    the same form, zero coefficients dropped."""
+def _check_finite_filling(fill: dict, cycle: dict, s, oracle):
+    """Raise ChainProfileError unless the q-chain fill {(element, base): coeff}
+    of the finite cover has boundary cycle, in the same form, no zeros."""
     out = {}
     for (elem, base), c in fill.items():
         for cell, b in _finite_unit_boundary(s, oracle, s.q, elem, base).items():
             out[cell] = out.get(cell, 0) + c * b
-    return {cell: c for cell, c in out.items() if c}
+    if {cell: c for cell, c in out.items() if c} != cycle:
+        raise ChainProfileError("finite filling witness failed verification")
 
 
 def _finite_cycles(s, oracle, n: int, node_cap: int) -> tuple[dict, int]:
@@ -695,8 +726,7 @@ def _finite_fillings(s, oracle, cycles: dict, n: int, budget: Budget,
                     x -= d
                     fill[cell] = fill.get(cell, 0) + sign
                     break
-        if _finite_boundary(s, oracle, fill) != dict(key):
-            raise ChainProfileError("finite filling witness failed verification")
+        _check_finite_filling(fill, dict(key), s, oracle)
         return fill
 
     return fv, filling
@@ -705,33 +735,56 @@ def _finite_fillings(s, oracle, cycles: dict, n: int, budget: Budget,
 def finite_profile(s, oracle, n: int, budget: Budget | None = None) -> ProfileTable:
     """Exact profile for a finite presentation: list the cycles of the finite
     cover up to norm n, then reach each by a breadth-first sweep of boundaries."""
-    if oracle.kind != "finite-table":
-        raise WrongAlgorithmError(
-            "the exact finite profile needs a finite-table oracle")
+    _check_route("finite", oracle)
     budget = budget or Budget()
     if n < 0:
         raise InputError("profile length must be nonnegative")
-    dim = s.q - 1
     cycles, nodes = _finite_cycles(s, oracle, n, budget.node_cap)
     logger.debug("finite cycle enumeration: %d cycles in %d orbits of norm at "
                  "most %d, %d nodes", sum(size for _, size in cycles.values()),
                  len(cycles), n, nodes)
     fv, filling = _finite_fillings(s, oracle, cycles, n, budget, nodes)
-
-    def cell_json(cell, d):
-        e, base = cell
-        return {"element": oracle.elements[e], "base": s.cell_id(d, base)}
-
     # the least (norm, key) cycle of an orbit is its representative
     by_norm = sorted((size, key) for key, (size, _) in cycles.items())
     values, best_keys = _running_max(((size, fv[key], key) for size, key in by_norm), n)
     fills = {key: sorted(filling(key).items()) for key in set(best_keys) - {None}}
     witnesses = [None if key is None else {
-        "cycle": [dict(cell_json(cell, dim), coeff=c) for cell, c in key],
-        "filling": [dict(cell_json(cell, s.q), coeff=c) for cell, c in fills[key]],
+        "cycle": _finite_chain_json(key, s.q - 1, s, oracle),
+        "filling": _finite_chain_json(fills[key], s.q, s, oracle),
     } for key in best_keys]
     return ProfileTable("finite", skeleton_fingerprint(s, oracle),
                         budget.to_json_dict(), values, witnesses)
+
+
+def _finite_chain_json(items, dim, s, oracle) -> list:
+    """Stored form of ((element, base cell), coeff) items of the finite cover."""
+    return [{"element": oracle.elements[e], "base": s.cell_id(dim, base), "coeff": c}
+            for (e, base), c in items]
+
+
+def _finite_chain(terms, dim, s, oracle) -> dict:
+    """Stored cells of the finite cover as {(element, base cell): coeff}."""
+    out = {}
+    for t in terms:
+        cdim, base = s.index[t["base"]]
+        coeff = t["coeff"]
+        if cdim != dim or not _is_int(coeff):
+            raise ValueError(f"malformed finite witness cell {t!r}")
+        cell = (oracle.elements.index(t["element"]), base)
+        out[cell] = out.get(cell, 0) + coeff
+    return {cell: c for cell, c in out.items() if c}
+
+
+def _finite_witness(wit, s, oracle):
+    """(cycle norm, filling norm) of a stored finite witness, as _psi_witness."""
+    cyc = _finite_chain(wit["cycle"], s.q - 1, s, oracle)
+    fill = _finite_chain(wit["filling"], s.q, s, oracle)
+    _check_finite_filling(fill, cyc, s, oracle)
+    return sum(map(abs, cyc.values())), sum(map(abs, fill.values()))
+
+
+# each profile route's re-check of one stored witness, which the cache asks
+_WITNESS_CHECKS = {"psi": _psi_witness, "finite": _finite_witness}
 
 
 # ------------------------------------------------------------ combined bounds

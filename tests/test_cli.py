@@ -1,5 +1,6 @@
 """End-to-end command-line checks."""
 
+import argparse
 import csv
 import io
 import json
@@ -199,6 +200,20 @@ def test_boolean_numbers_in_the_cache_are_recomputed(tmp_path, capsys, query, fo
     assert "recomputing" in err
     assert "true" not in entry_file.read_text()
     assert entry_file.read_text() == stored  # evicted and written again
+
+
+def test_a_planted_psi_entry_does_not_admit_a_finite_table(tmp_path, capsys):
+    # the enumeration profiles refuse a finite-table oracle, and so does the
+    # reload of a psi entry planted under the key of that query
+    args = ("psi", "--input", "zmod2", "-n", "3", "--cache", str(tmp_path))
+    code, out, _ = run(capsys, *args)
+    assert code == 6 and out == ""
+    s, oracle = load_example("zmod2")
+    key = profile_key("psi", skeleton_fingerprint(s, oracle), 3, Budget())
+    ResultCache(str(tmp_path)).put(key, {"values": [0] * 4, "witnesses": [None] * 4})
+    code, out, err = run(capsys, *args)
+    assert code == 6 and out == ""
+    assert "recomputing" in err and not list(tmp_path.glob("*.json"))
 
 
 def test_psi_output_and_worker_independence(tmp_path, capsys):
@@ -643,6 +658,22 @@ def test_every_command_prints_each_format(tmp_path, capsys, name, fmt):
     elif fmt == "csv":
         header, *rows = csv.reader(io.StringIO(out))
         assert rows and all(len(row) == len(header) for row in rows)
+
+
+def _input_commands():
+    from chainprofile.cli import _parser
+
+    (sub,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(name for name, sp in sub.choices.items() if "--input" in sp.format_usage())
+
+
+@pytest.mark.parametrize("name", _input_commands())
+def test_every_input_command_takes_the_benchmark_options(tmp_path, capsys, name):
+    # benchmark/worker.py appends these options to every query it runs
+    code, out, _ = run(capsys, *COMMANDS[name](tmp_path),
+                       "--format", "json", "--workers", "1", "--cache", str(tmp_path))
+    assert code == 0
+    json.loads(out)
 
 
 # every JSON-producing command, enumerate with its chain listing

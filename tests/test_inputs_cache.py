@@ -16,6 +16,7 @@ from chainprofile.cache import (
     verify_fv_entry,
     verify_profile_entry,
 )
+from chainprofile.enumeration import connected_cycles_up_to_action
 from chainprofile.errors import InputError
 from chainprofile.inputs import (
     bundled_examples,
@@ -28,17 +29,22 @@ from chainprofile.inputs import (
 from chainprofile.profiles import (
     Budget,
     _check_delta,
+    _is_connected_cycle,
     finite_profile,
     minimal_filling,
     psi_table,
 )
 from chainprofile.skeleton import (
+    add_chains,
     boundary,
     chain_to_json,
     chains_equal,
+    is_connected,
     norm,
+    translate,
     validate,
 )
+from chainprofile.words import parse_word
 
 
 def test_bundled_examples_load_and_validate():
@@ -285,40 +291,84 @@ def test_finite_entry_verification_recomputes_boundary():
 
 
 # Each tampering below keeps the table's shape, so only the witness loop of
-# verify_profile_entry can reject it.  The tables are z2 psi(6) =
-# [0, 0, 0, 0, 1, 1, 2] and zmod2 finite(6) = [0, 0, 1, 1, 2, 2, 3]; the
-# witness of size 6 has a cycle of norm 6.
+# verify_profile_entry can reject it.  The tables are z2 psi(8) =
+# [0, 0, 0, 0, 1, 1, 2, 2, 4] and zmod2 finite(8) = [0, 0, 1, 1, 2, 2, 3, 3, 4];
+# the witness of size 8 has a cycle of norm 8.
 
 def _drop_top_witness(values, witnesses):
-    witnesses[6] = None  # while values[6] > 0
+    witnesses[8] = None  # while values[8] > 0
 
 
 def _raise_top_value(values, witnesses):
-    values[6] += 1  # the stored filling's norm no longer matches
+    values[8] += 1  # the stored filling's norm no longer matches
 
 
 def _swap_witnesses(values, witnesses):
-    witnesses[4], witnesses[6] = witnesses[6], witnesses[4]
+    witnesses[4], witnesses[8] = witnesses[8], witnesses[4]
 
 
 def _copy_top_witness_down(values, witnesses):
     # every filling norm matches its value; only the cycle norm is too big
-    for k in (4, 5):
-        values[k], witnesses[k] = values[6], witnesses[6]
+    for k in range(4, 8):
+        values[k], witnesses[k] = values[8], witnesses[8]
 
 
-@pytest.mark.parametrize("tamper", [_drop_top_witness, _raise_top_value,
-                                    _swap_witnesses, _copy_top_witness_down])
-@pytest.mark.parametrize("name, kind", [("z2", "psi"), ("zmod2", "finite")])
+def _z2_chain(dim, *terms):
+    return {"dim": dim, "terms": [{"word": w, "base": b, "coeff": c} for w, b, c in terms]}
+
+
+def _square(at):
+    return [(at, "e_a", 1), (f"{at} a", "e_b", 1), (f"{at} b", "e_a", -1), (at, "e_b", -1)]
+
+
+def _zero_chain_witness(values, witnesses):
+    # the 8 edges from 1 to a^8 fill the 0-chain (a^8, v) - (1, v)
+    values[8] = 8
+    witnesses[8] = {"cycle": _z2_chain(0, ("a^8", "v", 1), ("1", "v", -1)),
+                    "filling": _z2_chain(1, *[(f"a^{i}", "e_a", 1) for i in range(8)])}
+
+
+def _disconnected_witness(values, witnesses):
+    # two unit squares apart: norm 8, filled by 2 cells, but not connected
+    values[8] = 2
+    witnesses[8] = {"cycle": _z2_chain(1, *_square("1"), *_square("a^5 b^-2")),
+                    "filling": _z2_chain(2, ("1", "f0", 1), ("a^5 b^-2", "f0", 1))}
+
+
+TAMPERS = ([(name, kind, tamper) for name, kind in (("z2", "psi"), ("zmod2", "finite"))
+            for tamper in (_drop_top_witness, _raise_top_value, _swap_witnesses,
+                           _copy_top_witness_down)]
+           # the psi route writes connected (q-1)-cycles only
+           + [("z2", "psi", tamper) for tamper in (_zero_chain_witness, _disconnected_witness)])
+
+
+@pytest.mark.parametrize("name, kind, tamper", TAMPERS)
 def test_profile_entry_rejects_tampered_witnesses(name, kind, tamper):
     s, oracle = load_example(name)
-    table = (psi_table if kind == "psi" else finite_profile)(s, oracle, 6)
+    table = (psi_table if kind == "psi" else finite_profile)(s, oracle, 8)
     entry = {"values": table.values, "witnesses": table.witnesses}
-    assert verify_profile_entry(entry, kind, 6, s, oracle)
+    assert verify_profile_entry(entry, kind, 8, s, oracle)
     bad = copy.deepcopy(entry)
     tamper(bad["values"], bad["witnesses"])
     assert _check_delta(bad["values"]) == bad["values"]
-    assert not verify_profile_entry(bad, kind, 6, s, oracle)
+    assert not verify_profile_entry(bad, kind, 8, s, oracle)
+
+
+def test_linear_connectivity_agrees_with_the_component_search():
+    # the psi re-check decides connectivity of 1-cycles from their arcs;
+    # the reference is the subchain search of `is_connected`
+    s, oracle = load_example("z2")
+    cycles = [a for reps in connected_cycles_up_to_action(s, oracle, 1, 6).values()
+              for a in reps]
+    assert len(cycles) == 6
+    gens = s.presentation.generators
+    for a in cycles:
+        assert _is_connected_cycle(a, s, oracle)
+        for b in cycles:
+            for at in ("1", "a", "a b", "a^2", "a^5 b^-2"):
+                c = add_chains(a, translate(parse_word(at, gens), b, oracle), oracle)
+                if c.terms:
+                    assert _is_connected_cycle(c, s, oracle) == is_connected(c, s, oracle)
 
 
 def test_fv_entry_verification(tmp_path):

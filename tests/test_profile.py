@@ -6,6 +6,7 @@ import time
 import pytest
 import window_oracle as win
 
+from chainprofile.cache import verify_profile_entry
 from chainprofile.enumeration import connected_cycles_up_to_action
 from chainprofile.errors import BudgetExceededError, InputError, WrongAlgorithmError
 from chainprofile.inputs import load_example, load_input
@@ -290,6 +291,8 @@ def test_three_torus_two_cycles_and_psi():
         filling = chain_from_json(table.witnesses[6]["filling"], s, oracle)
         assert norm(cycle) == 6
         assert chains_equal(boundary(filling, s, oracle), cycle, oracle)
+        entry = {"values": table.values, "witnesses": table.witnesses}
+        assert verify_profile_entry(entry, "psi", n, s, oracle)
 
 
 @pytest.mark.slow

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from chainprofile.inputs import load_example
-from chainprofile.profiles import _rewriting_rules, psi_table
+from chainprofile.profiles import psi_table
 from chainprofile.words import (
     BoundedBFSOracle,
     OracleVerdict,
@@ -75,8 +75,9 @@ def test_c6_refuses(text):
 def test_bundled_surface_takes_the_dehn_path_with_the_filling_rules():
     s, oracle = load_example("surface2")
     assert oracle._dehn
-    # the oracle and the filling gate share one rule table
-    assert _rewriting_rules(s) is s.presentation.rules is oracle.presentation.rules
+    # the oracle and the filling rewriting share one rule table, inside the gate
+    assert s.presentation.aspherical and s.is_presentation_complex
+    assert s.presentation.rules is oracle.presentation.rules
     assert oracle.name == "bounded-bfs:radius=None:policy=length:sufficient=all:cap=200000"
 
 

@@ -12,11 +12,10 @@ import pytest
 import window_oracle as win
 
 from chainprofile.enumeration import connected_cycles_up_to_action
-from chainprofile.errors import BudgetExceededError
+from chainprofile.errors import BudgetExceededError, ChainProfileError
 from chainprofile.inputs import load_example, parse_chain
 from chainprofile.profiles import (
     Budget,
-    _rewriting_rules,
     _rewritten_filling,
     _search_filling,
     filling_volume,
@@ -77,11 +76,28 @@ def test_rewriting_budget_counts_steps():
     assert norm(minimal_filling(cyc, s, oracle, Budget(node_cap=6))) == 6
 
 
+@pytest.mark.parametrize("route", ["_rewritten_filling", "_search_filling"])
+def test_minimal_filling_checks_what_either_route_returns(monkeypatch, route):
+    # the routes only produce; minimal_filling accepts
+    from chainprofile import profiles
+
+    s, oracle = load_example("z2")
+    cyc = face_boundary(s, oracle, ["1"])
+    wrong = build_chain(2, [(LiftedCell(2, 0, parse_word("a", s.presentation.generators)), 1)],
+                        oracle)
+    monkeypatch.setattr(profiles, "_rewritten_filling", lambda *args: None)
+    monkeypatch.setattr(profiles, route, lambda *args: wrong)
+    with pytest.raises(ChainProfileError, match="^filling witness failed verification$"):
+        minimal_filling(cyc, s, oracle)
+
+
 def test_gate_admits_the_bundled_one_relator_inputs():
     for name in ("z2", "surface2"):
-        s, _ = load_example(name)
-        assert _rewriting_rules(s)
-        assert _rewriting_rules(s) is _rewriting_rules(s)  # computed once
+        s, oracle = load_example(name)
+        cyc = face_boundary(s, oracle, ["1"])
+        got = _rewritten_filling(cyc, s, oracle, Budget())
+        assert norm(got) == 1 and chains_equal(boundary(got, s, oracle), cyc, oracle)
+        assert s.presentation.rules is s.presentation.rules  # computed once
 
 
 @pytest.mark.parametrize("text,oracle_of", [
@@ -92,8 +108,8 @@ def test_gate_admits_the_bundled_one_relator_inputs():
 def test_gate_refuses_and_the_search_answers(text, oracle_of):
     p = parse_presentation(text)
     s, oracle = presentation_complex(p), oracle_of(p)
-    assert _rewriting_rules(s) is None
     cyc = face_boundary(s, oracle, ["1"])
+    assert _rewritten_filling(cyc, s, oracle, Budget()) is None
     got = minimal_filling(cyc, s, oracle)
     assert norm(got) == 1
     assert chain_to_json(got, s) == chain_to_json(_search_filling(cyc, s, oracle), s)
@@ -101,8 +117,8 @@ def test_gate_refuses_and_the_search_answers(text, oracle_of):
 
 def test_gate_refuses_explicit_cells_that_differ():
     s, oracle = subdivided_z2()
-    assert _rewriting_rules(s) is None
     cyc = face_boundary(s, oracle, ["1", "a"])
+    assert _rewritten_filling(cyc, s, oracle, Budget()) is None
     got = minimal_filling(cyc, s, oracle)
     assert norm(got) == 2
     assert chain_to_json(got, s) == chain_to_json(_search_filling(cyc, s, oracle), s)
@@ -118,9 +134,15 @@ def test_finite_quotient_oracle_takes_the_search():
     s = presentation_complex(p)
     oracle = FiniteTableOracle(p, elements, table,
                                {"a": elements.index((1, 0)), "b": elements.index((0, 1))})
-    cyc = face_boundary(s, oracle, [f"a^{x} b^{y}" for x in range(3) for y in range(3)])
+    block = [f"a^{x} b^{y}" for x in range(3) for y in range(3)]
+    cyc = face_boundary(s, oracle, block)
     assert norm(cyc) == 12
-    assert norm(_rewritten_filling(cyc, s, oracle, _rewriting_rules(s), Budget())) == 9
+    # the gate refuses the table, whose group may be a quotient: here the
+    # block is a filling of norm 9 but not the least
+    assert _rewritten_filling(cyc, s, oracle, Budget()) is None
+    gens = s.presentation.generators
+    faces = build_chain(2, [(LiftedCell(2, 0, parse_word(w, gens)), 1) for w in block], oracle)
+    assert chains_equal(boundary(faces, s, oracle), cyc, oracle) and norm(faces) == 9
     got = minimal_filling(cyc, s, oracle)
     assert norm(got) == 7
     assert chain_to_json(got, s) == chain_to_json(_search_filling(cyc, s, oracle), s)
@@ -136,7 +158,7 @@ def test_abelian_oracle_is_the_group_only_for_a_commutator():
                            ("<a, b, c | a b a^-1 b^-1>", False)):
         p = parse_presentation(text)
         s = presentation_complex(p)
-        assert _rewriting_rules(s)
+        assert p.aspherical and s.is_presentation_complex
         assert FreeAbelianOracle(p).presents_group is faithful
     z3 = parse_presentation("<a, b, c | a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1>")
     assert FreeAbelianOracle(z3).presents_group
@@ -156,14 +178,13 @@ def test_rewriting_equals_search_on_the_grid_to_norm_8():
 
 def test_rewriting_matches_grid_model_to_norm_10():
     s, oracle = load_example("z2")
-    rules = _rewriting_rules(s)
     kind = {0: "h", 1: "v"}
     cycles = connected_cycles_up_to_action(s, oracle, 1, 10)
     assert sum(map(len, cycles.values())) == 76
     for reps in cycles.values():
         for cyc in reps:
             # the half rules sort every grid word, so no walk is left over
-            assert _rewritten_filling(cyc, s, oracle, rules, Budget()) is not None
+            assert _rewritten_filling(cyc, s, oracle, Budget()) is not None
             grid = {(kind[c.base], *exponent_vector(c.word)): n for c, n in cyc.terms}
             assert filling_volume(cyc, s, oracle) == win.filling_volume(grid)
             # minimal_filling rewrites every grid cycle, so check the search too
@@ -176,7 +197,7 @@ def test_rewriting_equals_search_on_the_surface():
     cycles = connected_cycles_up_to_action(s, oracle, 1, 8)
     assert {n: len(reps) for n, reps in cycles.items() if reps} == {8: 2}
     for cyc in cycles[8]:
-        assert _rewritten_filling(cyc, s, oracle, _rewriting_rules(s), Budget())
+        assert _rewritten_filling(cyc, s, oracle, Budget())
         fast = minimal_filling(cyc, s, oracle)
         assert norm(fast) == norm(_search_filling(cyc, s, oracle)) == 1
         assert chains_equal(boundary(fast, s, oracle), cyc, oracle)
@@ -246,12 +267,12 @@ def test_stuck_rewriting_falls_back_to_the_search():
     # applies to some walk of it, so the search supplies the filling
     p = parse_presentation("<a, b | b a b^-1 a^-3>")
     s, oracle = presentation_complex(p), BS13Oracle(p)
-    rules = _rewriting_rules(s)
-    assert rules
+    # inside the gate: the walk stalls, not the gate
+    assert oracle.presents_group and p.aspherical and s.is_presentation_complex
     cyc = parse_chain("-(a^-1, e_a) - (b^-1, e_a) - (a^-2, e_a) + (a^-2 b^-1, e_a)"
                       " + (b^-1 a^-2 b, e_a) + (b^-1 a^-5 b, e_a) + (b^-1, e_b)"
                       " - (b^-1 a, e_b) - (a^-2 b^-1, e_b) + (b^-1 a^-5, e_b)", s, oracle)
-    assert _rewritten_filling(cyc, s, oracle, rules, Budget()) is None
+    assert _rewritten_filling(cyc, s, oracle, Budget()) is None
     got = minimal_filling(cyc, s, oracle)
     assert norm(got) == 4
     assert chains_equal(boundary(got, s, oracle), cyc, oracle)

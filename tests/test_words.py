@@ -489,12 +489,11 @@ def test_word_producers_hand_out_reduced_words(monkeypatch):
     for name, walk_norm, fill_norm in (("z2", 10, 8), ("surface2", 8, 8)):
         s, oracle = load_example(name)
         cycles = enumeration.connected_cycles_up_to_action(s, oracle, 1, walk_norm)
-        rules = profiles._rewriting_rules(s)
         for n, reps in cycles.items():
             for cyc in reps:
                 assert all(_is_reduced(c.word.letters) for c, _ in cyc.terms)
                 if n <= fill_norm:
-                    x = profiles._rewritten_filling(cyc, s, oracle, rules, profiles.Budget())
+                    x = profiles._rewritten_filling(cyc, s, oracle, profiles.Budget())
                     assert all(_is_reduced(c.word.letters) for c, _ in x.terms)
     assert walked and filled
     assert all(map(_is_reduced, walked)) and all(map(_is_reduced, filled))
@@ -553,8 +552,9 @@ def test_default_is_trivial_compares_states():
             is OracleVerdict.TRIVIAL)
 
 
-# the functions that need a finite table itself, not an answer about its group
-KIND_READERS = {"_check_infinite_route", "finite_profile", "verify_profile_entry"}
+# the one function that needs a finite table itself, not an answer about its
+# group: the admission of the profile routes
+KIND_READERS = {"_check_route"}
 
 
 class _OracleReads(ast.NodeVisitor):
