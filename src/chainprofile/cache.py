@@ -61,7 +61,7 @@ class ResultCache:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
             return None
         except (OSError, ValueError) as e:
             logger.warning("ignoring unreadable cache entry %s (%s)", path, e)

@@ -141,7 +141,8 @@ def _print_json(data):
 
 def _cached(args, key, verify, compute):
     """The cache entry under key if it passes verify, else compute()'s entry,
-    which is then stored.  A failing entry is evicted with a notice."""
+    which is then stored.  A failing entry is evicted with a notice, and a
+    cache that cannot be written is warned of."""
     if args.no_cache:
         return compute()
     cache = ResultCache(args.cache or default_cache_dir())
@@ -149,11 +150,20 @@ def _cached(args, key, verify, compute):
     if entry is not None:
         if verify(entry):
             return entry
-        cache.evict(key)
+        _write(cache.evict, key)
         print("cached result failed verification; recomputing", file=sys.stderr)
     entry = compute()
-    cache.put(key, entry)
+    _write(cache.put, key, entry)
     return entry
+
+
+def _write(change, *args):
+    """Apply one change to the cache; one that fails costs a warning, not
+    the answer."""
+    try:
+        change(*args)
+    except OSError as e:
+        print(f"warning: cache not written: {e}", file=sys.stderr)
 
 
 _DIM4_NOTE = ("in dimension 4 and above this profile is equivalent up to scaling "

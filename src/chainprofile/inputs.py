@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import re
 from importlib import resources
 
 from .errors import InputError
-from .skeleton import (
-    LiftedCell,
-    SkeletonSpec,
-    build_chain,
-    presentation_complex,
-)
+from .skeleton import SkeletonSpec, _chain_from_terms, presentation_complex
 from .words import (
     _is_int,
     format_word,
@@ -57,11 +54,12 @@ def load_input(source):
     if not isinstance(cfg, dict):
         raise InputError("oracle config must be an object")
     oracle = oracle_from_config(p, cfg)
-    if "cells" in data:
-        if not isinstance(data["cells"], list):
+    if "cells" in data or q < 2:  # below 2 the skeleton refuses the dimension
+        entries = data.get("cells", [])
+        if not isinstance(entries, list):
             raise InputError("cells must be a list")
         cells = []
-        for entry in data["cells"]:
+        for entry in entries:
             try:
                 dim, cid = entry["dim"], entry["id"]
                 terms = entry.get("boundary", [])
@@ -85,65 +83,55 @@ def load_input(source):
 
 # ------------------------------------------------------------ chain literals
 
+# one pass reads the tokens of a literal: a sign, a coefficient with its
+# '*', a parenthesised (word, cell) term, or any other character, an error
+_CHAIN_TOKEN = re.compile(r"(?P<sign>[+-])|(?P<coeff>\d+)\s*\*|\((?P<term>[^()]*)\)|\S")
+
+
 def parse_chain(text: str, s, oracle):
-    """Chain from a literal like "2*(a b, f0) - (1, e_a)"."""
+    """Chain from a literal like "2*(a b, f0) - (1, e_a)"; its terms are
+    read as stored chains are, in the dimension of the first cell."""
     text = text.strip()
     if not text:
         raise InputError("empty chain literal")
     if text == "0":
         raise InputError("chain literal '0' is the zero chain, which has no dimension; "
                          "write it as terms that cancel, such as '(1, c) - (1, c)'")
-    i, n = 0, len(text)
-    terms = []
-    first = True
-    while i < n:
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n:
-            break
-        sign = 1
-        if text[i] in "+-":
-            sign = -1 if text[i] == "-" else 1
-            i += 1
-            while i < n and text[i].isspace():
-                i += 1
-        elif not first:
+    terms = _literal_terms(text)
+    first = next(terms)
+    dim, _ = s.index.get(first[1], (None, None))  # an unknown id is refused below
+    return _chain_from_terms(dim, itertools.chain([first], terms), s, oracle)
+
+
+def _literal_terms(text: str):
+    """The (word text, cell id, coeff) terms of a stripped literal, yielded
+    as they are read, so a term's fault is met before any later one."""
+    after_term = False  # a later term must open with its sign
+    sign = coeff = None
+    for m in _CHAIN_TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if after_term and kind != "sign":
             raise InputError("chain terms must be joined with + or -")
-        coeff = 1
-        if i < n and text[i].isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            coeff = int(text[i:j])
-            i = j
-            while i < n and text[i].isspace():
-                i += 1
-            if i >= n or text[i] != "*":
-                raise InputError("expected '*' between coefficient and cell")
-            i += 1
-            while i < n and text[i].isspace():
-                i += 1
-        if i >= n or text[i] != "(":
-            raise InputError(f"expected '(' at position {i} of chain literal")
-        j = text.find(")", i)
-        if j < 0:
+        if kind == "term":
+            body = m["term"]
+            if "," not in body:
+                raise InputError(f"term {body!r} needs the form (word, cell)")
+            word, cid = body.rsplit(",", 1)
+            yield (word.strip(), cid.strip(),
+                   (sign or 1) * (1 if coeff is None else coeff))
+            after_term, sign, coeff = True, None, None
+        elif kind == "sign" and sign is None and coeff is None:
+            after_term, sign = False, -1 if tok == "-" else 1
+        elif kind == "coeff" and coeff is None:
+            coeff = int(m["coeff"])
+        elif tok == "(":
             raise InputError("unbalanced parenthesis in chain literal")
-        inner = text[i + 1:j]
-        if "," not in inner:
-            raise InputError(f"term {inner!r} needs the form (word, cell)")
-        wtext, cid = inner.rsplit(",", 1)
-        cid = cid.strip()
-        if cid not in s.index:
-            raise InputError(f"unknown cell {cid!r} in chain literal")
-        dim, idx = s.index[cid]
-        word = parse_word(wtext.strip(), s.presentation.generators)
-        terms.append((LiftedCell(dim, idx, word), sign * coeff))
-        i = j + 1
-        first = False
-    dims = {c.dim for c, _ in terms}
-    if len(dims) != 1:
-        raise InputError("chain literal mixes cells of different dimensions")
-    return build_chain(dims.pop(), terms, oracle)
+        elif tok.isdigit() and coeff is None:
+            raise InputError("expected '*' between coefficient and cell")
+        else:
+            raise InputError(f"expected '(' at position {m.start()} of chain literal")
+    if not after_term:
+        raise InputError(f"expected '(' at position {len(text)} of chain literal")
 
 
 def format_chain(a, s) -> str:

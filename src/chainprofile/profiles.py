@@ -112,6 +112,7 @@ from .skeleton import (
     Chain,
     LiftedCell,
     _canonical_cells,
+    _stored_cell,
     add_chains,
     boundary,
     build_chain,
@@ -198,6 +199,10 @@ def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Ch
                          f"in a {s.q}-dimensional complex")
     if cycle.dim >= 1 and boundary(cycle, s, oracle).terms:
         raise InputError("filling target is not a cycle")
+    excess = sum(n for _, n in cycle.terms) if cycle.dim == 0 else 0
+    if excess:
+        raise InputError(f"the coefficients of this 0-chain sum to {excess}, not 0 "
+                         f"as on every boundary, so it has no filling")
     if not cycle.terms:
         return zero_chain(dim)
     total = _rewritten_filling(cycle, s, oracle, budget)
@@ -766,11 +771,8 @@ def _finite_chain(terms, dim, s, oracle) -> dict:
     """Stored cells of the finite cover as {(element, base cell): coeff}."""
     out = {}
     for t in terms:
-        cdim, base = s.index[t["base"]]
         coeff = t["coeff"]
-        if cdim != dim or not _is_int(coeff):
-            raise ValueError(f"malformed finite witness cell {t!r}")
-        cell = (oracle.elements.index(t["element"]), base)
+        cell = (oracle.elements.index(t["element"]), _stored_cell(s, dim, t["base"], coeff))
         out[cell] = out.get(cell, 0) + coeff
     return {cell: c for cell, c in out.items() if c}
 

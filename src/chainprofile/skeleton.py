@@ -217,11 +217,8 @@ class SkeletonSpec:
             for base, cid in enumerate(self.ids[dim]):
                 entry: dict = {"dim": dim, "id": cid}
                 if dim > 0:
-                    entry["boundary"] = [
-                        {"word": format_word(c.word), "base": self.cell_id(dim - 1, c.base),
-                         "coeff": n}
-                        for c, n in self.boundary_chain(dim, base).terms
-                    ]
+                    entry["boundary"] = chain_to_json(self.boundary_chain(dim, base),
+                                                      self)["terms"]
                 cells.append(entry)
         return {
             "dim": self.q,
@@ -639,21 +636,32 @@ def chain_from_json(data: dict, s: SkeletonSpec, oracle) -> Chain:
         dim = data["dim"]
         if not _is_int(dim):
             raise InputError(f"chain dimension {dim!r} is not an integer")
-        raw = []
-        for t in data["terms"]:
-            base_id, coeff = t["base"], t["coeff"]
-            if base_id not in s.index:
-                raise InputError(f"unknown cell id {base_id!r}")
-            if not _is_int(coeff):
-                raise InputError(f"coefficient {coeff!r} of cell {base_id!r} is not an integer")
-            bdim, bidx = s.index[base_id]
-            if bdim != dim:
-                raise InputError(f"cell {base_id!r} has dimension {bdim}, chain says {dim}")
-            w = parse_word(t["word"], s.presentation.generators)
-            raw.append((LiftedCell(dim, bidx, w), coeff))
+        return _chain_from_terms(
+            dim, ((t["word"], t["base"], t["coeff"]) for t in data["terms"]), s, oracle)
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed chain data: {e}") from None
-    return build_chain(dim, raw, oracle)
+
+
+def _chain_from_terms(dim: int, terms, s: SkeletonSpec, oracle) -> Chain:
+    """The dim-chain of (word text, cell id, coeff) terms, read in order:
+    the reader of stored chains and of chain literals alike."""
+    gens = s.presentation.generators
+    return build_chain(dim, [(LiftedCell(dim, _stored_cell(s, dim, base_id, coeff),
+                                         parse_word(word, gens)), coeff)
+                             for word, base_id, coeff in terms], oracle)
+
+
+def _stored_cell(s: SkeletonSpec, dim: int, base_id, coeff) -> int:
+    """The index of the stored term's cell base_id, checked to be a known
+    dim-cell with an integer coefficient."""
+    if base_id not in s.index:
+        raise InputError(f"unknown cell id {base_id!r}")
+    if not _is_int(coeff):
+        raise InputError(f"coefficient {coeff!r} of cell {base_id!r} is not an integer")
+    bdim, bidx = s.index[base_id]
+    if bdim != dim:
+        raise InputError(f"cell {base_id!r} has dimension {bdim}, chain says {dim}")
+    return bidx
 
 
 def skeleton_fingerprint(s: SkeletonSpec, oracle) -> str:

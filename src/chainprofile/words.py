@@ -689,7 +689,7 @@ class FreeAbelianOracle(WordOracle):
 class FiniteTableOracle(WordOracle):
     """Exact word problem from a finite multiplication table.
 
-    elements: names; table[i][j] = index of elements[i] * elements[j];
+    elements: distinct names; table[i][j] = index of elements[i] * elements[j];
     generator_map: generator name -> element index.  The table is checked to
     be a group (a quasigroup with a two-sided identity that is associative)
     under which every relator evaluates to the identity.
@@ -703,6 +703,9 @@ class FiniteTableOracle(WordOracle):
         super().__init__(presentation)
         self.elements = tuple(elements)
         n = len(self.elements)
+        for i, e in enumerate(self.elements):
+            if self.elements.index(e) != i:  # stored witnesses name elements
+                raise InputError(f"element name {e!r} appears more than once")
         if len(table) != n or any(len(row) != n for row in table):
             raise InputError("multiplication table shape does not match elements")
         self.table = tuple(tuple(row) for row in table)

@@ -106,6 +106,30 @@ def test_fv_and_cache_round_trip(tmp_path, capsys):
     assert "recomputing" not in err
 
 
+@pytest.mark.parametrize("argv", [("psi", "--input", "z2", "-n", "4"),
+                                  ("fv", "--input", "z2", "--chain", SQUARE)])
+def test_a_cache_that_cannot_be_written_costs_a_warning(tmp_path, capsys, argv):
+    # a regular file where the cache directory should be
+    blocked = tmp_path / "cache"
+    blocked.write_text("")
+    code, expected, _ = run(capsys, *argv, "--no-cache")
+    code, out, err = run(capsys, *argv, "--cache", str(blocked))
+    assert (code, out) == (0, expected)
+    assert err.startswith("warning: cache not written: ") and err.count("\n") == 1, err
+
+
+def test_a_0_chain_that_does_not_sum_to_0_is_refused_at_once(capsys):
+    for name in ("z2", "f2"):
+        code, out, err = run(capsys, "fv", "--input", name, "--chain", "(1, v) + 2*(a, v)",
+                             "--no-cache")
+        assert (code, out, err) == (
+            2, "", "error: the coefficients of this 0-chain sum to 3, not 0 as on every "
+                   "boundary, so it has no filling\n")
+    code, out, _ = run(capsys, "fv", "--input", "z2", "--chain", "(1, v) - (a b, v)",
+                       "--no-cache")
+    assert (code, out) == (0, "filling volume 2\nfilling: -(1, e_a) - (a, e_b)\n")
+
+
 def test_tampered_cache_is_recomputed(tmp_path, capsys):
     args = ("fv", "--input", "z2", "--chain", SQUARE, "--cache", str(tmp_path),
             "--format", "json")
@@ -427,27 +451,60 @@ def test_malformed_inputs_are_input_errors(tmp_path, capsys, case):
 
 
 BASE_INPUT = {"dim": 2, "presentation": "<a |>", "oracle": {"kind": "free"}}
-# input files that load_input refuses, with the error line they give
+ZMOD2_INPUT = {**BASE_INPUT, "presentation": "<a | a^2>", "oracle": ZMOD2_TABLE}
+
+
+def _table(**change):
+    """The order-two table input with its oracle config changed."""
+    return {**ZMOD2_INPUT, "oracle": {**ZMOD2_TABLE, **change}}
+
+
+# input files that load_input refuses, with the exit code and error line they give
 REFUSED = {
-    "json-list": ([], "input description must be a JSON object"),
-    "dim-string": ({**BASE_INPUT, "dim": "2"}, "dim must be an integer"),
-    "oracle-string": ({**BASE_INPUT, "oracle": "free"}, "oracle config must be an object"),
-    "cells-object": ({**BASE_INPUT, "cells": {}}, "cells must be a list"),
-    "cell-without-id": ({**BASE_INPUT, "cells": [{"dim": 0}]},
+    "json-list": ([], 2, "input description must be a JSON object"),
+    "dim-string": ({**BASE_INPUT, "dim": "2"}, 2, "dim must be an integer"),
+    "oracle-string": ({**BASE_INPUT, "oracle": "free"}, 2, "oracle config must be an object"),
+    "cells-object": ({**BASE_INPUT, "cells": {}}, 2, "cells must be a list"),
+    "cell-without-id": ({**BASE_INPUT, "cells": [{"dim": 0}]}, 2,
                         "malformed cell entry {'dim': 0}"),
     "term-without-coeff": (
         {**BASE_INPUT, **_edge(boundary=[LOOP[1]["boundary"][0], {"word": "a", "base": "v"}])},
-        "malformed boundary term {'word': 'a', 'base': 'v'}"),
+        2, "malformed boundary term {'word': 'a', 'base': 'v'}"),
+    "dim-1": ({**BASE_INPUT, "dim": 1}, 5, "dimension must be at least 2, got 1"),
+    "dim-1-with-cells": ({**BASE_INPUT, "dim": 1, "cells": LOOP}, 5,
+                         "dimension must be at least 2, got 1"),
+    "cell-dim-3": ({**BASE_INPUT, **_edge(dim=3)}, 5, "cell 'e' has dimension 3 outside 0..2"),
+    "vertex-boundary": ({**BASE_INPUT, "cells": [{**LOOP[0], "boundary": LOOP[1]["boundary"]},
+                                                 LOOP[1]]},
+                        5, "vertex 'v' has a boundary"),
+    "unknown-boundary-cell": ({**BASE_INPUT, **_edge_term(base="w")}, 5,
+                              "cell 'e' boundary references unknown cell 'w'"),
+    "repeated-element": (_table(elements=["x", "x"]), 2,
+                         "element name 'x' appears more than once"),
+    "table-shape": (_table(table=[[0, 1]]), 2,
+                    "multiplication table shape does not match elements"),
+    "table-column": (_table(table=[[0, 1], [0, 1]]), 2,
+                     "table column is not a permutation of the elements"),
+    "table-without-identity": (
+        _table(elements=["x", "y", "z"], table=[[0, 2, 1], [2, 1, 0], [1, 0, 2]]), 2,
+        "table has no two-sided identity"),
+    "generator-outside-table": (_table(generator_map={"a": 2}), 2,
+                                "generator 'a' maps outside the table"),
+    "table-missing": ({**ZMOD2_INPUT, "oracle": {"kind": "finite-table", "elements": ["e", "a"],
+                                                 "generator_map": {"a": 1}}},
+                      2, "finite-table oracle config missing 'table'"),
+    "unknown-policy": ({**BASE_INPUT, "oracle": {"kind": "bounded-bfs", "policy": "triple"}},
+                       2, "unknown radius policy 'triple'"),
 }
 
 
 @pytest.mark.parametrize("case", REFUSED)
 def test_refused_input_files_name_the_fault(tmp_path, capsys, case):
-    data, message = REFUSED[case]
+    data, exit_code, message = REFUSED[case]
     path = tmp_path / "in.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "validate", "--input", str(path), "--no-cache")
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out, err) == (exit_code, "", f"error: {message}\n")
 
 
 def test_unreadable_files_and_chain_literals_are_input_errors(tmp_path, capsys):

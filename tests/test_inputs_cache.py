@@ -17,7 +17,7 @@ from chainprofile.cache import (
     verify_profile_entry,
 )
 from chainprofile.enumeration import connected_cycles_up_to_action
-from chainprofile.errors import InputError
+from chainprofile.errors import InputError, ParseError
 from chainprofile.inputs import (
     bundled_examples,
     format_chain,
@@ -29,6 +29,7 @@ from chainprofile.inputs import (
 from chainprofile.profiles import (
     Budget,
     _check_delta,
+    _finite_chain,
     _is_connected_cycle,
     finite_profile,
     minimal_filling,
@@ -37,6 +38,7 @@ from chainprofile.profiles import (
 from chainprofile.skeleton import (
     add_chains,
     boundary,
+    chain_from_json,
     chain_to_json,
     chains_equal,
     is_connected,
@@ -134,6 +136,49 @@ def test_chain_literal_errors():
                  "(1, e_a) (a, e_a)", "(1, e_a) + (1, f0)", "(1, e_a"):
         with pytest.raises(InputError):
             parse_chain(text, s, oracle)
+
+
+# each refusal of a chain literal over z2, with its message
+LITERAL_ERRORS = {
+    "   ": "empty chain literal",
+    "0": "chain literal '0' is the zero chain, which has no dimension; "
+         "write it as terms that cancel, such as '(1, c) - (1, c)'",
+    "(1, e_a) (a, e_a)": "chain terms must be joined with + or -",
+    "(1, e_a) 2*(a, e_a)": "chain terms must be joined with + or -",
+    "2(1, e_a)": "expected '*' between coefficient and cell",
+    "- 2 (1, e_a)": "expected '*' between coefficient and cell",
+    "a, e_a": "expected '(' at position 0 of chain literal",
+    "(1, e_a) - ": "expected '(' at position 10 of chain literal",
+    "+ -(1, e_a)": "expected '(' at position 2 of chain literal",
+    "2*3*(1, e_a)": "expected '(' at position 2 of chain literal",
+    "2 * -(1, e_a)": "expected '(' at position 4 of chain literal",
+    "(1, e_a": "unbalanced parenthesis in chain literal",
+    "(a (b), e_a)": "unbalanced parenthesis in chain literal",
+    "2*(1, e_a) - 3*(a": "unbalanced parenthesis in chain literal",
+    "(1; e_a)": "term '1; e_a' needs the form (word, cell)",
+    "(1, nope)": "unknown cell id 'nope'",
+    "(1, e_a) - (b, nope) - (": "unknown cell id 'nope'",
+    "(1, e_a) + (1, f0)": "cell 'f0' has dimension 2, chain says 1",
+    "(1, x, e_a)": "unexpected token ',' in word '1, x'",
+    "(c, e_a)": "unknown generator in 'c'",
+    "(^2, e_a)": "power with nothing to apply it to in '^2'",
+}
+
+
+@pytest.mark.parametrize("text", LITERAL_ERRORS)
+def test_each_chain_literal_refusal_names_its_fault(text):
+    s, oracle = load_example("z2")
+    with pytest.raises(ParseError) as refused:
+        parse_chain(text, s, oracle)
+    assert str(refused.value) == LITERAL_ERRORS[text]
+
+
+def test_chain_literals_take_any_spacing_signs_and_coefficients():
+    s, oracle = load_example("z2")
+    expected = parse_chain("2*(a b, e_b) - (1, e_a) + 0*(b, e_a)", s, oracle)
+    for text in ("2*(a b,e_b)-(1,e_a)+0*(b,e_a)", "\t+ 2 *\n( a  b , e_b )\u00a0- ( 1 , e_a )",
+                 "-(1, e_a) + 02*(ab, e_b)"):
+        assert parse_chain(text, s, oracle) == expected
 
 
 def test_read_delta(tmp_path):
@@ -288,6 +333,21 @@ def test_finite_entry_verification_recomputes_boundary():
     assert not verify_profile_entry(moved, "finite", 4, s, oracle)
     z2, z2_oracle = load_example("z2")
     assert not verify_profile_entry(entry, "finite", 4, z2, z2_oracle)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"base": "nope"}, "unknown cell id 'nope'"),
+    ({"base": "e_a"}, "cell 'e_a' has dimension 1, chain says 2"),
+    ({"coeff": 1.5}, "coefficient 1.5 of cell 'f0' is not an integer"),
+])
+def test_finite_witness_cells_are_checked_as_stored_chains_are(change, message):
+    s, oracle = load_example("zmod2")
+    term = {"word": "1", "element": "e", "base": "f0", "coeff": 1, **change}
+    for read in (lambda: _finite_chain([term], 2, s, oracle),
+                 lambda: chain_from_json({"dim": 2, "terms": [term]}, s, oracle)):
+        with pytest.raises(InputError) as refused:
+            read()
+        assert str(refused.value) == message
 
 
 # Each tampering below keeps the table's shape, so only the witness loop of
