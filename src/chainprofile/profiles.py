@@ -113,7 +113,6 @@ from .skeleton import (
     LiftedCell,
     _canonical_cells,
     _stored_cell,
-    add_chains,
     boundary,
     build_chain,
     chain_from_json,
@@ -125,15 +124,16 @@ from .skeleton import (
     skeleton_fingerprint,
     zero_chain,
 )
-from .words import Word, _is_count, _is_int, compose, invert
+from .words import Word, _Frozen, _is_count, _is_int, compose, invert
 
 logger = logging.getLogger(__name__)
 
 
-class Budget:
+class Budget(_Frozen):
     """Caps for the exhaustive parts of the computation.  The class
     attributes are the defaults; a cap that is not an integer, or below
     0 (`fill_volume_cap`) or 1 (`node_cap`), raises InputError."""
+    _fields = ("fill_volume_cap", "node_cap")
     fill_volume_cap = 24
     node_cap = 1_000_000
 
@@ -142,40 +142,24 @@ class Budget:
                                  ("node_cap", node_cap, 1)):
             if not _is_count(cap, least):
                 raise InputError(f"{name} must be an integer >= {least}, got {cap!r}")
-        self.fill_volume_cap = fill_volume_cap
-        self.node_cap = node_cap
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.to_json_dict() == other.to_json_dict()
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Budget(fill_volume_cap={self.fill_volume_cap!r}, node_cap={self.node_cap!r})"
+        object.__setattr__(self, "fill_volume_cap", fill_volume_cap)
+        object.__setattr__(self, "node_cap", node_cap)
 
     def to_json_dict(self) -> dict:
         return {"fill_volume_cap": self.fill_volume_cap, "node_cap": self.node_cap}
 
 
-class ProfileTable:
+class ProfileTable(_Frozen):
     """Values 0..n of one profile plus the certificates that produced them."""
+    __slots__ = _fields = ("kind", "fingerprint", "budget", "values", "witnesses")
 
     def __init__(self, kind: str, fingerprint: str, budget: dict, values: list,
                  witnesses: list | None = None):
-        self.kind = kind
-        self.fingerprint = fingerprint
-        self.budget = budget
-        self.values = values
-        self.witnesses = [] if witnesses is None else witnesses
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.to_json_dict() == other.to_json_dict()
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in self.to_json_dict().items())
-        return f"ProfileTable({fields})"
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "fingerprint", fingerprint)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "witnesses", [] if witnesses is None else witnesses)
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "fingerprint": self.fingerprint,
@@ -246,8 +230,11 @@ def _search_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Ch
         x, c = target.terms[0]
         for tau, k in coboundary(x, s, oracle).terms:
             sign = 1 if c * k > 0 else -1
-            unit = Chain(dim, ((tau, -sign),))
-            tail = search(add_chains(target, boundary(unit, s, oracle), oracle), rem - 1, v)
+            # the target less sign times the translated boundary of tau
+            child = target.terms + tuple(
+                (LiftedCell(dim - 1, bc.base, compose(tau.word, bc.word)), -sign * bn)
+                for bc, bn in s.boundaries[dim][tau.base].terms)
+            tail = search(build_chain(dim - 1, child, oracle), rem - 1, v)
             if tail is not None:
                 return [(tau, sign)] + tail
         return None
@@ -361,8 +348,8 @@ def psi_table(s, oracle, n: int, budget: Budget | None = None,
     norm at most k one dimension below the top."""
     _check_route("psi", oracle)
     budget = budget or Budget()
-    if n < 0:
-        raise InputError("profile length must be nonnegative")
+    if not _is_count(n, 0):
+        raise InputError(f"profile length must be an integer >= 0, got {n!r}")
     dim = s.q - 1
     orbits = cycle_orbits(s, oracle, dim, n, node_cap=budget.node_cap) if n else {}
     flat = [(k, rep, translates) for k in sorted(orbits) for rep, translates in orbits[k]]
@@ -462,6 +449,8 @@ def _partition_of(choice, j):
 def phi_table(s, oracle, n: int, budget: Budget | None = None,
               workers: int = 1, psi: ProfileTable | None = None) -> ProfileTable:
     """phi(k) for k = 0..n via the partition recurrence over psi."""
+    if not _is_count(n, 0):
+        raise InputError(f"profile length must be an integer >= 0, got {n!r}")
     if psi is None:
         psi = psi_table(s, oracle, n, budget=budget, workers=workers)
     elif psi.kind != "psi" or len(psi.values) != n + 1:
@@ -742,8 +731,8 @@ def finite_profile(s, oracle, n: int, budget: Budget | None = None) -> ProfileTa
     cover up to norm n, then reach each by a breadth-first sweep of boundaries."""
     _check_route("finite", oracle)
     budget = budget or Budget()
-    if n < 0:
-        raise InputError("profile length must be nonnegative")
+    if not _is_count(n, 0):
+        raise InputError(f"profile length must be an integer >= 0, got {n!r}")
     cycles, nodes = _finite_cycles(s, oracle, n, budget.node_cap)
     logger.debug("finite cycle enumeration: %d cycles in %d orbits of norm at "
                  "most %d, %d nodes", sum(size for _, size in cycles.values()),
@@ -818,8 +807,8 @@ def chain2_bound(delta) -> list:
 
 def disk_combination(delta, parts: int) -> list:
     """Best sum of the table over exactly `parts` nonnegative sizes."""
-    if parts < 1:
-        raise InputError("number of parts must be at least 1")
+    if not _is_count(parts, 1):
+        raise InputError(f"number of parts must be an integer >= 1, got {parts!r}")
     vals = _check_delta(delta)
     n = len(vals) - 1
     best = list(vals)

@@ -58,14 +58,6 @@ class LiftedCell(_Frozen):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "word", word)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.dim, self.base, self.word) == (other.dim, other.base, other.word)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.dim, self.base, self.word))
-
 
 class Chain(_Frozen):
     """Canonical integer chain: sorted merged terms with nonzero coefficients."""
@@ -74,14 +66,6 @@ class Chain(_Frozen):
     def __init__(self, dim: int, terms: tuple[tuple[LiftedCell, int], ...] = ()):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", terms)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.dim, self.terms) == (other.dim, other.terms)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.dim, self.terms))
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -40,8 +40,9 @@ import enum
 import hashlib
 import heapq
 import itertools
+import operator
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import AlphabetError, InputError, OracleUndecidedError, ParseError
 
@@ -50,12 +51,16 @@ Letter = tuple[int, int]
 
 class _Frozen:
     """Base of the immutable value classes.  Each sets the fields it names
-    in `_fields` once, in `__init__`, with `object.__setattr__`; any later
-    assignment raises AttributeError.  Equality and hashing, by the tuple
-    of fields and only within one class, are written out in each class,
-    since they run in the hot loops."""
+    in `_fields` (two or more) once, in `__init__`, with
+    `object.__setattr__`; any later assignment raises AttributeError.
+    Equality, hashing, repr and pickling all read the tuple of fields;
+    values of different classes never compare equal."""
     __slots__ = ()
     _fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._field_values = operator.attrgetter(*cls._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -63,8 +68,16 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._field_values(self) == self._field_values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._field_values(self))
+
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+        return self.__class__, self._field_values(self)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -78,14 +91,6 @@ class Word(_Frozen):
     def __init__(self, gens: tuple[str, ...], letters: tuple[Letter, ...] = ()):
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "letters", letters)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.gens, self.letters) == (other.gens, other.letters)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.gens, self.letters))
 
     def __mul__(self, other: "Word") -> "Word":
         return compose(self, other)
@@ -189,12 +194,20 @@ def _split_identifier(tok: str, index: dict) -> list[int]:
     return out
 
 
+@lru_cache
+def _generator_index(gens: tuple[str, ...]) -> dict:
+    """Each generator name -> its first position, as gens.index gives; the
+    dict is shared, so callers only read it."""
+    index = {}
+    for i, name in enumerate(gens):
+        index.setdefault(name, i)
+    return index
+
+
 def parse_word(text: str, gens: tuple[str, ...]) -> Word:
     """Parse a word like 'a b a^-1 b^-1', 'a^2 b', 'aba^-1'; '1' is empty."""
     gens = tuple(gens)
-    index = {}  # name -> first position, as gens.index gives
-    for i, name in enumerate(gens):
-        index.setdefault(name, i)
+    index = _generator_index(gens)
     letters: list[Letter] = []
     last_unit: list[Letter] = []  # letters of the unit a trailing power applies to
 
@@ -237,14 +250,6 @@ class Presentation(_Frozen):
     def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]):
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relators", relators)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.generators, self.relators) == (other.generators, other.relators)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.generators, self.relators))
 
     def __str__(self) -> str:
         rels = ", ".join(format_word(r) for r in self.relators)

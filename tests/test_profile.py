@@ -1,5 +1,6 @@
 """Filling volumes and profiles against the independent grid model."""
 
+import pickle
 import random
 import time
 
@@ -138,6 +139,28 @@ def test_budget_and_table_values():
     assert t2.witnesses == [] and t1 != t2
     assert repr(t2) == ("ProfileTable(kind='psi', fingerprint='f', budget="
                         "{'fill_volume_cap': 24, 'node_cap': 1000000}, values=[0], witnesses=[])")
+    # a table is a value like Budget (`_value_objects` in test_skeleton), but
+    # unhashable: its values and witnesses are lists
+    with pytest.raises(AttributeError, match="^cannot assign to field 'values'$"):
+        t1.values = [1]
+    assert pickle.loads(pickle.dumps(t1)) == t1 != t2
+    with pytest.raises(TypeError):
+        hash(t1)
+
+
+@pytest.mark.parametrize("size", [2.0, "3", True, None, -1])
+def test_sizes_must_be_integers(size):
+    s, oracle = z2()
+    p = parse_presentation("<a | a^2>")
+    finite = presentation_complex(p), FiniteTableOracle(p, ["e", "a"], [[0, 1], [1, 0]], {"a": 1})
+    psi = psi_table(s, oracle, 1)
+    for call in (lambda: psi_table(s, oracle, size), lambda: phi_table(s, oracle, size),
+                 lambda: phi_table(s, oracle, size, psi=psi), lambda: finite_profile(*finite, size)):
+        with pytest.raises(InputError, match=f"^profile length must be an integer >= 0, got "
+                                             f"{size!r}$"):
+            call()
+    with pytest.raises(InputError, match=f"^number of parts must be an integer >= 1, got {size!r}$"):
+        disk_combination([0, 1], size)
 
 
 @pytest.mark.parametrize("cap", [1, 2])

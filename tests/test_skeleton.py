@@ -11,7 +11,7 @@ from test_profile import three_torus, two_relator_grid
 
 from chainprofile.errors import InputError, InvalidSkeletonError
 from chainprofile.inputs import load_example
-from chainprofile.profiles import minimal_filling, psi_table
+from chainprofile.profiles import Budget, minimal_filling, psi_table
 from chainprofile.skeleton import (
     Chain,
     LiftedCell,
@@ -490,15 +490,15 @@ def test_three_dimensional_complex_validates():
 # ------------------------------------------------------------- value objects
 
 def _value_objects():
-    """Two equal but distinct copies of a Word, LiftedCell, Chain and
-    Presentation, each with its fields."""
+    """Two equal but distinct copies of a Word, LiftedCell, Chain,
+    Presentation and Budget, each with its fields."""
     def make():
         p = parse_presentation("<a, b | a b a^-1 b^-1>")
         w = parse_word("a b^-1", p.generators)
         cell = LiftedCell(1, 0, w)
         return [(w, (w.gens, w.letters)), (cell, (1, 0, w)),
                 (Chain(1, ((cell, 2),)), (1, ((cell, 2),))),
-                (p, (p.generators, p.relators))]
+                (p, (p.generators, p.relators)), (Budget(3, 7), (3, 7))]
     return zip(make(), make())
 
 

@@ -63,6 +63,8 @@ FROZEN = [
      "644e5890d0d9a11167e568512f569ebfd4a290ff50ea4587a90fad9fa17b3fc0", 10559),
     ("z3", 8, "aaf650516cead18a0c8fd5c97afe6b3c49da88b6462166c83bd450fa91481b82",
      "b08e88e01b12be10abbb8103000ccf546f7704d0f1786f6011b96d7410a87ec5", 237),
+    ("z3", 10, "1068769605198b197cfb23f2c736ab59c3fc48fe3622f031990ff35d93e9524b",
+     "437eabc73648c6cf22d7721956fd2e4fb545fe2c3138cb9835fb34ecc6d2330e", 3084),
     ("grid", 10, "ad5f3b94d398bd7e593fd912c7f8945c8d46b1612adb93f505358de0fe72b3e2",
      "cd5dda604e63f8494cff0d5510df4f2e7a1957dcb22e9cca7cd72a63034e0e3e", 364),
     ("grid-bfs", 10, "02ea51bab12b603d4421a77893d071201b192703dded71bd3a0766562afafb6a",
