@@ -52,9 +52,8 @@ from functools import partial
 from .errors import BudgetExceededError, InputError
 from .skeleton import (
     Chain,
-    LiftedCell,
     _Elements,
-    build_chain,
+    _canonical_chain,
     identity_word,
     is_connected,
 )
@@ -158,8 +157,8 @@ class _IdEngine:
         return True
 
     def to_chain(self, chain) -> Chain:
-        return build_chain(self.dim, [(LiftedCell(self.dim, base, self.words[wid]), n)
-                                      for (base, wid), n in chain], self.oracle)
+        return _canonical_chain(self.dim, [(base, self.words[wid], n)
+                                           for (base, wid), n in chain], self.oracle)
 
 
 # ------------------------------------------------- closed walks (1-cycles)
@@ -204,9 +203,9 @@ def _walk_chain(s, oracle, labels) -> Chain:
     cells = []
     for edge, sign in labels:
         _, _, w, off = s.edge_steps[(edge, sign)]
-        cells.append((LiftedCell(1, edge, compose(p, off)), sign))
+        cells.append((edge, compose(p, off), sign))
         p = compose(p, w)
-    return build_chain(1, cells, oracle)
+    return _canonical_chain(1, cells, oracle)
 
 
 def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):

@@ -110,14 +110,13 @@ from .errors import (
 )
 from .skeleton import (
     Chain,
-    LiftedCell,
-    _canonical_cells,
+    _boundary_terms,
+    _canonical_chain,
+    _cells,
     _stored_cell,
     boundary,
-    build_chain,
     chain_from_json,
     chain_to_json,
-    chains_equal,
     coboundary,
     is_connected,
     norm,
@@ -201,7 +200,11 @@ def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Ch
 
 
 def _check_filling(total: Chain, cycle: Chain, s, oracle):
-    if not chains_equal(boundary(total, s, oracle), cycle, oracle):
+    """Refuse (ChainProfileError) a filling whose boundary is not the
+    cycle: the boundary terms of total less those of cycle, built as one
+    chain, must cancel."""
+    terms = _boundary_terms(total, s) + [(c.base, c.word, -n) for c, n in cycle.terms]
+    if total.dim - 1 != cycle.dim or _canonical_chain(cycle.dim, terms, oracle).terms:
         raise ChainProfileError("filling witness failed verification")
 
 
@@ -212,6 +215,7 @@ def _search_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Ch
     beta = s.unit_norms[dim]
     if beta == 0:
         raise InputError("no cells available one dimension up")
+    bnds = s.boundaries[dim]
     nodes = 0
 
     def search(target, rem, v):
@@ -228,13 +232,13 @@ def _search_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Ch
         if norm(target) > rem * beta:
             return None
         x, c = target.terms[0]
+        own = [(cell.base, cell.word, n) for cell, n in target.terms]
         for tau, k in coboundary(x, s, oracle).terms:
             sign = 1 if c * k > 0 else -1
             # the target less sign times the translated boundary of tau
-            child = target.terms + tuple(
-                (LiftedCell(dim - 1, bc.base, compose(tau.word, bc.word)), -sign * bn)
-                for bc, bn in s.boundaries[dim][tau.base].terms)
-            tail = search(build_chain(dim - 1, child, oracle), rem - 1, v)
+            child = own + [(bc.base, compose(tau.word, bc.word), -sign * bn)
+                           for bc, bn in bnds[tau.base].terms]
+            tail = search(_canonical_chain(dim - 1, child, oracle), rem - 1, v)
             if tail is not None:
                 return [(tau, sign)] + tail
         return None
@@ -243,7 +247,8 @@ def _search_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Ch
     for v in range(low, budget.fill_volume_cap + 1):
         found = search(cycle, v, v)
         if found is not None:
-            return build_chain(dim, found, oracle)
+            return _canonical_chain(dim, [(tau.base, tau.word, sign)
+                                          for tau, sign in found], oracle)
     raise BudgetExceededError(
         f"no filling of norm at most {budget.fill_volume_cap} found")
 
@@ -277,8 +282,8 @@ def _rewritten_filling(cycle: Chain, s, oracle, budget: Budget):
                     f"filling rewriting took more than {budget.node_cap} steps")
             prefix, (_, base, sign, offset) = step
             at = compose(Word(gens, prefix), Word(gens, offset))
-            cells.append((LiftedCell(2, base, compose(start, at)), sign))
-    return build_chain(2, cells, oracle)
+            cells.append((base, compose(start, at), sign))
+    return _canonical_chain(2, cells, oracle)
 
 
 def _cycle_arcs(cycle: Chain, s, oracle) -> dict:
@@ -291,8 +296,8 @@ def _cycle_arcs(cycle: Chain, s, oracle) -> dict:
         a, b, w, off = s.edge_steps[(c.base, 1 if n > 0 else -1)]
         start = compose(c.word, invert(off))
         traversals.append(((a, start), (b, compose(start, w)), w.letters, abs(n)))
-    vertex = {key: (base, w.letters) for key, (base, w) in _canonical_cells(
-        (end for t in traversals for end in t[:2]), oracle).items()}
+    spelled, _ = _cells(((v, w, 1) for t in traversals for v, w in t[:2]), oracle)
+    vertex = {key: (base, w.letters) for key, (base, _, w, _) in spelled.items()}
     arcs: dict[tuple, list] = {}
     for *ends, label, k in traversals:
         a, b = (vertex[(v, w.letters)] for v, w in ends)

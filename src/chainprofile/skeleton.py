@@ -4,13 +4,18 @@ A skeleton records the finitely many base cells of a complex with one free
 group action orbit per cell.  A lifted cell is a pair (group element, base
 cell); a chain is a finite integer combination of lifted cells of one
 dimension, kept in canonical form: each cell spelled by its representative
-word, equal cells merged, zero coefficients dropped, terms sorted by
-dimension, base cell index, then shortlex word.  One index, `_Elements`,
+word, equal cells merged, zero coefficients dropped, terms sorted by base
+cell index, then shortlex word.  Every chain is built in one pass over raw
+(base, word, coeff) triples (`_canonical_chain`): equal spellings merge
+first, each distinct spelling is matched to its cell once, and the terms
+are sorted on shortlex keys computed once.  One index, `_Elements`,
 decides when two words name the same cell.  The representative is the
-oracle's normal form when it has them; otherwise it is the shortlex-least
-freely reduced spelling among the words being merged, and words are matched
-by the oracle only among those of one base cell that share its oracle
-state.  An Undecided verdict raises OracleUndecidedError.
+oracle's normal form when it has them, memoized per oracle with its
+shortlex key; otherwise it is the shortlex-least freely reduced spelling
+among the chain's raw cells of that element, those whose coefficients
+cancel included, and words are matched by the oracle only among those of
+one base cell that share its oracle state.  An Undecided verdict raises
+OracleUndecidedError.
 
 The skeleton answers for the incidences of its base cells, each table built
 on first use: the cofaces of each cell, the boundary terms one dimension up
@@ -39,13 +44,13 @@ from .words import (
     Word,
     _Frozen,
     _is_int,
+    _shortlex,
     compose,
     format_word,
     free_reduce,
     invert,
     parse_word,
     same_element,
-    word_key,
 )
 
 
@@ -71,6 +76,9 @@ class Chain(_Frozen):
         return bool(self.terms)
 
     def coeff(self, cell: LiftedCell) -> int:
+        """The coefficient of cell, matched by spelling: without normal
+        forms a cell spelled another way reads 0 (`chains_equal` and
+        `is_subchain` match by element)."""
         for c, n in self.terms:
             if c == cell:
                 return n
@@ -139,7 +147,7 @@ class SkeletonSpec:
                     raise InvalidSkeletonError(
                         f"cell {cid!r} boundary references {base_id!r} of dimension {bdim}")
                 terms.append((bidx, free_reduce(word), coeff))
-            self.boundaries[dim].append(_merged_chain(dim - 1, terms))
+            self.boundaries[dim].append(_canonical_chain(dim - 1, terms, None))
 
     def n_cells(self, dim: int) -> int:
         return len(self.ids[dim])
@@ -247,30 +255,31 @@ def identity_word(gens) -> Word:
 
 # ------------------------------------------------------------ canonical form
 
-# oracle -> {letters: normal form}, for oracles with normal forms
+# oracle -> {letters: (normal form, its shortlex key)}, for oracles with
+# normal forms
 _NORMAL_FORMS = weakref.WeakKeyDictionary()
 
 
 class _Elements:
     """The representative word of each lifted cell (base, word).
 
-    With normal forms the representative is the normal form, memoized by
-    spelling in one memo per oracle and shared across bases.  Otherwise it
-    is the first word added for the cell: a lookup tries the exact spelling,
-    and only then asks the oracle about the same-base words filed under the
-    word's oracle state, `step(start(), word)`; `cells`, the (base, word)
-    cells of a canonical chain, are then taken as their own representatives
-    without a check.
+    With normal forms the representative is the normal form; `form` gives
+    it with its shortlex key, memoized by spelling in one memo per oracle
+    and shared across bases.  Otherwise it is the first word added for the
+    cell: a lookup tries the exact spelling, and only then asks the oracle
+    about the same-base words filed under the word's oracle state,
+    `step(start(), word)`; `cells`, the (base, word) cells of a canonical
+    chain, are then taken as their own representatives without a check.
     """
 
     def __init__(self, oracle, cells=()):
         self.oracle = oracle
         self.normal = oracle.has_normal_forms
-        self.buckets: dict[tuple, list[Word]] = {}
         if self.normal:
-            self.known = _NORMAL_FORMS.setdefault(oracle, {})
+            self.forms = _NORMAL_FORMS.setdefault(oracle, {})
             return
         self.known = {}  # (base, letters) -> representative
+        self.buckets: dict[tuple, list[Word]] = {}
         self.start = oracle.start()
         for base, word in cells:
             self._file(base, word, oracle.step(self.start, word))
@@ -279,15 +288,20 @@ class _Elements:
         self.known[(base, word.letters)] = word
         self.buckets.setdefault((base, key), []).append(word)
 
+    def form(self, word: Word):
+        """(normal form, its shortlex key) of a freely reduced word."""
+        hit = self.forms.get(word.letters)
+        if hit is None:
+            nw = self.oracle.normalize(word)
+            hit = self.forms[word.letters] = (nw, _shortlex(nw.letters))
+        return hit
+
     def rep(self, base: int, word: Word, add: bool = True):
         """The representative of (base, word), word freely reduced.  A cell
         not seen before gets word as its representative, or None when add is
         false."""
         if self.normal:
-            nw = self.known.get(word.letters)
-            if nw is None:
-                nw = self.known[word.letters] = self.oracle.normalize(word)
-            return nw
+            return self.form(word)[0]
         hit = self.known.get((base, word.letters))
         if hit is not None:
             return hit
@@ -302,45 +316,68 @@ class _Elements:
         return None
 
 
-def _canonical_cells(raw_cells, oracle):
-    """Map raw (base, word) pairs of one dimension to canonical cells.
+def _cells(terms, oracle):
+    """The cells that raw (base, word, coeff) triples of one dimension name,
+    words freely reduced and terms of coefficient 0 skipped.
 
-    Returns a dict (base, letters) -> (base, canonical word).  Without normal
-    forms the words are added shortest first, so each cell keeps its
-    shortlex-least spelling.
+    Equal spellings merge first; then each distinct spelling is matched to
+    its cell once, by `_Elements`, or by spelling alone when oracle is None.
+    Without normal forms the spellings are taken shortest first, so each
+    cell is spelled by the shortlex-least of its raw spellings, those whose
+    coefficients cancel included.  Returns (spelled, cells): cells maps
+    (base, letters of the representative) to the cell's [base, shortlex
+    key, representative, coefficient sum], and spelled each raw (base,
+    letters) to the same list.
     """
-    elements = _Elements(oracle)
-    cells = {(base, w.letters): (base, w) for base, w in raw_cells}
-    order = cells.values()
-    if not elements.normal:
-        order = sorted(order, key=lambda bw: word_key(bw[1]))
-    return {(base, w.letters): (base, elements.rep(base, w)) for base, w in order}
+    spelled: dict[tuple, list] = {}
+    for base, w, n in terms:
+        if n:
+            cell = (base, w.letters)
+            hit = spelled.get(cell)
+            if hit is None:
+                spelled[cell] = [w, n]
+            else:
+                hit[1] += n
+    elements = None if oracle is None else _Elements(oracle)
+    if elements is not None and elements.normal:
+        order = ((None, 0, cell) for cell in spelled)
+    else:
+        order = sorted((_shortlex(cell[1]), i, cell) for i, cell in enumerate(spelled))
+    cells: dict[tuple, list] = {}
+    for key, _, cell in order:
+        base = cell[0]
+        w, n = spelled[cell]
+        if elements is None:
+            rep = w
+        elif elements.normal:
+            rep, key = elements.form(w)
+        else:
+            rep = elements.rep(base, w)
+        found = cells.get((base, rep.letters))
+        if found is None:  # rep is w, or its normal form with key
+            found = cells[(base, rep.letters)] = [base, key, rep, 0]
+        found[3] += n
+        spelled[cell] = found
+    return spelled, cells
+
+
+def _canonical_chain(dim: int, terms, oracle) -> Chain:
+    """The canonical dim-chain of raw (base, freely reduced word, coeff)
+    triples, cells as `_cells` names them: zero coefficients dropped, terms
+    sorted by base then shortlex.  Every chain writer ends here."""
+    cells = sorted(c for c in _cells(terms, oracle)[1].values() if c[3])
+    return Chain(dim, tuple([(LiftedCell(dim, base, w), n) for base, _, w, n in cells]))
 
 
 def build_chain(dim: int, pairs, oracle) -> Chain:
     """Canonical chain from raw (LiftedCell, coeff) pairs."""
-    raw = [(c, n) for c, n in pairs if n]
-    for c, _ in raw:
-        if c.dim != dim:
-            raise InputError(f"cell of dimension {c.dim} in a {dim}-chain")
-    raw = [(c.base, free_reduce(c.word), n) for c, n in raw]
-    cellmap = _canonical_cells(((base, w) for base, w, _ in raw), oracle)
-    return _merged_chain(dim, [(*cellmap[(base, w.letters)], n) for base, w, n in raw])
-
-
-def _merged_chain(dim: int, terms) -> Chain:
-    """The chain of (base, reduced word, coeff) triples: equal words of one
-    base merged, zero coefficients dropped, sorted by base then shortlex."""
-    acc: dict[tuple, tuple[Word, int]] = {}
-    for base, w, n in terms:
-        key = (base, w.letters)
-        prev = acc.get(key)
-        acc[key] = (w, n if prev is None else prev[1] + n)
-    return Chain(dim, tuple(
-        (LiftedCell(dim, base, w), n)
-        for (base, _), (w, n) in sorted(acc.items(),
-                                        key=lambda kv: (kv[0][0], word_key(kv[1][0])))
-        if n))
+    terms = []
+    for c, n in pairs:
+        if n:
+            if c.dim != dim:
+                raise InputError(f"cell of dimension {c.dim} in a {dim}-chain")
+            terms.append((c.base, free_reduce(c.word), n))
+    return _canonical_chain(dim, terms, oracle)
 
 
 def add_chains(a: Chain, b: Chain, oracle) -> Chain:
@@ -364,18 +401,21 @@ def negate(a: Chain) -> Chain:
 def boundary(a: Chain, s: SkeletonSpec, oracle) -> Chain:
     """Boundary of a chain; lifts commute with the deck action, so each term
     contributes its translated stored boundary."""
+    return _canonical_chain(a.dim - 1, _boundary_terms(a, s), oracle)
+
+
+def _boundary_terms(a: Chain, s: SkeletonSpec) -> list:
+    """The raw (base, word, coeff) terms of the boundary of a."""
     if a.dim < 1:
         raise InputError("chains of dimension 0 have no boundary")
-    raw = []
-    for c, n in a.terms:
-        for bc, bn in s.boundary_chain(c.dim, c.base).terms:
-            raw.append((LiftedCell(a.dim - 1, bc.base, compose(c.word, bc.word)), bn * n))
-    return build_chain(a.dim - 1, raw, oracle)
+    return [(bc.base, compose(c.word, bc.word), bn * n)
+            for c, n in a.terms for bc, bn in s.boundaries[c.dim][c.base].terms]
 
 
 def translate(g: Word, a: Chain, oracle) -> Chain:
-    raw = [(LiftedCell(c.dim, c.base, compose(g, c.word)), n) for c, n in a.terms]
-    return build_chain(a.dim, raw, oracle)
+    g = free_reduce(g)
+    return _canonical_chain(a.dim, [(c.base, compose(g, c.word), n) for c, n in a.terms],
+                            oracle)
 
 
 def is_cycle(a: Chain, s: SkeletonSpec, oracle) -> bool:
@@ -410,9 +450,9 @@ def coboundary(c: LiftedCell, s: SkeletonSpec, oracle) -> Chain:
     dim = c.dim
     if dim >= s.q:
         raise InputError(f"no cells above dimension {s.q}")
-    return build_chain(dim + 1, [
-        (LiftedCell(dim + 1, upper, compose(c.word, invert(h))), k)
-        for upper, h, k in s.cofaces[dim][c.base]], oracle)
+    w = free_reduce(c.word)
+    return _canonical_chain(dim + 1, [(upper, compose(w, invert(h)), k)
+                                      for upper, h, k in s.cofaces[dim][c.base]], oracle)
 
 
 # ----------------------------------------------------- subchains, components
@@ -630,9 +670,9 @@ def _chain_from_terms(dim: int, terms, s: SkeletonSpec, oracle) -> Chain:
     """The dim-chain of (word text, cell id, coeff) terms, read in order:
     the reader of stored chains and of chain literals alike."""
     gens = s.presentation.generators
-    return build_chain(dim, [(LiftedCell(dim, _stored_cell(s, dim, base_id, coeff),
-                                         parse_word(word, gens)), coeff)
-                             for word, base_id, coeff in terms], oracle)
+    return _canonical_chain(dim, [(_stored_cell(s, dim, base_id, coeff),
+                                   parse_word(word, gens), coeff)
+                                  for word, base_id, coeff in terms], oracle)
 
 
 def _stored_cell(s: SkeletonSpec, dim: int, base_id, coeff) -> int:

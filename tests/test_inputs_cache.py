@@ -452,6 +452,6 @@ def test_verifier_errors_propagate(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("bug in the verifier")
 
-    monkeypatch.setattr("chainprofile.profiles.boundary", broken)
+    monkeypatch.setattr("chainprofile.profiles._canonical_chain", broken)
     with pytest.raises(RuntimeError):
         verify_fv_entry(entry, cyc, s, oracle)

@@ -5,7 +5,8 @@ carried states (the bounded-bfs grid row, and the words the surface2 walks
 ask bounded-bfs about, to values computed while walks still carried their
 vertex words); the exact walk searches make no oracle calls; oracles that
 define only `is_trivial`, or `normalize`, work through the default state;
-the closing cut prunes as pinned.
+the closing cut prunes as pinned.  The spellings chosen without normal
+forms are pinned too, on disk fillings and on surface2 2-chains.
 """
 
 import contextlib
@@ -71,6 +72,51 @@ FROZEN = [
      "4b9726a5badef15899ebe3b43cdfee61221e8b4004202799932f3fe291ed6919", 364),
 ]
 
+# sha256 of `fv --format json` on the boundaries of seeded disks, whose
+# fillings spell their cells as chosen without normal forms: the least
+# freely reduced spelling, in shortlex order, among all of a chain's raw
+# cells of that element.  Four surface2 disks of 2, 3, 3 and 3 octagons,
+# and two grid squares of 4 and 5 cells filled by the search under bounded-bfs
+DISKS = [
+    ("surface2", "(1, e_a) + (a, e_b) - (a b a^-1, e_a) - (a b a^-1 b^-1, e_b) "
+     "+ (a b a^-1 b^-1, e_c) - (d, e_c) - (1, e_d) + (d c d^-1, e_a) + (d c d^-1 a, e_b) "
+     "- (d c d^-1 a b a^-1, e_a) - (d c c d^-1 c^-1, e_b) + (d c c d^-1 c^-1, e_c) "
+     "+ (d c c d^-1, e_d) - (d c, e_c)",
+     "4d0f6f819e6399d8bc97663905689043d3d0069acce3e9385879738fcd579f27"),
+    ("surface2", "(a, e_b) - (a b a^-1, e_a) - (a b a^-1 b^-1, e_b) + (a b a^-1 b^-1, e_c) "
+     "+ (d c d^-1, e_d) - (1, e_d) + (a b^-1 a^-1, e_a) + (a b^-1, e_b) - (b^-1, e_b) "
+     "+ (b^-1, e_c) + (b^-1 c, e_d) - (b^-1 c d c^-1, e_c) - (a b^-1 a^-1, e_d) "
+     "+ (d b a b^-1 a^-1, e_a) + (d b a b^-1, e_b) - (d b, e_a) - (d, e_b) + (d c, e_d) "
+     "- (d c d c^-1, e_c) - (d c d c^-1 d^-1, e_d)",
+     "ba5a666f9fa674efc705163dd666f5178d787ab46e1a1cfba7c7f13d3dffc3d0"),
+    ("surface2", "(1, e_a) - (a b a^-1, e_a) - (a b a^-1 b^-1, e_b) + (a b a^-1 b^-1, e_c) "
+     "+ (d c d^-1, e_d) - (d, e_c) - (1, e_d) + (a b a b^-1 a^-1, e_a) + (a b a b^-1, e_b) "
+     "- (a b, e_a) + (a, e_c) + (a c, e_d) - (a c d c^-1, e_c) "
+     "+ (a c d c^-1 c^-1 d^-1, e_a) + (a c d c^-1 c^-1 d^-1 a, e_b) "
+     "- (a c d c^-1 d^-1 c^-1 b, e_a) - (a c d c^-1 d^-1 c^-1, e_b) "
+     "+ (a c d c^-1 d^-1 c^-1, e_c) - (a c d c^-1 c^-1, e_c) - (a c d c^-1 c^-1 d^-1, e_d)",
+     "839fc792fa3b55d49f919655b93f1f2b996ee7d2057f31291be1ea9a91dedb1e"),
+    ("surface2", "(1, e_a) + (a, e_b) - (a b a^-1, e_a) + (a b a^-1 b^-1, e_c) "
+     "+ (d c d^-1, e_d) - (d, e_c) - (1, e_d) + (a b a^-1 b^-1 a^-1, e_a) "
+     "- (a b a^-1 a^-1, e_a) - (a b a^-1 a^-1 b^-1, e_b) + (a b a^-1 a^-1 b^-1, e_c) "
+     "- (a b a^-1 b^-1 a^-1 d, e_c) - (a b a^-1 b^-1 a^-1, e_d) "
+     "+ (a b a^-1 a^-1 b^-1 c, e_a) + (a b a^-1 a^-1 b^-1 c a, e_b) "
+     "- (a b a^-1 a^-1 b^-1 c a b a^-1, e_a) - (a b a^-1 a^-1 b^-1 c a b a^-1 b^-1, e_b) "
+     "+ (a b a^-1 a^-1 b^-1 c a b a^-1 b^-1, e_c) + (a b a^-1 a^-1 b^-1 c d c d^-1, e_d) "
+     "- (a b a^-1 a^-1 b^-1 c d, e_c)",
+     "c78966cc1e12df191baca47873a802efd2691013141d2986d15c53ba965303a8"),
+    ("grid-bfs", "(b^-2, e_a) - (b, e_a) + (a, e_a) - (a b, e_a) - (b^-2, e_b) - (b^-1, e_b) "
+     "- (1, e_b) + (a b^-2, e_b) + (a b^-1, e_b) + (a^2, e_b)",
+     "e4eb12ae7874e13404ec29acba41dc3a3d7eefdce1b697ad1c4567c711a82451"),
+    ("grid-bfs", "(a^-1, e_a) - (a^-1 b, e_a) + (1, e_a) - (b, e_a) + (a b^-1, e_a) "
+     "- (a b, e_a) + (a^2, e_a) - (a^2 b, e_a) - (a^-1, e_b) - (a b^-1, e_b) "
+     "+ (a^2 b^-1, e_b) + (a^3, e_b)",
+     "c4debdf1512a269d43e8120b3dad88786cd1bbeb6454f2dbe032acb38ed28f07"),
+]
+
+# sha256 of surface2 `enumerate --chain-dim 2 --max-norm 3 --list --format json`
+SURFACE2_CHAINS_SHA = "a89dc2c24b38622f8df54902be06e1fb250165e239bb949d64371c65fa4085c8"
+
 
 def _source(name, tmp_path):
     """A bundled name, or an input file written for an extra."""
@@ -102,6 +148,25 @@ def test_outputs_and_walk_counts_are_frozen(name, n, psi_sha, enum_sha, walks, t
     assert _sha(out.getvalue()) == enum_sha
     with pytest.raises(BudgetExceededError, match=f"more than {walks - 1} walks"):
         cycle_orbits(s, oracle, 1, n, node_cap=walks - 1)
+
+
+def _cli_sha(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--format", "json", "--no-cache"])
+    assert code == 0
+    return _sha(out.getvalue())
+
+
+@pytest.mark.parametrize("name, literal, sha", DISKS,
+                         ids=[f"{c[0]}-{i}" for i, c in enumerate(DISKS)])
+def test_disk_fillings_keep_their_spellings(name, literal, sha, tmp_path):
+    assert _cli_sha(["fv", "--input", _source(name, tmp_path), "--chain", literal]) == sha
+
+
+def test_surface2_chain_spellings_are_frozen():
+    assert _cli_sha(["enumerate", "--input", "surface2", "--chain-dim", "2",
+                     "--max-norm", "3", "--list"]) == SURFACE2_CHAINS_SHA
 
 
 @pytest.mark.parametrize("case, max_norm", [("z2", 8), ("f2", 8), ("zmod2", 6)])

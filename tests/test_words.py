@@ -443,16 +443,17 @@ def _is_reduced(letters):
     return all(x != (y[0], -y[1]) for x, y in zip(letters, letters[1:]))
 
 
-def _recording_build_chain(monkeypatch, module):
-    """Record every cell word the module hands to build_chain."""
+def _recording_constructor(monkeypatch, module):
+    """Record every cell word the module hands to the chain constructor,
+    which takes its raw words as freely reduced."""
     seen = []
-    real = module.build_chain
+    real = module._canonical_chain
 
-    def build(dim, pairs, oracle):
-        pairs = list(pairs)
-        seen.extend(c.word.letters for c, _ in pairs)
-        return real(dim, pairs, oracle)
-    monkeypatch.setattr(module, "build_chain", build)
+    def build(dim, terms, oracle):
+        terms = list(terms)
+        seen.extend(w.letters for _, w, _ in terms)
+        return real(dim, terms, oracle)
+    monkeypatch.setattr(module, "_canonical_chain", build)
     return seen
 
 
@@ -484,8 +485,8 @@ def test_word_producers_hand_out_reduced_words(monkeypatch):
     for u in _reduced_words(AB, 4):
         assert _is_reduced(abelian.normalize(u).letters)
 
-    walked = _recording_build_chain(monkeypatch, enumeration)
-    filled = _recording_build_chain(monkeypatch, profiles)
+    walked = _recording_constructor(monkeypatch, enumeration)
+    filled = _recording_constructor(monkeypatch, profiles)
     for name, walk_norm, fill_norm in (("z2", 10, 8), ("surface2", 8, 8)):
         s, oracle = load_example(name)
         cycles = enumeration.connected_cycles_up_to_action(s, oracle, 1, walk_norm)
