@@ -20,6 +20,11 @@ are invertible, so they map the least fillings of z onto those of its
 image: every cycle of an orbit has one filling volume.  An oracle whose
 group may be a quotient (`presents_group` false: a finite table) gets the
 reversal alone, as does a presentation past the caps of its symmetry search.
+The walk kept for an orbit is its own least rotation, a necklace of step
+labels, and every prefix of a necklace is a prenecklace.  So the search
+grows only prenecklace prefixes, tested in O(1) a step as Fredricksen,
+Kessler and Maiorana generate them, and loses no orbit: a prefix that is no
+prenecklace starts no kept walk.
 A walk carries the oracle's state of its vertex (`WordOracle.step`), not
 its vertex word, so that with normal forms it meets a vertex again without
 asking the oracle.
@@ -185,16 +190,25 @@ def _least_rotation(labels):
 def _orbit_images(labels, maps):
     """The least rotations of the images of a closed walk under the maps and
     reversal, sorted: one per translation orbit of its symmetry orbit.  None
-    as soon as one is below the labels."""
+    as soon as a rotation of one is below the labels.
+
+    The labels are a necklace, their own least rotation, and no image of a
+    label is below the first (the walk search's cut), so only a rotation
+    that starts at a label equal to the first can be below the labels: just
+    those are compared, as slices of the doubled image.  The least rotations
+    are taken, and sorted, only for a walk that is kept."""
+    n, first = len(labels), labels[0]
     back = tuple((edge, -e) for edge, e in reversed(labels))
-    images = set()
+    images = []
     for g in maps:
         for w in (labels, back):
-            image = _least_rotation(tuple(g[x] for x in w))
-            if image < labels:
-                return None
-            images.add(image)
-    return tuple(sorted(images))
+            image = tuple(map(g.__getitem__, w))
+            twice = image + image
+            for i, x in enumerate(image):
+                if x == first and twice[i:i + n] < labels:
+                    return None
+            images.append(image)
+    return tuple(sorted({_least_rotation(image) for image in images}))
 
 
 def _walk_chain(s, oracle, labels) -> Chain:
@@ -218,6 +232,18 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
     fixes the labels so far maps the label lower: either way some rotated
     image is smaller.
 
+    A kept walk is its own least rotation, a necklace, and every prefix of a
+    necklace is a prenecklace, so a step that makes the labels no
+    prenecklace is cut too, and with it every walk it would lead to, none of
+    them kept.  The test is that of Fredricksen, Kessler and Maiorana
+    (Ruskey, Savage and Wang, J. Algorithms 13, 1992; Cattell et al., J.
+    Algorithms 37, 2000): with p the period of the prenecklace labels[:n],
+    the labels stay a prenecklace under a label x exactly when x is not
+    below labels[n - p], and the period stays p when x equals it and
+    becomes n + 1 when x is above.  A prenecklace of length n is a necklace
+    exactly when p divides n, so only such closed walks are compared with
+    their images.  The node cap counts these prenecklace prefixes.
+
     A vertex is (base vertex, oracle state), the state carried step by step
     (`WordOracle.step`).  With normal forms equal states are one element, so
     a vertex is met again by a dict lookup.  Otherwise the state is only a
@@ -234,11 +260,13 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
     moves = {}  # vertex -> [(label, next vertex, step word)]
     for label, (a, b, w, _) in steps.items():
         moves.setdefault(a, []).append((label, b, w))
-    low = {x: min(g[y] for g in maps for y in (x, (x[0], -x[1]))) for x in steps}
+    reverse = {x: (x[0], -x[1]) for x in steps}
+    low = {x: min(g[y] for g in maps for y in (x, reverse[x])) for x in steps}
     # closing cut: the word norm is subadditive and a step moves it by at
     # most `reach`, so a state of norm above reach * (steps left) cannot close
     reach = max((oracle.word_norm(oracle.step(oracle.start(), w))
                  for _, _, w, _ in steps.values()), default=0)
+    need = {}  # state -> the steps it needs to close, memoized
     out = {n: [] for n in range(1, max_norm + 1)}
     labels = []
     path = {}  # (vertex, state) -> [position]
@@ -250,44 +278,60 @@ def _closed_walks(s, oracle, max_norm: int, node_cap: int | None = None):
         since = (x for label in labels[i:] for x in steps[label][2].letters)
         return same_element(oracle, e, free_reduce(Word(e.gens, tuple(since))))
 
-    def extend(v, state, tied):
+    def extend(v, state, tied, p):
+        # labels is a prenecklace of period p; tied holds the maps fixing it
         nonlocal expanded, deepest
         expanded += 1
-        deepest = max(deepest, len(labels))
+        n = len(labels)
+        deepest = max(deepest, n)
         if node_cap is not None and expanded > node_cap:
             raise BudgetExceededError(
                 f"cycle enumeration expanded more than {node_cap} walks, "
                 f"reaching walk length {deepest} of {max_norm}")
+        if n:
+            first, ref, back = labels[0], labels[n - p], reverse[labels[-1]]
         for label, nv, w in moves.get(v, ()):
-            if labels and label == (labels[-1][0], -labels[-1][1]):
+            if n:
+                if label < ref or label == back or low[label] < first:
+                    continue
+            elif low[label] < label:
                 continue
-            if low[label] < (labels[0] if labels else label):
-                continue
-            if any(g[label] < label for g in tied):
+            if tied and any(g[label] < label for g in tied):
                 continue
             key = (nv, oracle.step(state, w))
             labels.append(label)
-            at = next((i for i in path.get(key, ()) if exact or closes(i)), None)
-            n = len(labels)
+            entries = path.get(key)
+            if not entries:
+                at = None
+            elif exact:
+                at = entries[0]
+            else:
+                at = next((i for i in entries if closes(i)), None)
+            q = p if n and label == ref else n + 1
             if at == 0:
-                images = _orbit_images(tuple(labels), maps)
-                if images is not None:
-                    out[n].append(images)
-            elif at is None and n < max_norm and (
-                    not reach or -(-oracle.word_norm(key[1]) // reach) <= max_norm - n):
-                entries = path.setdefault(key, [])
-                entries.append(n)
-                extend(nv, key[1], [g for g in tied if g[label] == label])
-                entries.pop()
-                if not entries:
-                    del path[key]
+                if not (n + 1) % q:
+                    images = _orbit_images(tuple(labels), maps)
+                    if images is not None:
+                        out[n + 1].append(images)
+            elif at is None and n + 1 < max_norm:
+                left = need.get(key[1])
+                if left is None:
+                    left = need[key[1]] = -(-oracle.word_norm(key[1]) // reach) if reach else 0
+                if left < max_norm - n:
+                    if entries is None:
+                        entries = path[key] = []
+                    entries.append(n + 1)
+                    extend(nv, key[1], [g for g in tied if g[label] == label] if tied else tied, q)
+                    entries.pop()
+                    if not entries:
+                        del path[key]
             labels.pop()
 
-    for v in sorted(moves):
+    for v in sorted(moves) if max_norm > 0 else ():
         state = oracle.start()
         path.clear()
         path[(v, state)] = [0]
-        extend(v, state, maps[1:])
+        extend(v, state, maps[1:], 0)
     return {n: sorted(orbits) for n, orbits in out.items()}
 
 
@@ -378,20 +422,23 @@ def connected_chains_up_to_action(s, oracle, dim: int, max_norm: int,
 
 def cycle_orbits(s, oracle, dim: int, max_norm: int, node_cap: int | None = None):
     """Connected cycles one per orbit of the symmetries, as dict norm ->
-    [(representative, translates)].
+    [(representative, translates, labels)].
 
     translates() lists the orbit's translation orbits, one chain each, the
-    representative among them.  In dimension 1 the symmetries are those of
-    `_closed_walks`; above it, translations only.
+    representative first.  In dimension 1 the symmetries are those of
+    `_closed_walks`, and labels[i] are the step labels of the closed walk
+    from the identity whose cycle is translates()[i]; above it, translations
+    only, and labels is None.
     """
     if dim != 1:
         reached = reachable_chains(s, oracle, dim, max_norm,
                                    node_cap=node_cap, cycle_target=True)
-        return {n: [(a, partial(list, (a,))) for a in chains if is_connected(a, s, oracle)]
+        return {n: [(a, partial(list, (a,)), None) for a in chains
+                    if is_connected(a, s, oracle)]
                 for n, chains in reached.items()}
     def orbit(images):
         rep = _walk_chain(s, oracle, images[0])
-        return rep, lambda: [rep] + [_walk_chain(s, oracle, t) for t in images[1:]]
+        return rep, lambda: [rep] + [_walk_chain(s, oracle, t) for t in images[1:]], images
 
     return {n: [orbit(images) for images in walks]
             for n, walks in _closed_walks(s, oracle, max_norm, node_cap).items()}
@@ -400,6 +447,6 @@ def cycle_orbits(s, oracle, dim: int, max_norm: int, node_cap: int | None = None
 def connected_cycles_up_to_action(s, oracle, dim: int, max_norm: int,
                                   node_cap: int | None = None):
     """Connected cycles up to translation, as dict norm -> representatives."""
-    return {n: sorted((a for _, translates in orbits for a in translates()),
+    return {n: sorted((a for _, translates, _ in orbits for a in translates()),
                       key=_chain_sort_key)
             for n, orbits in cycle_orbits(s, oracle, dim, max_norm, node_cap).items()}

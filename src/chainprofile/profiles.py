@@ -99,7 +99,6 @@ have distinct ints and adding ints adds vectors.
 from __future__ import annotations
 
 import logging
-from functools import partial
 
 from .enumeration import _chain_sort_key, cycle_orbits
 from .errors import (
@@ -118,6 +117,7 @@ from .skeleton import (
     chain_from_json,
     chain_to_json,
     coboundary,
+    identity_word,
     is_connected,
     norm,
     skeleton_fingerprint,
@@ -168,19 +168,25 @@ class ProfileTable(_Frozen):
 
 # ------------------------------------------------------------- filling search
 
-def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Chain:
+def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None,
+                    walks=None) -> Chain:
     """A filling of least norm: T one dimension up with boundary the cycle.
 
     The routes only produce: rewriting answers inside Lyndon's gate, and the
     search what it leaves.  Whichever answered, the filling is checked
     against the cycle and the fill volume cap here.
+
+    A caller that has the closed walks of a 1-cycle, as `_cycle_walks` gives
+    them (psi_table has the walk each cycle was built from), may pass them:
+    the cycle is then not checked to be one, since the walks close, and the
+    rewriting reads them instead of splitting the chain again.
     """
     budget = budget or Budget()
     dim = cycle.dim + 1
     if dim > s.q:
         raise InputError(f"cycles of dimension {cycle.dim} have no fillings "
                          f"in a {s.q}-dimensional complex")
-    if cycle.dim >= 1 and boundary(cycle, s, oracle).terms:
+    if walks is None and cycle.dim >= 1 and boundary(cycle, s, oracle).terms:
         raise InputError("filling target is not a cycle")
     excess = sum(n for _, n in cycle.terms) if cycle.dim == 0 else 0
     if excess:
@@ -188,7 +194,7 @@ def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Ch
                          f"as on every boundary, so it has no filling")
     if not cycle.terms:
         return zero_chain(dim)
-    total = _rewritten_filling(cycle, s, oracle, budget)
+    total = _rewritten_filling(cycle, s, oracle, budget, walks)
     if total is None:
         total = _search_filling(cycle, s, oracle, budget)
     _check_filling(total, cycle, s, oracle)
@@ -255,15 +261,16 @@ def _search_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Ch
 
 # ------------------------------------------------ unique fillings by rewriting
 
-def _rewritten_filling(cycle: Chain, s, oracle, budget: Budget):
+def _rewritten_filling(cycle: Chain, s, oracle, budget: Budget, walks=None):
     """The filling of a 1-cycle summed from relator rewriting, or None.
 
     None outside Lyndon's gate (module docstring).  The cycle splits into
-    closed walks of the Cayley graph (coefficient c is |c| traversals).
-    Each walk label is rewritten to the empty word: applying p -> q^-1 at
-    prefix u of a walk from x adds sign times the relator cell at x u
-    offset, and free reductions add nothing.  Every step lowers the word in
-    shortlex order, so this ends; a walk left nonempty gives None.
+    closed walks of the Cayley graph (coefficient c is |c| traversals),
+    `_cycle_walks`, unless the caller passes them as walks.  Each walk label
+    is rewritten to the empty word: applying p -> q^-1 at prefix u of a walk
+    from x adds sign times the relator cell at x u offset, and free
+    reductions add nothing.  Every step lowers the word in shortlex order,
+    so this ends; a walk left nonempty gives None.
     """
     p = s.presentation
     if not (cycle.dim == 1 and oracle.presents_group and p.aspherical
@@ -272,7 +279,7 @@ def _rewritten_filling(cycle: Chain, s, oracle, budget: Budget):
     gens = p.generators
     steps = 0
     cells = []
-    for start, w in _cycle_walks(cycle, s, oracle):
+    for start, w in _cycle_walks(cycle, s, oracle) if walks is None else walks:
         for step in p.rules.rewrite(w):
             if step is None:
                 return None
@@ -320,6 +327,13 @@ def _cycle_walks(cycle: Chain, s, oracle):
             yield Word(s.presentation.generators, v[1]), tuple(letters)
 
 
+def _label_walks(s, labels):
+    """The closed walk with these step labels from the identity, as
+    `_cycle_walks` gives the walks of its cycle."""
+    letters = tuple(x for label in labels for x in s.edge_steps[label][2].letters)
+    return [(identity_word(s.presentation.generators), letters)]
+
+
 def filling_volume(cycle: Chain, s, oracle, budget: Budget | None = None) -> int:
     return norm(minimal_filling(cycle, s, oracle, budget=budget))
 
@@ -332,8 +346,8 @@ def filling_volume(cycle: Chain, s, oracle, budget: Budget | None = None) -> int
 _FORKED_FILL = None
 
 
-def _forked_fill(cycle: Chain) -> Chain:
-    return _FORKED_FILL(cycle)
+def _forked_fill(task) -> Chain:
+    return _FORKED_FILL(*task)
 
 
 def _check_route(kind: str, oracle):
@@ -357,32 +371,41 @@ def psi_table(s, oracle, n: int, budget: Budget | None = None,
         raise InputError(f"profile length must be an integer >= 0, got {n!r}")
     dim = s.q - 1
     orbits = cycle_orbits(s, oracle, dim, n, node_cap=budget.node_cap) if n else {}
-    flat = [(k, rep, translates) for k in sorted(orbits) for rep, translates in orbits[k]]
-    fill = partial(minimal_filling, s=s, oracle=oracle, budget=budget)
+    flat = [(k, rep, translates, labels) for k in sorted(orbits)
+            for rep, translates, labels in orbits[k]]
+
+    def fill(a, labels=None):
+        # a 1-cycle is filled from the walk that built it
+        walks = None if labels is None else _label_walks(s, labels)
+        return minimal_filling(a, s, oracle, budget, walks)
+
+    tasks = [(a, labels and labels[0]) for _, a, _, labels in flat]
     if workers > 1 and len(flat) > 1:
         from multiprocessing import get_context  # ~10 ms: not at import time
         global _FORKED_FILL
         _FORKED_FILL = fill
         try:
             with get_context("fork").Pool(workers) as p:
-                fillings = p.map(_forked_fill, [a for _, a, _ in flat])
+                fillings = p.map(_forked_fill, tasks)
         finally:
             _FORKED_FILL = None
     else:
-        fillings = [fill(a) for _, a, _ in flat]
+        fillings = [fill(*task) for task in tasks]
     volumes = [norm(f) for f in fillings]
-    values, holders = _running_max([(k, volumes[i], i) for i, (k, _, _) in enumerate(flat)], n)
+    values, holders = _running_max([(flat[i][0], v, i) for i, v in enumerate(volumes)], n)
     # the cycles of an orbit share one filling volume; a record's witness is
     # the least cycle among the orbits that reach it at its norm, the one
     # filling every translation orbit would pick
     chosen = {}
     for i in set(holders) - {None}:
         k, v = flat[i][0], volumes[i]
-        a, j = min(((a, j) for j, (kj, _, translates) in enumerate(flat)
-                    if kj == k and volumes[j] == v for a in translates()),
-                   key=lambda aj: _chain_sort_key(aj[0]))
+        a, j, t = min(((a, j, t) for j, (kj, _, translates, _) in enumerate(flat)
+                       if kj == k and volumes[j] == v for t, a in enumerate(translates())),
+                      key=lambda ajt: _chain_sort_key(ajt[0]))
+        labels = flat[j][3]
         chosen[i] = {"cycle": chain_to_json(a, s),
-                     "filling": chain_to_json(fillings[j] if a is flat[j][1] else fill(a), s)}
+                     "filling": chain_to_json(fillings[j] if t == 0 else
+                                              fill(a, labels and labels[t]), s)}
     witnesses = [None if i is None else chosen[i] for i in holders]
     return ProfileTable("psi", skeleton_fingerprint(s, oracle),
                         budget.to_json_dict(), values, witnesses)

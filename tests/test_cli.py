@@ -602,7 +602,19 @@ def test_negative_max_norm_is_a_usage_error(capsys):
     assert code == 0 and "norm at most 0" in out
 
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(chainprofile.__file__)))
+@pytest.mark.parametrize("max_norm, count", [(0, 0), (1, 2)])
+def test_a_loop_edge_takes_no_step_past_the_max_norm(tmp_path, capsys, max_norm, count):
+    # the relator a makes edge a a loop of the cover: a closed walk of one step
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"dim": 2, "presentation": "<a, b | a>",
+                                "oracle": {"kind": "bounded-bfs"}}))
+    code, out, err = run(capsys, "enumerate", "--input", str(path), "--chain-dim", "1",
+                         "--max-norm", str(max_norm), "--cycles", "--no-cache")
+    assert code == 0 and not err
+    assert out.startswith(f"{count} connected cycles")
+
+
+SRC =os.path.dirname(os.path.dirname(os.path.abspath(chainprofile.__file__)))
 
 
 def _fresh_process(*args, **kwargs):

@@ -11,11 +11,12 @@ from fractions import Fraction
 import pytest
 import window_oracle as win
 
-from chainprofile.enumeration import connected_cycles_up_to_action
+from chainprofile.enumeration import connected_cycles_up_to_action, cycle_orbits
 from chainprofile.errors import BudgetExceededError, ChainProfileError
 from chainprofile.inputs import load_example, parse_chain
 from chainprofile.profiles import (
     Budget,
+    _label_walks,
     _rewritten_filling,
     _search_filling,
     filling_volume,
@@ -41,7 +42,7 @@ from chainprofile.words import (
     parse_word,
 )
 
-from test_enumeration import subdivided_z2
+from test_enumeration import subdivided_z2, z3
 
 
 def face_boundary(s, oracle, words):
@@ -201,6 +202,43 @@ def test_rewriting_equals_search_on_the_surface():
         fast = minimal_filling(cyc, s, oracle)
         assert norm(fast) == norm(_search_filling(cyc, s, oracle)) == 1
         assert chains_equal(boundary(fast, s, oracle), cyc, oracle)
+
+
+@pytest.mark.parametrize("name, max_norm", [("z2", 10), ("surface2", 8)])
+def test_walk_words_fill_as_their_chains(monkeypatch, name, max_norm):
+    # psi_table fills each orbit from the labels of its walks: the filling
+    # is the chain's, byte for byte, with neither the cycle check nor the
+    # split of the chain into walks
+    from chainprofile import profiles
+
+    s, oracle = load_example(name)
+    orbits = cycle_orbits(s, oracle, 1, max_norm)
+    pairs = [(a, labels) for reps in orbits.values() for _, translates, images in reps
+             for a, labels in zip(translates(), images)]
+    assert len(pairs) == {"z2": 76, "surface2": 2}[name]
+    want = [chain_to_json(minimal_filling(a, s, oracle), s) for a, _ in pairs]
+    for dodged in ("boundary", "_cycle_arcs"):
+        monkeypatch.setattr(profiles, dodged, None)
+    got = [chain_to_json(minimal_filling(a, s, oracle, None, _label_walks(s, labels)), s)
+           for a, labels in pairs]
+    assert got == want
+
+
+def test_walk_words_outside_the_gate_take_the_chain_route(monkeypatch):
+    # Z^3 has three relators: the search fills the chain, walks or not
+    from chainprofile import profiles
+
+    s, oracle = z3()
+    searched = []
+    search = profiles._search_filling
+    monkeypatch.setattr(profiles, "_search_filling",
+                        lambda cyc, *args: searched.append(cyc) or search(cyc, *args))
+    for reps in cycle_orbits(s, oracle, 1, 6).values():
+        for rep, _, images in reps:
+            with_walks = minimal_filling(rep, s, oracle, None, _label_walks(s, images[0]))
+            assert searched.pop() is rep
+            assert chain_to_json(with_walks, s) == chain_to_json(
+                minimal_filling(rep, s, oracle), s)
 
 
 def test_grid_squares_and_multiples():

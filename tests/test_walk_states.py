@@ -1,11 +1,13 @@
 """Walks carry the oracle's element state (`WordOracle.start`/`step`).
 
-Outputs and walk counts are pinned to values computed before the walks
-carried states (the bounded-bfs grid row, and the words the surface2 walks
-ask bounded-bfs about, to values computed while walks still carried their
-vertex words); the exact walk searches make no oracle calls; oracles that
-define only `is_trivial`, or `normalize`, work through the default state;
-the closing cut prunes as pinned.  The spellings chosen without normal
+Outputs are pinned to values computed before the walks carried states
+(the bounded-bfs grid row, and the words the surface2 walks ask bounded-bfs
+about, to values computed while walks still carried their vertex words);
+walk counts, and that word list, to values taken once the walk search cut
+the prefixes that are no prenecklace, each at most the value before; the
+exact walk searches make no oracle calls; oracles that define only
+`is_trivial`, or `normalize`, work through the default state; the closing
+cut prunes as pinned.  The spellings chosen without normal
 forms are pinned too, on disk fillings and on surface2 2-chains.
 """
 
@@ -54,23 +56,25 @@ ORACLES = {"grid-bfs": {"kind": "bounded-bfs", "radius": 12, "sufficient_len": 8
 
 # name, n, sha256 of the psi table's JSON, sha256 of `enumerate --cycles
 # --list --format json`, and the walks the search expands (the node cap
-# that just suffices)
+# that just suffices), with the prenecklace cut
 FROZEN = [
     ("z2", 12, "30c2b6c8889df316f8e6106c5d8a0e5627d04f2dd3de6e2d5c41626e1d59483a",
-     "d1af906462afdbdc3ad56b90cba376d75684e198003b798fc0e3c2982446daeb", 1907),
+     "d1af906462afdbdc3ad56b90cba376d75684e198003b798fc0e3c2982446daeb", 1519),
     ("f2", 10, "09f90a10f30794934981b9ebed622ccdefad3ee841304f5a24b7c60ec5e94a72",
-     "baade25ebdbf33a8f63a303332eb27852e17e2259a8d9538e12a5276d45a94e4", 64),
+     "baade25ebdbf33a8f63a303332eb27852e17e2259a8d9538e12a5276d45a94e4", 59),
     ("surface2", 8, "d969937ec7f1013d4c7f1103d3119b9eef79b6c757ef5dc3b8dbf8b5eb34f3d1",
-     "644e5890d0d9a11167e568512f569ebfd4a290ff50ea4587a90fad9fa17b3fc0", 10559),
+     "644e5890d0d9a11167e568512f569ebfd4a290ff50ea4587a90fad9fa17b3fc0", 9800),
     ("z3", 8, "aaf650516cead18a0c8fd5c97afe6b3c49da88b6462166c83bd450fa91481b82",
-     "b08e88e01b12be10abbb8103000ccf546f7704d0f1786f6011b96d7410a87ec5", 237),
+     "b08e88e01b12be10abbb8103000ccf546f7704d0f1786f6011b96d7410a87ec5", 234),
     ("z3", 10, "1068769605198b197cfb23f2c736ab59c3fc48fe3622f031990ff35d93e9524b",
-     "437eabc73648c6cf22d7721956fd2e4fb545fe2c3138cb9835fb34ecc6d2330e", 3084),
+     "437eabc73648c6cf22d7721956fd2e4fb545fe2c3138cb9835fb34ecc6d2330e", 2962),
     ("grid", 10, "ad5f3b94d398bd7e593fd912c7f8945c8d46b1612adb93f505358de0fe72b3e2",
-     "cd5dda604e63f8494cff0d5510df4f2e7a1957dcb22e9cca7cd72a63034e0e3e", 364),
+     "cd5dda604e63f8494cff0d5510df4f2e7a1957dcb22e9cca7cd72a63034e0e3e", 322),
     ("grid-bfs", 10, "02ea51bab12b603d4421a77893d071201b192703dded71bd3a0766562afafb6a",
-     "4b9726a5badef15899ebe3b43cdfee61221e8b4004202799932f3fe291ed6919", 364),
+     "4b9726a5badef15899ebe3b43cdfee61221e8b4004202799932f3fe291ed6919", 322),
 ]
+# the walk column before the prenecklace cut, row by row
+FROZEN_WALKS_BEFORE = [1907, 64, 10559, 237, 3084, 364, 364]
 
 # sha256 of `fv --format json` on the boundaries of seeded disks, whose
 # fillings spell their cells as chosen without normal forms: the least
@@ -184,8 +188,10 @@ def test_exact_walk_searches_make_no_oracle_calls(case, max_norm, monkeypatch):
 
 
 def test_surface2_walk_queries_are_pinned(monkeypatch):
-    # without normal forms an equal key goes to is_trivial; the words asked,
-    # in order, are those asked when walks carried their vertex words
+    # without normal forms an equal key goes to is_trivial.  Before the
+    # prenecklace cut the walks asked 9,750 words (sha256 7bb6e021...), those
+    # asked when walks carried their vertex words; the 8,466 asked now are
+    # a subsequence of them
     s, oracle = load_example("surface2")
     asked = []
     is_trivial = BoundedBFSOracle.is_trivial
@@ -195,8 +201,8 @@ def test_surface2_walk_queries_are_pinned(monkeypatch):
         return is_trivial(self, w)
     monkeypatch.setattr(BoundedBFSOracle, "is_trivial", recorded)
     _closed_walks(s, oracle, 8)
-    assert len(asked) == 9750
-    assert _sha(repr(asked)) == "7bb6e021528e836bbca0306417a5569c67713b01372be0b9d3d75c49513669f9"
+    assert len(asked) == 8466
+    assert _sha(repr(asked)) == "09c2be624de4c53f1ff99e91fe51e688b12e27a8a371c536e721e7f788d4ff31"
 
 
 class BS13Default(BS13Oracle):
@@ -304,15 +310,22 @@ def _walk_input(name):
     return load_example(name)
 
 
-# the least node cap each walk search passes, taken while the closing cuts
-# still tested the oracle's kind (the l1 norm of the exponent vector, and
-# the reduced length for the free oracle)
-LEAST_CAPS = [("z2", 10, 364), ("f2", 10, 64), ("surface2", 6, 358), ("z3", 6, 25),
-              ("grid-bfs", 8, 74), ("zmod2", 6, 2)]
+# the least node cap each walk search passes, with the prenecklace cut, and
+# before it, taken while the closing cuts still tested the oracle's kind
+# (the l1 norm of the exponent vector, and the reduced length for the free
+# oracle)
+LEAST_CAPS = [("z2", 10, 322, 364), ("f2", 10, 59, 64), ("surface2", 6, 352, 358),
+              ("z3", 6, 25, 25), ("grid-bfs", 8, 71, 74), ("zmod2", 6, 2, 2)]
 
 
-@pytest.mark.parametrize("name, n, cap", LEAST_CAPS, ids=[c[0] for c in LEAST_CAPS])
-def test_word_norm_cut_prunes_as_the_kind_cuts_did(name, n, cap):
+def test_prenecklace_cut_raises_no_pin():
+    # the cut only drops walks, so no pinned count grew when it came in
+    assert all(c[4] <= before for c, before in zip(FROZEN, FROZEN_WALKS_BEFORE))
+    assert all(cap <= before for _, _, cap, before in LEAST_CAPS)
+
+
+@pytest.mark.parametrize("name, n, cap, _before", LEAST_CAPS, ids=[c[0] for c in LEAST_CAPS])
+def test_word_norm_cut_prunes_as_the_kind_cuts_did(name, n, cap, _before):
     s, oracle = _walk_input(name)
     _closed_walks(s, oracle, n, node_cap=cap)
     with pytest.raises(BudgetExceededError, match=f"more than {cap - 1} walks"):
