@@ -13,9 +13,10 @@ that the complex is the universal cover.  Inside it the filling is derived
 without search, in the manner of Dehn's algorithm (Lyndon-Schupp,
 Combinatorial Group Theory, V): the cycle splits into closed walks of the
 Cayley graph along the skeleton's edge steps (`SkeletonSpec.edge_steps`),
-and each walk label is rewritten to the empty word by rules p -> q^-1, one
-for each cyclic form p q of r or r^-1 with p longer than q, or as long with
-q^-1 shortlex-smaller: the presentation's `RelatorRules`, whose one table
+a split that is also the check that it is a cycle, and each walk label is
+rewritten to the empty word by rules p -> q^-1, one for each cyclic form
+p q of r or r^-1 with p longer than q, or as long with q^-1
+shortlex-smaller: the presentation's `RelatorRules`, whose one table
 and one rewrite loop the bounded-bfs oracle's Dehn path uses too.  Each
 step adds one relator cell at the current prefix and lowers the word in
 shortlex order.  The longer-half rules decide C'(1/6) groups such as the
@@ -40,7 +41,10 @@ boundary operator before anything is returned.
 
 Profiles: psi(n) maximizes filling volume over connected cycles of norm at
 most n; phi(n) maximizes the sum of psi over partitions of n, computed by
-the standard recurrence.  Finite presentations backed by a multiplication
+the standard recurrence.  psi_table fills each enumerated 1-cycle from the
+walk that built it, by the route step `minimal_filling` ends in, and a
+stored witness is re-checked to be connected by `is_connected`, in linear
+time for a 1-cycle.  Finite presentations backed by a multiplication
 table use the exact finite sweep instead; the two routes, and the reload of
 their cached tables, refuse each other's oracles (`_check_route`).
 
@@ -168,25 +172,21 @@ class ProfileTable(_Frozen):
 
 # ------------------------------------------------------------- filling search
 
-def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None,
-                    walks=None) -> Chain:
+def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Chain:
     """A filling of least norm: T one dimension up with boundary the cycle.
 
-    The routes only produce: rewriting answers inside Lyndon's gate, and the
-    search what it leaves.  Whichever answered, the filling is checked
-    against the cycle and the fill volume cap here.
-
-    A caller that has the closed walks of a 1-cycle, as `_cycle_walks` gives
-    them (psi_table has the walk each cycle was built from), may pass them:
-    the cycle is then not checked to be one, since the walks close, and the
-    rewriting reads them instead of splitting the chain again.
+    The chain is checked to be a cycle: a 1-chain as it is split into the
+    closed walks the rewriting reads (`_cycle_walks`), so it is read once, a
+    chain above by its boundary, and a 0-chain by its coefficient sum.
+    `_filling` routes it.
     """
     budget = budget or Budget()
     dim = cycle.dim + 1
     if dim > s.q:
         raise InputError(f"cycles of dimension {cycle.dim} have no fillings "
                          f"in a {s.q}-dimensional complex")
-    if walks is None and cycle.dim >= 1 and boundary(cycle, s, oracle).terms:
+    walks = _cycle_walks(cycle, s, oracle) if cycle.dim == 1 else None
+    if cycle.dim > 1 and boundary(cycle, s, oracle).terms:
         raise InputError("filling target is not a cycle")
     excess = sum(n for _, n in cycle.terms) if cycle.dim == 0 else 0
     if excess:
@@ -194,7 +194,18 @@ def minimal_filling(cycle: Chain, s, oracle, budget: Budget | None = None,
                          f"as on every boundary, so it has no filling")
     if not cycle.terms:
         return zero_chain(dim)
-    total = _rewritten_filling(cycle, s, oracle, budget, walks)
+    return _filling(cycle, s, oracle, budget, walks)
+
+
+def _filling(cycle: Chain, s, oracle, budget: Budget, walks) -> Chain:
+    """The least filling of a nonzero cycle, given with its closed walks
+    when it is a 1-cycle (None otherwise).
+
+    The routes only produce: rewriting answers inside Lyndon's gate, and the
+    search what it leaves.  Whichever answered, the filling is checked
+    against the cycle and the fill volume cap here.
+    """
+    total = None if walks is None else _rewritten_filling(walks, s, oracle, budget)
     if total is None:
         total = _search_filling(cycle, s, oracle, budget)
     _check_filling(total, cycle, s, oracle)
@@ -261,25 +272,23 @@ def _search_filling(cycle: Chain, s, oracle, budget: Budget | None = None) -> Ch
 
 # ------------------------------------------------ unique fillings by rewriting
 
-def _rewritten_filling(cycle: Chain, s, oracle, budget: Budget, walks=None):
-    """The filling of a 1-cycle summed from relator rewriting, or None.
+def _rewritten_filling(walks, s, oracle, budget: Budget):
+    """The filling of a 1-cycle summed from relator rewriting of its closed
+    walks, as `_cycle_walks` gives them, or None.
 
-    None outside Lyndon's gate (module docstring).  The cycle splits into
-    closed walks of the Cayley graph (coefficient c is |c| traversals),
-    `_cycle_walks`, unless the caller passes them as walks.  Each walk label
-    is rewritten to the empty word: applying p -> q^-1 at prefix u of a walk
+    None outside Lyndon's gate (module docstring).  Each walk label is
+    rewritten to the empty word: applying p -> q^-1 at prefix u of a walk
     from x adds sign times the relator cell at x u offset, and free
     reductions add nothing.  Every step lowers the word in shortlex order,
     so this ends; a walk left nonempty gives None.
     """
     p = s.presentation
-    if not (cycle.dim == 1 and oracle.presents_group and p.aspherical
-            and s.is_presentation_complex):
+    if not (oracle.presents_group and p.aspherical and s.is_presentation_complex):
         return None
     gens = p.generators
     steps = 0
     cells = []
-    for start, w in _cycle_walks(cycle, s, oracle) if walks is None else walks:
+    for start, w in walks:
         for step in p.rules.rewrite(w):
             if step is None:
                 return None
@@ -293,11 +302,18 @@ def _rewritten_filling(cycle: Chain, s, oracle, budget: Budget, walks=None):
     return _canonical_chain(2, cells, oracle)
 
 
-def _cycle_arcs(cycle: Chain, s, oracle) -> dict:
-    """The arcs {vertex: [(next vertex, letters), ...]} of a 1-cycle: each
-    edge traversed |c| times by its step (`SkeletonSpec.edge_steps`) in the
-    sign of its coefficient c.  A vertex is (base, letters) of the word the
-    oracle matches its own to: tuples of ints, cheap to hash."""
+def _cycle_walks(cycle: Chain, s, oracle) -> list:
+    """The closed walks (start vertex word, letters) that a 1-chain splits
+    into along its arcs, or InputError when it is not a cycle.
+
+    Each edge is traversed |c| times by its step (`SkeletonSpec.edge_steps`)
+    in the sign of its coefficient c; a vertex is (base, letters) of the word
+    the oracle matches its own to.  A walk from v takes arcs until it is back
+    at v.  Some walk is stuck at a vertex with no arc left exactly when some
+    vertex has more arcs in than out, or fewer, that is when the boundary is
+    not 0.  The labels are freely reduced: stepping back along an edge would
+    need a coefficient of the other sign on it.
+    """
     traversals = []
     for c, n in cycle.terms:
         a, b, w, off = s.edge_steps[(c.base, 1 if n > 0 else -1)]
@@ -309,22 +325,19 @@ def _cycle_arcs(cycle: Chain, s, oracle) -> dict:
     for *ends, label, k in traversals:
         a, b = (vertex[(v, w.letters)] for v, w in ends)
         arcs.setdefault(a, []).extend([(b, label)] * k)
-    return arcs
-
-
-def _cycle_walks(cycle: Chain, s, oracle):
-    """Closed walks (start vertex word, letters) that a 1-cycle splits into
-    along its arcs.  The labels are freely reduced: stepping back along an
-    edge would need a coefficient of the other sign on it."""
-    arcs = _cycle_arcs(cycle, s, oracle)
-    # every vertex is balanced, so a walk from v can only stop back at v
+    walks = []
     for v, out in arcs.items():
         while out:
             letters, u = [], v
-            while not letters or u != v:
+            while True:
+                if not arcs.get(u):
+                    raise InputError("filling target is not a cycle")
                 u, label = arcs[u].pop()
                 letters += label
-            yield Word(s.presentation.generators, v[1]), tuple(letters)
+                if u == v:
+                    break
+            walks.append((Word(s.presentation.generators, v[1]), tuple(letters)))
+    return walks
 
 
 def _label_walks(s, labels):
@@ -374,10 +387,10 @@ def psi_table(s, oracle, n: int, budget: Budget | None = None,
     flat = [(k, rep, translates, labels) for k in sorted(orbits)
             for rep, translates, labels in orbits[k]]
 
-    def fill(a, labels=None):
-        # a 1-cycle is filled from the walk that built it
-        walks = None if labels is None else _label_walks(s, labels)
-        return minimal_filling(a, s, oracle, budget, walks)
+    def fill(a, labels):
+        # a cycle grown by the enumeration needs no check that it is one,
+        # and a 1-cycle is filled from the walk that built it
+        return _filling(a, s, oracle, budget, labels and _label_walks(s, labels))
 
     tasks = [(a, labels and labels[0]) for _, a, _, labels in flat]
     if workers > 1 and len(flat) > 1:
@@ -418,23 +431,9 @@ def _psi_witness(wit, s, oracle):
     cyc = chain_from_json(wit["cycle"], s, oracle)
     fill = chain_from_json(wit["filling"], s, oracle)
     _check_filling(fill, cyc, s, oracle)
-    if cyc.dim != s.q - 1 or not _is_connected_cycle(cyc, s, oracle):
+    if cyc.dim != s.q - 1 or not is_connected(cyc, s, oracle):
         raise ChainProfileError("psi witness cycle is not a connected (q-1)-cycle")
     return norm(cyc), norm(fill)
-
-
-def _is_connected_cycle(cycle: Chain, s, oracle) -> bool:
-    """`is_connected` for a cycle, in linear time for a 1-cycle: that is
-    connected exactly when its arcs are one closed walk through distinct
-    vertices, one arc leaving each (so every coefficient is +-1)."""
-    if cycle.dim != 1:
-        return is_connected(cycle, s, oracle)
-    arcs = _cycle_arcs(cycle, s, oracle)
-    seen, v = set(), next(iter(arcs), None)
-    while v not in seen and len(arcs.get(v, ())) == 1:
-        seen.add(v)
-        v = arcs[v][0][0]
-    return len(seen) == len(arcs) > 0
 
 
 def _running_max(items, n: int):
@@ -475,12 +474,12 @@ def _partition_of(choice, j):
 
 
 def phi_table(s, oracle, n: int, budget: Budget | None = None,
-              workers: int = 1, psi: ProfileTable | None = None) -> ProfileTable:
+              psi: ProfileTable | None = None) -> ProfileTable:
     """phi(k) for k = 0..n via the partition recurrence over psi."""
     if not _is_count(n, 0):
         raise InputError(f"profile length must be an integer >= 0, got {n!r}")
     if psi is None:
-        psi = psi_table(s, oracle, n, budget=budget, workers=workers)
+        psi = psi_table(s, oracle, n, budget=budget)
     elif psi.kind != "psi" or len(psi.values) != n + 1:
         raise InputError("phi needs a psi table of matching length")
     elif psi.fingerprint != skeleton_fingerprint(s, oracle):

@@ -27,7 +27,8 @@ Subchains, components, and connectivity follow the coefficient-window
 definitions: B is a subchain of A when, cell by cell, the coefficient of B
 lies between 0 and that of A; a component is a subchain whose boundary is a
 subchain of the boundary; A is connected when its only components are 0 and
-A itself.
+A itself.  A 1-cycle is connected exactly when it is one circuit, decided in
+linear time; other chains are searched subchain by subchain.
 """
 
 from __future__ import annotations
@@ -504,24 +505,14 @@ def chains_equal(a: Chain, b: Chain, oracle) -> bool:
     return all(bcoeff(c) == n for c, n in a.terms) and norm(a) == norm(b)
 
 
-def subtract_subchain(a: Chain, b: Chain) -> Chain:
-    """a - b for b a literal subchain of a (cells spelled as in a)."""
-    bmap = {(c.base, c.word.letters): n for c, n in b.terms}
-    terms = []
-    for c, n in a.terms:
-        m = n - bmap.get((c.base, c.word.letters), 0)
-        if m:
-            terms.append((c, m))
-    return Chain(a.dim, tuple(terms))
-
-
 def _aligned_units(a: Chain, s: SkeletonSpec, oracle):
     """Boundaries of the signed unit cells of a, over one shared cell index.
 
-    Returns (unit_vectors, totals) where unit_vectors[i] maps boundary-cell
-    index -> coefficient of the boundary of sign(n_i) * cell_i, and totals
-    is the coefficient vector of boundary(a).  One element index keeps cell
-    identities consistent across units for any oracle.
+    Returns (mags, unit_vectors, totals) where mags[i] is |n_i|,
+    unit_vectors[i] maps boundary-cell index -> coefficient of the boundary
+    of sign(n_i) * cell_i, and totals is the coefficient vector of
+    boundary(a).  One element index keeps cell identities consistent across
+    units for any oracle.
     """
     elements = _Elements(oracle)
     index: dict[tuple, int] = {}
@@ -541,26 +532,36 @@ def _aligned_units(a: Chain, s: SkeletonSpec, oracle):
             totals[i] = totals.get(i, 0) + d * abs(n)
             if not totals[i]:
                 del totals[i]
-    return units, totals
+    return [abs(n) for _, n in a.terms], units, totals
 
 
-def _find_component(a: Chain, s: SkeletonSpec, oracle):
-    """Smallest proper nonzero component as a coefficient vector, or None.
+def _is_circuit(mags, units) -> bool:
+    """Whether a nonzero 1-cycle, aligned as `_aligned_units` gives it, is
+    one circuit: every coefficient +-1, one arc tail -> head leaving each
+    vertex (so one entering it), and the arcs one closed walk.  A loop edge,
+    whose unit boundary is 0, is a circuit by itself and only by itself."""
+    if any(m != 1 for m in mags) or not all(units):
+        return mags == [1]
+    step = dict(sorted(vec, key=vec.get) for vec in units)
+    start = v = next(iter(step))
+    for k in range(1, len(step) + 1):
+        v = step[v]
+        if v == start:
+            return k == len(units)
+    return False
+
+
+def _find_component(mags, units, totals):
+    """Smallest proper nonzero component, as a magnitude vector, of the
+    chain with these magnitudes, aligned unit boundaries and boundary
+    totals (`_aligned_units`), or None.
 
     Scans candidate subchains by increasing norm, choosing per-cell
     magnitudes in canonical term order, pruning on boundary cells whose
     contributors are all decided.
     """
-    k = len(a.terms)
-    if k == 0:
-        return None
-    units, totals = _aligned_units(a, s, oracle)
-    mags = [abs(n) for _, n in a.terms]
-    full = sum(mags)
-    last_touch: dict[int, int] = {}
-    for i, vec in enumerate(units):
-        for x in vec:
-            last_touch[x] = i
+    k = len(mags)
+    last_touch = {x: i for i, vec in enumerate(units) if mags[i] for x in vec}
     suffix = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
         suffix[i] = suffix[i + 1] + mags[i]
@@ -574,35 +575,22 @@ def _find_component(a: Chain, s: SkeletonSpec, oracle):
         hi = min(mags[i], v - used)
         for t in range(lo, hi + 1):
             newp = partial
-            if t and units[i]:
+            if t:
                 newp = dict(partial)
                 for x, d in units[i].items():
-                    val = newp.get(x, 0) + d * t
-                    if val:
-                        newp[x] = val
-                    else:
-                        newp.pop(x, None)
-            ok = True
-            for x in units[i]:
-                if last_touch[x] == i:
-                    val = newp.get(x, 0)
-                    tot = totals.get(x, 0)
-                    if tot >= 0:
-                        if not 0 <= val <= tot:
-                            ok = False
-                            break
-                    else:
-                        if not tot <= val <= 0:
-                            ok = False
-                            break
-            if not ok:
+                    newp[x] = newp.get(x, 0) + d * t
+            # a boundary cell whose contributors are all decided must lie
+            # between 0 and its total
+            decided = [(newp.get(x, 0), totals.get(x, 0))
+                       for x in units[i] if last_touch.get(x) == i]
+            if not all(0 <= val <= tot or tot <= val <= 0 for val, tot in decided):
                 continue
             rest = dfs(i + 1, used + t, newp, v)
             if rest is not None:
                 return (t,) + rest
         return None
 
-    for v in range(1, full):
+    for v in range(1, sum(mags)):
         found = dfs(0, 0, {}, v)
         if found is not None:
             return found
@@ -618,28 +606,39 @@ def _vector_to_subchain(a: Chain, vec) -> Chain:
 
 
 def is_connected(a: Chain, s: SkeletonSpec, oracle) -> bool:
-    """True when the only components are 0 and the chain itself."""
+    """True when the only components are 0 and the chain itself.
+
+    A component of a 1-cycle is a subcycle, and every 1-cycle holds a
+    circuit, so a 1-cycle is connected exactly when it is one circuit
+    (`_is_circuit`), decided in linear time; any other chain takes the
+    subchain search."""
     if not a.terms:
         return False
-    return _find_component(a, s, oracle) is None
+    mags, units, totals = _aligned_units(a, s, oracle)
+    if a.dim == 1 and not totals:
+        return _is_circuit(mags, units)
+    return _find_component(mags, units, totals) is None
 
 
 def components(a: Chain, s: SkeletonSpec, oracle) -> list[Chain]:
     """Decompose into connected components, smallest split off first.
 
-    The norm laws hold exactly: component norms sum to the chain norm, and
-    component boundary norms sum to the boundary norm.
+    The chain is aligned once; each component found is taken off the
+    magnitudes and the boundary totals of what remains.  The norm laws hold
+    exactly: component norms sum to the chain norm, and component boundary
+    norms sum to the boundary norm.
     """
+    if not a.terms:
+        return []
+    mags, units, totals = _aligned_units(a, s, oracle)
     out = []
-    rest = a
-    while rest.terms:
-        vec = _find_component(rest, s, oracle)
-        if vec is None:
-            out.append(rest)
-            return out
-        piece = _vector_to_subchain(rest, vec)
-        out.append(piece)
-        rest = subtract_subchain(rest, piece)
+    while (vec := _find_component(mags, units, totals)) is not None:
+        out.append(_vector_to_subchain(a, vec))
+        mags = [m - t for m, t in zip(mags, vec)]
+        for unit, t in zip(units, vec):
+            for x, d in unit.items():
+                totals[x] = totals.get(x, 0) - d * t
+    out.append(_vector_to_subchain(a, mags))
     return out
 
 

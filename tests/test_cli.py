@@ -16,9 +16,11 @@ import pytest
 import chainprofile
 from chainprofile.cache import ResultCache, profile_key
 from chainprofile.cli import _json_text, main
-from chainprofile.inputs import bundled_examples, load_example
+from chainprofile.inputs import bundled_examples, format_chain, load_example, parse_chain
 from chainprofile.profiles import Budget
 from chainprofile.skeleton import skeleton_fingerprint
+
+from test_profile import three_torus_input
 
 SQUARE = "(1, e_a) + (a, e_b) - (b, e_a) - (1, e_b)"
 
@@ -514,6 +516,41 @@ def test_unreadable_files_and_chain_literals_are_input_errors(tmp_path, capsys):
     assert code == 2 and err.startswith("error: cannot read table file: "), err
     code, _, err = run(capsys, "fv", "--input", "z2", "--chain", "a, e_a", "--no-cache")
     assert (code, err) == (2, "error: expected '(' at position 0 of chain literal\n")
+
+
+Z3_INPUT = {"dim": 2, "presentation": "<a, b, c | a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1>",
+            "oracle": {"kind": "abelian"}}
+
+
+@pytest.mark.parametrize("data, chain", [
+    ("z2", "(1, e_a)"),             # inside the rewriting gate
+    (Z3_INPUT, "(1, e_a)"),         # three relators: the search
+    ("surface2", "(1, e_a)"),       # bounded-bfs, no normal forms
+    ("zmod2", "(1, e_a)"),          # a finite table
+    (three_torus_input(), "(1, f_ab)"),
+])
+def test_a_chain_that_is_not_a_cycle_is_refused(tmp_path, capsys, data, chain):
+    # a 1-chain is refused as its walks are split, a 2-chain by its boundary
+    if isinstance(data, dict):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        data = str(path)
+    code, out, err = run(capsys, "fv", "--input", data, "--chain", chain, "--no-cache")
+    assert (code, out, err) == (2, "", "error: filling target is not a cycle\n")
+
+
+def test_fv_reads_a_1_cycle_once(tmp_path, capsys, monkeypatch):
+    # the split into walks is the cycle check: no boundary chain is built
+    from chainprofile import profiles
+
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(Z3_INPUT))
+    s, oracle = load_example("surface2")
+    octagon = format_chain(profiles.boundary(parse_chain("(1, f0)", s, oracle), s, oracle), s)
+    monkeypatch.setattr(profiles, "boundary", None)
+    for data, chain in (("z2", SQUARE), (str(path), SQUARE), ("surface2", octagon)):
+        code, out, _ = run(capsys, "fv", "--input", data, "--chain", chain, "--no-cache")
+        assert (code, out.splitlines()[0]) == (0, "filling volume 1")
 
 
 def test_zero_cycle_has_the_zero_filling(capsys):

@@ -281,6 +281,18 @@ def loop_complex():
     return s, FreeOracle(p)
 
 
+def two_bigons():
+    """Two vertices v and m with four edges between their lifts at one
+    element, e0 and e2 from v to m and e1 and e3 back, so every step is the
+    empty word, and a disk d on e0 + e1: F1 with its free oracle."""
+    p = parse_presentation("<a |>")
+    e = identity_word(p.generators)
+    edges = [(1, f"e{i}", [(e, ends[0], -1), (e, ends[1], 1)])
+             for i, ends in enumerate(["vm", "mv", "vm", "mv"])]
+    disk = (2, "d", [(e, "e0", 1), (e, "e1", 1)])
+    return SkeletonSpec(2, p, [(0, "v", []), (0, "m", []), *edges, disk]), FreeOracle(p)
+
+
 def test_loop_edges_are_norm_one_cycles():
     s, oracle = loop_complex()
     got = connected_cycles_up_to_action(s, oracle, 1, 4)

@@ -30,12 +30,14 @@ from chainprofile.profiles import (
     Budget,
     _check_delta,
     _finite_chain,
-    _is_connected_cycle,
     finite_profile,
     minimal_filling,
     psi_table,
 )
 from chainprofile.skeleton import (
+    Chain,
+    _aligned_units,
+    _find_component,
     add_chains,
     boundary,
     chain_from_json,
@@ -43,6 +45,7 @@ from chainprofile.skeleton import (
     chains_equal,
     is_connected,
     norm,
+    scale_chain,
     translate,
     validate,
 )
@@ -414,21 +417,51 @@ def test_profile_entry_rejects_tampered_witnesses(name, kind, tamper):
     assert not verify_profile_entry(bad, kind, 8, s, oracle)
 
 
-def test_linear_connectivity_agrees_with_the_component_search():
-    # the psi re-check decides connectivity of 1-cycles from their arcs;
-    # the reference is the subchain search of `is_connected`
-    s, oracle = load_example("z2")
-    cycles = [a for reps in connected_cycles_up_to_action(s, oracle, 1, 6).values()
-              for a in reps]
-    assert len(cycles) == 6
-    gens = s.presentation.generators
-    for a in cycles:
-        assert _is_connected_cycle(a, s, oracle)
-        for b in cycles:
-            for at in ("1", "a", "a b", "a^2", "a^5 b^-2"):
-                c = add_chains(a, translate(parse_word(at, gens), b, oracle), oracle)
-                if c.terms:
-                    assert _is_connected_cycle(c, s, oracle) == is_connected(c, s, oracle)
+def _searched_connectivity(a, s, oracle):
+    """`is_connected` by the subchain search alone."""
+    return _find_component(*_aligned_units(a, s, oracle)) is None
+
+
+def test_linear_connectivity_agrees_with_the_component_search(monkeypatch):
+    # `is_connected` decides a 1-cycle as one circuit of its aligned unit
+    # boundaries; the reference is the subchain search, which every 1-chain
+    # that is not a cycle still takes
+    from chainprofile import skeleton
+
+    searched = []
+    search = skeleton._find_component
+    monkeypatch.setattr(skeleton, "_find_component",
+                        lambda *args: searched.append(args) or search(*args))
+    verdicts = []
+    for name, max_norm, shifts in (("z2", 6, ("1", "a", "a b", "a^2", "a^5 b^-2")),
+                                   ("surface2", 8, ("1", "a", "a b", "c d^-1"))):
+        s, oracle = load_example(name)
+        gens = s.presentation.generators
+        cycles = [a for reps in connected_cycles_up_to_action(s, oracle, 1, max_norm).values()
+                  for a in reps]
+        assert len(cycles) == {"z2": 6, "surface2": 2}[name]
+        # the cycles, doubled, and their sums with translates: figure-eights
+        # where two meet at one vertex
+        chains = cycles + [scale_chain(a, 2) for a in cycles]
+        chains += [add_chains(a, translate(parse_word(at, gens), b, oracle), oracle)
+                   for a in cycles for b in cycles for at in shifts]
+        for c in chains:
+            if c.terms:
+                got = is_connected(c, s, oracle)
+                assert not searched
+                assert got == _searched_connectivity(c, s, oracle)
+                verdicts.append(got)
+        first = cycles[0]
+        eight = add_chains(first, translate(parse_word("a b", gens), first, oracle), oracle)
+        assert eight in chains and norm(eight) == 2 * norm(first)
+        assert not is_connected(eight, s, oracle)
+        # 1-chains that are not cycles: a path, and a cycle less one edge
+        path = parse_chain("(1, e_a) + (a, e_b)", s, oracle)
+        for c in (path, Chain(1, first.terms[1:])):
+            assert is_connected(c, s, oracle) == _searched_connectivity(c, s, oracle)
+            assert searched
+            searched.clear()
+    assert (verdicts.count(True), verdicts.count(False)) == (38, 174)
 
 
 def test_fv_entry_verification(tmp_path):

@@ -280,6 +280,10 @@ def test_phi_rejects_a_psi_table_of_another_complex():
 
 
 def three_torus():
+    return load_input(three_torus_input())
+
+
+def three_torus_input():
     """Cube complex of Z^3: one vertex, three edges, three squares, one cube,
     with the abelian oracle."""
     def cell(dim, cid, *terms):
@@ -295,9 +299,8 @@ def three_torus():
     cells += [square("f_ab", "a", "b"), square("f_ac", "a", "c"), square("f_bc", "b", "c")]
     cells.append(cell(3, "cube", ("a", "f_bc", 1), ("1", "f_bc", -1), ("b", "f_ac", -1),
                       ("1", "f_ac", 1), ("c", "f_ab", 1), ("1", "f_ab", -1)))
-    return load_input({"dim": 3, "oracle": {"kind": "abelian"}, "cells": cells,
-                       "presentation": "<a, b, c | a b a^-1 b^-1, a c a^-1 c^-1, "
-                                       "b c b^-1 c^-1>"})
+    return {"dim": 3, "oracle": {"kind": "abelian"}, "cells": cells,
+            "presentation": "<a, b, c | a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1>"}
 
 
 def test_three_torus_two_cycles_and_psi():

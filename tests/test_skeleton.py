@@ -283,6 +283,42 @@ def test_square_cycle_connected_far_squares_split():
     assert all(is_cycle(b, s, o) for b in comps)
 
 
+def test_a_1_cycle_never_enters_the_subchain_search(monkeypatch):
+    # a 1-cycle is connected exactly when it is one circuit, read off its
+    # unit boundaries; the psi witness re-check asks this of every witness
+    from chainprofile import skeleton
+    from chainprofile.cache import verify_profile_entry
+    from test_enumeration import loop_complex, subdivided_z2, two_bigons
+
+    def no_search(*args):
+        raise AssertionError("a 1-cycle entered the subchain search")
+
+    monkeypatch.setattr(skeleton, "_find_component", no_search)
+    s, o = z2()
+    sq = boundary(build_chain(2, [(cell(s, "f0", "1"), 1)], o), s, o)
+    domino = boundary(build_chain(2, [(cell(s, "f0", "1"), 1), (cell(s, "f0", "a"), 1)], o),
+                      s, o)
+    eight = add_chains(sq, translate(parse_word("a b", s.presentation.generators), sq, o), o)
+    assert [is_connected(a, s, o) for a in (sq, domino, negate(domino), scale_chain(sq, 2),
+                                            eight)] == [True, True, True, False, False]
+    table = psi_table(s, o, 8)
+    assert verify_profile_entry({"values": table.values, "witnesses": table.witnesses},
+                                "psi", 8, s, o)
+    s, o = subdivided_z2()
+    assert is_connected(boundary(build_chain(2, [(cell(s, "f", "1"), 1)], o), s, o), s, o)
+    # a loop edge is a circuit by itself, and only by itself
+    s, o = loop_complex()
+    loop = build_chain(1, [(cell(s, "loop", "1"), 1)], o)
+    two = add_chains(loop, translate(parse_word("a", s.presentation.generators), loop, o), o)
+    assert [is_connected(a, s, o) for a in (loop, negate(loop), scale_chain(loop, 2), two)] \
+        == [True, True, False, False]
+    # two bigons on the same two vertices: each vertex is left twice
+    s, o = two_bigons()
+    bigons = [build_chain(1, [(cell(s, f"e{i}", "1"), 1) for i in edges], o)
+              for edges in ((0, 1), (2, 3), (0, 3), (0, 1, 2, 3))]
+    assert [is_connected(a, s, o) for a in bigons] == [True, True, True, False]
+
+
 def test_domino_boundary_is_one_cycle():
     s, o = z2()
     two = build_chain(2, [(cell(s, "f0", "1"), 1), (cell(s, "f0", "a"), 1)], o)

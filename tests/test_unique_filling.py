@@ -16,16 +16,20 @@ from chainprofile.errors import BudgetExceededError, ChainProfileError
 from chainprofile.inputs import load_example, parse_chain
 from chainprofile.profiles import (
     Budget,
+    _cycle_walks,
+    _filling,
     _label_walks,
     _rewritten_filling,
     _search_filling,
     filling_volume,
     minimal_filling,
+    psi_table,
 )
 from chainprofile.skeleton import (
     LiftedCell,
     boundary,
     build_chain,
+    chain_from_json,
     chain_to_json,
     chains_equal,
     norm,
@@ -42,7 +46,7 @@ from chainprofile.words import (
     parse_word,
 )
 
-from test_enumeration import subdivided_z2, z3
+from test_enumeration import subdivided_z2, two_bigons, z3
 
 
 def face_boundary(s, oracle, words):
@@ -51,6 +55,11 @@ def face_boundary(s, oracle, words):
     faces = build_chain(2, [(LiftedCell(2, 0, parse_word(w, gens)), 1) for w in words],
                         oracle)
     return boundary(faces, s, oracle)
+
+
+def rewritten(cyc, s, oracle):
+    """The rewriting route on the closed walks of a 1-cycle."""
+    return _rewritten_filling(_cycle_walks(cyc, s, oracle), s, oracle, Budget())
 
 
 def test_presentation_complex_is_built_once_per_skeleton(monkeypatch):
@@ -96,7 +105,7 @@ def test_gate_admits_the_bundled_one_relator_inputs():
     for name in ("z2", "surface2"):
         s, oracle = load_example(name)
         cyc = face_boundary(s, oracle, ["1"])
-        got = _rewritten_filling(cyc, s, oracle, Budget())
+        got = rewritten(cyc, s, oracle)
         assert norm(got) == 1 and chains_equal(boundary(got, s, oracle), cyc, oracle)
         assert s.presentation.rules is s.presentation.rules  # computed once
 
@@ -110,7 +119,7 @@ def test_gate_refuses_and_the_search_answers(text, oracle_of):
     p = parse_presentation(text)
     s, oracle = presentation_complex(p), oracle_of(p)
     cyc = face_boundary(s, oracle, ["1"])
-    assert _rewritten_filling(cyc, s, oracle, Budget()) is None
+    assert rewritten(cyc, s, oracle) is None
     got = minimal_filling(cyc, s, oracle)
     assert norm(got) == 1
     assert chain_to_json(got, s) == chain_to_json(_search_filling(cyc, s, oracle), s)
@@ -119,7 +128,7 @@ def test_gate_refuses_and_the_search_answers(text, oracle_of):
 def test_gate_refuses_explicit_cells_that_differ():
     s, oracle = subdivided_z2()
     cyc = face_boundary(s, oracle, ["1", "a"])
-    assert _rewritten_filling(cyc, s, oracle, Budget()) is None
+    assert rewritten(cyc, s, oracle) is None
     got = minimal_filling(cyc, s, oracle)
     assert norm(got) == 2
     assert chain_to_json(got, s) == chain_to_json(_search_filling(cyc, s, oracle), s)
@@ -140,7 +149,7 @@ def test_finite_quotient_oracle_takes_the_search():
     assert norm(cyc) == 12
     # the gate refuses the table, whose group may be a quotient: here the
     # block is a filling of norm 9 but not the least
-    assert _rewritten_filling(cyc, s, oracle, Budget()) is None
+    assert rewritten(cyc, s, oracle) is None
     gens = s.presentation.generators
     faces = build_chain(2, [(LiftedCell(2, 0, parse_word(w, gens)), 1) for w in block], oracle)
     assert chains_equal(boundary(faces, s, oracle), cyc, oracle) and norm(faces) == 9
@@ -185,7 +194,7 @@ def test_rewriting_matches_grid_model_to_norm_10():
     for reps in cycles.values():
         for cyc in reps:
             # the half rules sort every grid word, so no walk is left over
-            assert _rewritten_filling(cyc, s, oracle, Budget()) is not None
+            assert rewritten(cyc, s, oracle) is not None
             grid = {(kind[c.base], *exponent_vector(c.word)): n for c, n in cyc.terms}
             assert filling_volume(cyc, s, oracle) == win.filling_volume(grid)
             # minimal_filling rewrites every grid cycle, so check the search too
@@ -198,7 +207,7 @@ def test_rewriting_equals_search_on_the_surface():
     cycles = connected_cycles_up_to_action(s, oracle, 1, 8)
     assert {n: len(reps) for n, reps in cycles.items() if reps} == {8: 2}
     for cyc in cycles[8]:
-        assert _rewritten_filling(cyc, s, oracle, Budget())
+        assert rewritten(cyc, s, oracle)
         fast = minimal_filling(cyc, s, oracle)
         assert norm(fast) == norm(_search_filling(cyc, s, oracle)) == 1
         assert chains_equal(boundary(fast, s, oracle), cyc, oracle)
@@ -217,11 +226,39 @@ def test_walk_words_fill_as_their_chains(monkeypatch, name, max_norm):
              for a, labels in zip(translates(), images)]
     assert len(pairs) == {"z2": 76, "surface2": 2}[name]
     want = [chain_to_json(minimal_filling(a, s, oracle), s) for a, _ in pairs]
-    for dodged in ("boundary", "_cycle_arcs"):
+    for dodged in ("boundary", "_cycle_walks"):
         monkeypatch.setattr(profiles, dodged, None)
-    got = [chain_to_json(minimal_filling(a, s, oracle, None, _label_walks(s, labels)), s)
+    got = [chain_to_json(_filling(a, s, oracle, Budget(), _label_walks(s, labels)), s)
            for a, labels in pairs]
     assert got == want
+
+
+def test_surface2_fills_read_each_vertex_once(monkeypatch):
+    # without normal forms a vertex word is matched by is_trivial; the walk
+    # split matches each once, with no separate boundary chain to match
+    s, oracle = load_example("surface2")
+    witness = chain_from_json(psi_table(s, oracle, 8).witnesses[8]["cycle"], s, oracle)
+    disk = face_boundary(s, oracle, ["1", "a"])
+    asked = []
+    is_trivial = oracle.is_trivial
+    monkeypatch.setattr(oracle, "is_trivial", lambda w: asked.append(w) or is_trivial(w))
+    counts = []
+    for cyc in (witness, disk):
+        asked.clear()
+        fill = minimal_filling(cyc, s, oracle)
+        counts.append((norm(fill), len(asked)))
+    assert counts == [(1, 4), (2, 6)]
+
+
+def test_a_walk_of_empty_steps_closes():
+    # each step of a bigon is the empty word, so a walk is told closed by
+    # its vertex, not by its letters
+    s, oracle = two_bigons()
+    for k in (1, 2):
+        cyc = parse_chain(f"{k}*(1, e0) + {k}*(1, e1)", s, oracle)
+        assert _cycle_walks(cyc, s, oracle) == [(parse_word("1", ("a",)), ())] * k
+        assert chain_to_json(minimal_filling(cyc, s, oracle), s)["terms"] == [
+            {"word": "1", "base": "d", "coeff": k}]
 
 
 def test_walk_words_outside_the_gate_take_the_chain_route(monkeypatch):
@@ -235,7 +272,7 @@ def test_walk_words_outside_the_gate_take_the_chain_route(monkeypatch):
                         lambda cyc, *args: searched.append(cyc) or search(cyc, *args))
     for reps in cycle_orbits(s, oracle, 1, 6).values():
         for rep, _, images in reps:
-            with_walks = minimal_filling(rep, s, oracle, None, _label_walks(s, images[0]))
+            with_walks = _filling(rep, s, oracle, Budget(), _label_walks(s, images[0]))
             assert searched.pop() is rep
             assert chain_to_json(with_walks, s) == chain_to_json(
                 minimal_filling(rep, s, oracle), s)
@@ -310,7 +347,7 @@ def test_stuck_rewriting_falls_back_to_the_search():
     cyc = parse_chain("-(a^-1, e_a) - (b^-1, e_a) - (a^-2, e_a) + (a^-2 b^-1, e_a)"
                       " + (b^-1 a^-2 b, e_a) + (b^-1 a^-5 b, e_a) + (b^-1, e_b)"
                       " - (b^-1 a, e_b) - (a^-2 b^-1, e_b) + (b^-1 a^-5, e_b)", s, oracle)
-    assert _rewritten_filling(cyc, s, oracle, Budget()) is None
+    assert rewritten(cyc, s, oracle) is None
     got = minimal_filling(cyc, s, oracle)
     assert norm(got) == 4
     assert chains_equal(boundary(got, s, oracle), cyc, oracle)

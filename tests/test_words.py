@@ -494,7 +494,8 @@ def test_word_producers_hand_out_reduced_words(monkeypatch):
             for cyc in reps:
                 assert all(_is_reduced(c.word.letters) for c, _ in cyc.terms)
                 if n <= fill_norm:
-                    x = profiles._rewritten_filling(cyc, s, oracle, profiles.Budget())
+                    walks = profiles._cycle_walks(cyc, s, oracle)
+                    x = profiles._rewritten_filling(walks, s, oracle, profiles.Budget())
                     assert all(_is_reduced(c.word.letters) for c, _ in x.terms)
     assert walked and filled
     assert all(map(_is_reduced, walked)) and all(map(_is_reduced, filled))
