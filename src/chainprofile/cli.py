@@ -6,10 +6,10 @@ finite-profile, and `cmd_bound` answers chain2-bound and disk-bound.
 `cmd_fv` and `cmd_profile` go through `_cached`, which reuses a cache entry
 only after its witnesses are verified.
 
-`main(argv)` may be called repeatedly in one process.  The argument parser
-is built on the first call and reused, so the `cmd_*` handlers are bound
-then: to change what a command does, patch what its handler calls (such as
-`chainprofile.cli.psi_table`), not the handler itself.
+`main(argv)` may be called repeatedly in one process.  It builds only the
+parser of the command argv names, once per process, from `COMMANDS`; the
+handlers there are bound at import, so to change what a command does,
+patch what its handler calls (such as `chainprofile.cli.psi_table`).
 
 Each `--input` is read on every call, but each distinct text is parsed once
 per process: the last few (skeleton, oracle) pairs are kept by text, so the
@@ -135,10 +135,6 @@ def _json_text(o, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _print_json(data):
-    print(_json_text(data))
-
-
 def _cached(args, key, verify, compute):
     """The cache entry under key if it passes verify, else compute()'s entry,
     which is then stored.  A failing entry is evicted with a notice, and a
@@ -174,7 +170,7 @@ _DIM4_NOTE = ("in dimension 4 and above this profile is equivalent up to scaling
 def cmd_examples(args) -> int:
     examples = bundled_examples()
     if args.format == "json":
-        _print_json(examples)
+        print(_json_text(examples))
     else:
         width = max(len(n) for n in examples)
         for name, data in examples.items():
@@ -192,7 +188,7 @@ def cmd_validate(args) -> int:
         "cells": {str(d): s.n_cells(d) for d in range(s.q + 1)},
     }
     if args.format == "json":
-        _print_json(info)
+        print(_json_text(info))
     elif args.format == "csv":
         print("key,value")
         for key in ("fingerprint", "dim", "oracle"):
@@ -218,7 +214,7 @@ def cmd_enumerate(args) -> int:
         if args.list:
             data["chains"] = {str(n): [format_chain(a, s) for a in v]
                               for n, v in sorted(got.items())}
-        _print_json(data)
+        print(_json_text(data))
     elif args.format == "csv":
         print("norm,count")
         for n, c in counts.items():
@@ -250,7 +246,7 @@ def cmd_fv(args) -> int:
                      budget),
         lambda e: verify_fv_entry(e, target, s, oracle), compute)
     if args.format == "json":
-        _print_json(entry)
+        print(_json_text(entry))
     elif args.format == "csv":
         print("value")
         print(entry["value"])
@@ -282,7 +278,7 @@ def cmd_profile(args) -> int:
     if args.command == "phi":
         table = phi_table(s, oracle, n, psi=table)
     if args.format == "json":
-        _print_json(table.to_json_dict())
+        print(_json_text(table.to_json_dict()))
         return 0
     _emit_values(table.values, args.format)
     if args.format == "human" and kind == "psi" and s.q >= 4:
@@ -292,7 +288,7 @@ def cmd_profile(args) -> int:
 
 def _emit_values(values, fmt):
     if fmt == "json":
-        _print_json({"values": values})
+        print(_json_text({"values": values}))
     elif fmt == "csv":
         print("n,value")
         for n, v in enumerate(values):
@@ -322,92 +318,101 @@ def _at_least(low: int):
     return parse
 
 
+def _option(*flags, **kwargs):
+    """The function that adds one option to a parser."""
+    return lambda p: p.add_argument(*flags, **kwargs)
+
+
+_FORMAT = _option("--format", choices=("human", "json", "csv"), default="human")
+# the options of every command that reads an --input
+_INPUT = [
+    _option("--input", required=True, help="input JSON file or bundled example name"),
+    _FORMAT,
+    _option("--cache", default=None, metavar="DIR", help="cache directory (default: "
+            "CHAINPROFILE_CACHE_DIR or ~/.cache/chainprofile)"),
+    _option("--no-cache", action="store_true",
+            help="compute without reading or writing the cache"),
+    _option("--fill-cap", type=_at_least(0), default=Budget.fill_volume_cap,
+            help="largest filling norm the search will try"),
+    _option("--node-cap", type=_at_least(1), default=Budget.node_cap,
+            help="largest number of search states per query"),
+    _option("--workers", type=_at_least(1), default=1,
+            help="worker processes for independent fillings; used by psi and phi only"),
+    _option("-v", "--verbose", action="store_true", help="log DEBUG progress to stderr")]
+_PROFILE = [*_INPUT, _option("-n", "--max-size", type=_at_least(0), required=True)]
+
+# name -> (help, the functions that add its options, handler), in the order
+# of the top-level help
+COMMANDS = {
+    "examples": ("list bundled inputs", [_option(
+        "--format", choices=("human", "json"), default="human")], cmd_examples),
+    "validate": ("check the complex and report its fingerprint", _INPUT, cmd_validate),
+    "enumerate": ("connected chains up to the group action", [
+        *_INPUT, _option("--chain-dim", type=int, required=True),
+        _option("--max-norm", type=_at_least(0), required=True),
+        _option("--cycles", action="store_true",
+                help="keep only chains with vanishing boundary"),
+        _option("--list", action="store_true",
+                help="print each chain, not only the counts")], cmd_enumerate),
+    "fv": ("least filling norm of a cycle", [*_INPUT, _option(
+        "--chain", required=True,
+        help="chain literal such as '(1, e_a) + (a, e_b) - (b, e_a) - (1, e_b)'")], cmd_fv),
+    "psi": ("worst filling volume of one connected cycle, by size", _PROFILE, cmd_profile),
+    "phi": ("profile over all cycle sizes via partitions", _PROFILE, cmd_profile),
+    "finite-profile": ("exact profile over a finite multiplication table", _PROFILE,
+                       cmd_profile),
+    "chain2-bound": ("profile bound from a one-piece filling table", [_option(
+        "--delta", required=True, metavar="FILE",
+        help="file of integers delta(0..n), delta(0) = 0"), _FORMAT], cmd_bound),
+    "disk-bound": ("best table sum over a fixed number of pieces", [
+        _option("--delta", required=True, metavar="FILE"),
+        _option("--parts", type=_at_least(1), required=True), _FORMAT], cmd_bound),
+}
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, built once per process: argparse leaves
+    it unchanged while it parses."""
+    p = argparse.ArgumentParser(prog=f"chainprofile {name}")
+    for add in COMMANDS[name][1]:
+        add(p)
+    return p
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: argparse leaves it unchanged
-    while it parses."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", required=True,
-                        help="input JSON file or bundled example name")
-    common.add_argument("--format", choices=("human", "json", "csv"),
-                        default="human")
-    common.add_argument("--cache", default=None, metavar="DIR",
-                        help="cache directory (default: CHAINPROFILE_CACHE_DIR "
-                             "or ~/.cache/chainprofile)")
-    common.add_argument("--no-cache", action="store_true",
-                        help="compute without reading or writing the cache")
-    common.add_argument("--fill-cap", type=_at_least(0), default=Budget.fill_volume_cap,
-                        help="largest filling norm the search will try")
-    common.add_argument("--node-cap", type=_at_least(1), default=Budget.node_cap,
-                        help="largest number of search states per query")
-    common.add_argument("--workers", type=_at_least(1), default=1,
-                        help="worker processes for independent fillings; "
-                             "used by psi and phi only")
-    common.add_argument("-v", "--verbose", action="store_true",
-                        help="log DEBUG progress to stderr")
-
+    """The whole tree: the top-level parser, with a copy of each command's
+    parser as its subparser."""
     p = argparse.ArgumentParser(
         prog="chainprofile",
         description="Filling volumes and isoperimetric profiles of chains "
                     "over group presentations.")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("examples", help="list bundled inputs")
-    sp.add_argument("--format", choices=("human", "json"), default="human")
-    sp.set_defaults(func=cmd_examples)
-
-    sp = sub.add_parser("validate", parents=[common],
-                        help="check the complex and report its fingerprint")
-    sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("enumerate", parents=[common],
-                        help="connected chains up to the group action")
-    sp.add_argument("--chain-dim", type=int, required=True)
-    sp.add_argument("--max-norm", type=_at_least(0), required=True)
-    sp.add_argument("--cycles", action="store_true",
-                    help="keep only chains with vanishing boundary")
-    sp.add_argument("--list", action="store_true",
-                    help="print each chain, not only the counts")
-    sp.set_defaults(func=cmd_enumerate)
-
-    sp = sub.add_parser("fv", parents=[common],
-                        help="least filling norm of a cycle")
-    sp.add_argument("--chain", required=True,
-                    help="chain literal such as '(1, e_a) + (a, e_b) - (b, e_a) - (1, e_b)'")
-    sp.set_defaults(func=cmd_fv)
-
-    for name, text in (
-            ("psi", "worst filling volume of one connected cycle, by size"),
-            ("phi", "profile over all cycle sizes via partitions"),
-            ("finite-profile", "exact profile over a finite multiplication table")):
-        sp = sub.add_parser(name, parents=[common], help=text)
-        sp.add_argument("-n", "--max-size", type=_at_least(0), required=True)
-        sp.set_defaults(func=cmd_profile)
-
-    sp = sub.add_parser("chain2-bound",
-                        help="profile bound from a one-piece filling table")
-    sp.add_argument("--delta", required=True, metavar="FILE",
-                    help="file of integers delta(0..n), delta(0) = 0")
-    sp.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    sp.set_defaults(func=cmd_bound)
-
-    sp = sub.add_parser("disk-bound",
-                        help="best table sum over a fixed number of pieces")
-    sp.add_argument("--delta", required=True, metavar="FILE")
-    sp.add_argument("--parts", type=_at_least(1), required=True)
-    sp.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    sp.set_defaults(func=cmd_bound)
-
+    for name, (text, _, _) in COMMANDS.items():
+        sub.add_parser(name, help=text, parents=[_command_parser(name)], add_help=False)
     return p
+
+
+def _parse_args(argv):
+    """The command's own parser reads argv.  The whole tree reads any other
+    line, one with an argument the command does not take, and one with
+    "--=", which its top level refuses, and prints its usage and errors."""
+    if argv and argv[0] in COMMANDS and not any(a.startswith("--=") for a in argv):
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         if getattr(args, "verbose", False):
             logging.basicConfig(level=logging.DEBUG, stream=sys.stderr)
-        code = args.func(args)
+        code = COMMANDS[args.command][2](args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except ChainProfileError as e:

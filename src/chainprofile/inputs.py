@@ -6,7 +6,6 @@ import itertools
 import json
 import os
 import re
-from importlib import resources
 
 from .errors import InputError
 from .skeleton import SkeletonSpec, _chain_from_terms, presentation_complex
@@ -156,13 +155,8 @@ def format_chain(a, s) -> str:
 
 def read_delta(path) -> list:
     """Whitespace- or comma-separated integers from a text file."""
-    try:
-        with open(path) as fh:
-            raw = fh.read()
-    except OSError as e:
-        raise InputError(f"cannot read table file: {e}") from None
     out = []
-    for tok in raw.replace(",", " ").split():
+    for tok in _file_text(path, "table file").replace(",", " ").split():
         try:
             out.append(int(tok))
         except ValueError:
@@ -174,18 +168,17 @@ def read_delta(path) -> list:
 
 # ----------------------------------------------------------- bundled inputs
 
-def _bundled_files() -> dict:
-    """Name -> resource of each input shipped with the package, unread."""
-    root = resources.files("chainprofile.data")
-    return {item.name[:-5]: item
-            for item in sorted(root.iterdir(), key=lambda p: p.name)
-            if item.name.endswith(".json")}
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _bundled_names() -> list:
+    """The sorted names of the inputs shipped with the package."""
+    return sorted(name[:-5] for name in os.listdir(_DATA) if name.endswith(".json"))
 
 
 def bundled_examples() -> dict:
     """Name -> description dict for the inputs shipped with the package."""
-    return {name: json.loads(item.read_text())
-            for name, item in _bundled_files().items()}
+    return {name: json.loads(_example_text(name)) for name in _bundled_names()}
 
 
 def _example_text(name: str) -> str:
@@ -193,25 +186,27 @@ def _example_text(name: str) -> str:
     name; the directory is listed only to say what is available."""
     if os.sep not in name and "/" not in name:
         try:
-            return (resources.files("chainprofile.data") / f"{name}.json").read_text()
+            with open(os.path.join(_DATA, f"{name}.json")) as fh:
+                return fh.read()
         except (OSError, ValueError):   # missing, or a name no file can have
             pass
     raise InputError(f"input {name!r} is neither a file nor a bundled name; "
-                     f"available: {', '.join(sorted(_bundled_files()))}")
+                     f"available: {', '.join(_bundled_names())}")
 
 
-def _file_text(path) -> str:
+def _file_text(path, what: str = "input file") -> str:
     try:
         with open(path) as fh:
             return fh.read()
     except OSError as e:
-        raise InputError(f"cannot read input file: {e}") from None
+        raise InputError(f"cannot read {what}: {e}") from None
 
 
 def input_text(source: str) -> str:
     """The text of the input file at source if there is one, else of the
-    bundled input named source."""
-    return _file_text(source) if os.path.exists(source) else _example_text(source)
+    bundled input named source, which a directory of that name does not hide."""
+    named = not os.path.exists(source) or (os.path.isdir(source) and source in _bundled_names())
+    return _example_text(source) if named else _file_text(source)
 
 
 def decode_input(text: str):

@@ -746,7 +746,7 @@ class FiniteTableOracle(WordOracle):
                 raise InputError(f"relator {format_word(r)} does not evaluate to identity")
         self._words = self._canonical_words()
 
-    @property
+    @cached_property  # hashed once: the table grows with the square of the order
     def name(self) -> str:
         payload = repr((self.elements, self.table, sorted(self.generator_map.items())))
         return "finite-table:" + hashlib.sha256(payload.encode()).hexdigest()[:12]

@@ -1,12 +1,13 @@
 """End-to-end command-line checks."""
 
-import argparse
+import ast
 import csv
 import io
 import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -32,9 +33,9 @@ def run(capsys, *argv):
 
 
 def test_a_query_without_caps_gets_the_default_budget():
-    from chainprofile.cli import _budget, _parser
+    from chainprofile.cli import _budget, _command_parser
 
-    assert _budget(_parser().parse_args(["psi", "--input", "z2", "-n", "4"])) == Budget()
+    assert _budget(_command_parser("psi").parse_args(["--input", "z2", "-n", "4"])) == Budget()
 
 
 def test_examples_listing(capsys):
@@ -341,6 +342,48 @@ def test_unknown_input_lists_the_bundled_names(capsys):
     assert code == 2
     assert "'missing' is neither a file nor a bundled name" in err
     assert ", ".join(sorted(bundled_examples())) in err
+
+
+def test_a_directory_does_not_hide_the_bundled_input_of_its_name(tmp_path, capsys,
+                                                                  monkeypatch):
+    code, want, _ = run(capsys, "validate", "--input", "z2", "--format", "json")
+    assert code == 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "z2").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    assert run(capsys, "validate", "--input", "z2", "--format", "json") == (0, want, "")
+    # a directory no bundled input is named after is refused as a file
+    assert run(capsys, "validate", "--input", "elsewhere") == (
+        2, "", "error: cannot read input file: [Errno 21] Is a directory: 'elsewhere'\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_an_input_that_is_not_a_regular_file_is_still_read():
+    # a pipe, as the shell's <(...) or /dev/stdin gives, is a file to read
+    text = json.dumps(bundled_examples()["z2"])
+    proc = _fresh_process("-m", "chainprofile.cli", "validate", "--input", "/dev/stdin",
+                          input=text)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ok: boundary of boundary vanishes")
+
+
+def test_a_copied_package_reads_its_bundled_inputs(tmp_path):
+    # as an installed package does: the data directory is found next to the
+    # modules, whatever the working directory
+    site, elsewhere = tmp_path / "site", tmp_path / "elsewhere"
+    shutil.copytree(os.path.join(SRC, "chainprofile"), site / "chainprofile",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    elsewhere.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(site))
+    for query in (["examples"], ["psi", "--input", "z2", "-n", "6", "--no-cache",
+                                 "--format", "json"]):
+        copied = subprocess.run(
+            [sys.executable, "-c", "import sys, chainprofile.cli as c; "
+             "print(c.__file__, file=sys.stderr); sys.exit(c.main(sys.argv[1:]))",
+             *query], capture_output=True, text=True, env=env, cwd=elsewhere)
+        assert copied.returncode == 0, copied.stderr
+        assert copied.stderr.startswith(str(site / "chainprofile"))
+        assert copied.stdout == _fresh_process("-m", "chainprofile.cli", *query).stdout
 
 
 def grid_search_input(**options):
@@ -651,7 +694,7 @@ def test_a_loop_edge_takes_no_step_past_the_max_norm(tmp_path, capsys, max_norm,
     assert out.startswith(f"{count} connected cycles")
 
 
-SRC =os.path.dirname(os.path.dirname(os.path.abspath(chainprofile.__file__)))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(chainprofile.__file__)))
 
 
 def _fresh_process(*args, **kwargs):
@@ -767,10 +810,9 @@ def test_every_command_prints_each_format(tmp_path, capsys, name, fmt):
 
 
 def _input_commands():
-    from chainprofile.cli import _parser
+    from chainprofile.cli import COMMANDS, _command_parser
 
-    (sub,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    return sorted(name for name, sp in sub.choices.items() if "--input" in sp.format_usage())
+    return sorted(name for name in COMMANDS if "--input" in _command_parser(name).format_usage())
 
 
 @pytest.mark.parametrize("name", _input_commands())
@@ -780,6 +822,87 @@ def test_every_input_command_takes_the_benchmark_options(tmp_path, capsys, name)
                        "--format", "json", "--workers", "1", "--cache", str(tmp_path))
     assert code == 0
     json.loads(out)
+
+
+# what the parser tree printed for help, --version and usage errors, each
+# case as a command line
+TREE_CASES = [
+    ["--help"], *([name, "--help"] for name in (
+        "examples", "validate", "enumerate", "fv", "psi", "phi", "finite-profile",
+        "chain2-bound", "disk-bound")),
+    [], ["bogus"], ["--version"],
+    ["examples", "--format", "csv"],
+    ["validate"],
+    ["enumerate", "--input", "z2", "--chain-dim", "x", "--max-norm", "2"],
+    ["fv", "--input", "z2"],
+    ["psi", "--input", "z2", "-n", "six"],
+    ["phi", "--input", "z2", "-n", "-4"],
+    ["finite-profile", "--input", "zmod2"],
+    ["chain2-bound", "--delta", "x", "--parts", "2"],
+    ["disk-bound", "--delta", "x", "--parts", "0"],
+    # arguments the command does not take, and options before the command
+    ["psi", "--input", "z2", "-n", "2", "--bogus", "x"],
+    ["psi", "--input", "z2", "-n", "2", "--", "x"],
+    ["examples", "extra"], ["psi", "--version"], ["--input", "z2", "psi"],
+    ["-h", "psi"], ["--version", "psi"], ["-v"],
+    ["psi", "--input", "z2", "-n", "2", "--=x"],
+]
+
+
+def _exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", TREE_CASES, ids=" ".join)
+def test_help_and_usage_errors_are_the_tree_s(capsys, monkeypatch, argv):
+    # argparse wraps its usage lines to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    from cli_reference import reference_parser
+
+    want = _exit(reference_parser().parse_args, argv, capsys)
+    assert want[0] in (0, 2) and (want[1] or want[2])
+    assert _exit(main, argv, capsys) == want
+
+
+def test_parsed_arguments_are_the_tree_s(tmp_path):
+    from chainprofile.cli import _parse_args
+    from cli_reference import reference_parser
+
+    for argv in [*([*COMMANDS[name](tmp_path), "--format", fmt] for name, fmt in FORMATS),
+                 ["psi", "--inp", "z2", "-n", "2", "--no-c", "--fill=3", "--node-cap", "9"],
+                 ["examples", "--form", "json"],
+                 ["enumerate", "--input=f2", "--chain-dim", "1", "--max-norm", "0", "--list"]]:
+        assert vars(_parse_args(argv)) == vars(reference_parser().parse_args(argv)), argv
+
+
+def test_a_command_builds_only_its_own_parser():
+    probe = _fresh_process("-c", """if True:
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+        argparse.ArgumentParser.__init__ = record
+        from chainprofile.cli import main
+        for n in ("2", "3"):
+            main(["psi", "--input", "z2", "-n", n, "--no-cache"])
+        print(built)
+        try:
+            main(["bogus"])
+        except SystemExit:
+            print(built)
+        """)
+    *_, psi_only, after_bogus = probe.stdout.splitlines()
+    assert psi_only == "['chainprofile psi']"
+    # an unknown command builds the whole tree: the top-level parser, and
+    # each command's parser with its copy as a subparser
+    built = ast.literal_eval(after_bogus)
+    assert sorted(built) == sorted(["chainprofile", *(2 * [f"chainprofile {name}"
+                                                          for name in COMMANDS])])
 
 
 # every JSON-producing command, enumerate with its chain listing

@@ -108,8 +108,7 @@ def test_load_input_errors(tmp_path):
 def test_load_example_reads_only_its_file(tmp_path, monkeypatch):
     (tmp_path / "z2.json").write_text(json.dumps(bundled_examples()["z2"]))
     (tmp_path / "broken.json").write_text("{nope")
-    monkeypatch.setattr("chainprofile.inputs.resources.files",
-                        lambda package: tmp_path)
+    monkeypatch.setattr("chainprofile.inputs._DATA", str(tmp_path))
     s, oracle = load_example("z2")
     assert s.n_cells(2) == 1
     with pytest.raises(InputError, match="available: broken, z2$"):

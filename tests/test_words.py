@@ -1,6 +1,7 @@
 """Word algebra, presentations, and word-problem oracles."""
 
 import ast
+import hashlib
 import itertools
 import pathlib
 import random
@@ -221,6 +222,21 @@ def test_finite_table_oracle_cyclic3():
     assert is_trivial(o, w("a", ("a",))) is OracleVerdict.NONTRIVIAL
     assert o.normalize(w("a^2", ("a",))) == w("a^-1", ("a",))
     assert format_word(o.element_word(2)) == "a^-1"
+
+
+@pytest.mark.parametrize("elements, name", [
+    (["e", "a", "aa"], "finite-table:5d10b2e36e58"),
+    ([f"a{i}" for i in range(60)], "finite-table:4137da1d5f51")], ids=["Z3", "Z60"])
+def test_a_finite_table_is_named_once_and_as_before(monkeypatch, elements, name):
+    # the name goes into every fingerprint; its hash reads the whole table
+    n = len(elements)
+    o = FiniteTableOracle(parse_presentation(f"<a | a^{n}>"), elements,
+                          [[(i + j) % n for j in range(n)] for i in range(n)], {"a": 1})
+    hashes = []
+    real = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: hashes.append(data) or real(data))
+    assert [o.name, o.name] == [name, name]
+    assert len(hashes) == 1
 
 
 def test_finite_table_validation():
