@@ -152,7 +152,7 @@ def invert(w: Word) -> Word:
 
 
 def _shortlex(letters):
-    return (len(letters), tuple((g, 0 if s > 0 else 1) for g, s in letters))
+    return (len(letters), tuple([(g, s < 0) for g, s in letters]))
 
 
 def word_key(w: Word):
@@ -161,20 +161,27 @@ def word_key(w: Word):
 
 
 def format_word(w: Word) -> str:
-    if not w.letters:
+    """Each run of equal letters as `name` or `name^k`, space separated;
+    the empty word is `1`."""
+    letters, gens, n = w.letters, w.gens, len(w.letters)
+    if not n:
         return "1"
     parts = []
-    for (g, s), run in itertools.groupby(w.letters):
-        k = s * len(list(run))
-        name = w.gens[g]
-        parts.append(name if k == 1 else f"{name}^{k}")
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or letters[i] != letters[start]:
+            g, s = letters[start]
+            k = s * (i - start)
+            parts.append(gens[g] if k == 1 else f"{gens[g]}^{k}")
+            start = i
     return " ".join(parts)
 
 
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 # one pass classifies each token: findall gives one group per kind, and
 # only the group of the token's kind is nonempty
-_WORD_TOKEN = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<power>\^\s*-?\d+)"
-                         r"|(?P<one>1)|(?P<other>\S)")
+_WORD_TOKEN = re.compile(rf"(?P<name>{_NAME})|(?P<power>\^\s*-?\d+)|(?P<one>1)|(?P<other>\S)")
+_EXPONENT = re.compile(r"-?[0-9]+")
 
 
 def _split_identifier(tok: str, index: dict) -> list[int]:
@@ -195,19 +202,47 @@ def _split_identifier(tok: str, index: dict) -> list[int]:
 
 
 @lru_cache
-def _generator_index(gens: tuple[str, ...]) -> dict:
-    """Each generator name -> its first position, as gens.index gives; the
-    dict is shared, so callers only read it."""
+def _generator_tables(gens: tuple[str, ...]) -> tuple[dict, dict]:
+    """Each generator name -> its first position, as gens.index gives, and
+    each one-letter token `name` and `name^-1` -> its letter, for the names
+    the tokenizer reads as one identifier.  The dicts are shared, so
+    callers only read them."""
     index = {}
     for i, name in enumerate(gens):
         index.setdefault(name, i)
-    return index
+    table = {}
+    for name, g in index.items():
+        if re.fullmatch(_NAME, name):
+            table[name], table[f"{name}^-1"] = (g, 1), (g, -1)
+    return index, table
 
 
 def parse_word(text: str, gens: tuple[str, ...]) -> Word:
-    """Parse a word like 'a b a^-1 b^-1', 'a^2 b', 'aba^-1'; '1' is empty."""
+    """Parse a word like 'a b a^-1 b^-1', 'a^2 b', 'aba^-1'; '1' is empty.
+
+    Text as `format_word` prints it (space-separated `name`, `name^k` with
+    an ASCII k, and `1`) is read token by token from the alphabet's table;
+    any other text goes to the tokenizer, which reads it the same way."""
     gens = tuple(gens)
-    index = _generator_index(gens)
+    index, table = _generator_tables(gens)
+    letters: list[Letter] = []
+    for tok in text.split():
+        letter = table.get(tok)
+        if letter is not None:
+            letters.append(letter)
+        elif tok != "1":
+            name, _, k = tok.partition("^")
+            letter = table.get(name)
+            if letter is None or not _EXPONENT.fullmatch(k):
+                return _tokenized_word(text, gens, index)
+            k = int(k)
+            letters += [letter] * k if k > 0 else [(letter[0], -1)] * -k
+    return Word(gens, _reduce_letters(letters))
+
+
+def _tokenized_word(text: str, gens: tuple[str, ...], index: dict) -> Word:
+    """`parse_word` for every text: detached powers, juxtaposed names,
+    Unicode digits, and every error."""
     letters: list[Letter] = []
     last_unit: list[Letter] = []  # letters of the unit a trailing power applies to
 

@@ -375,8 +375,10 @@ def test_a_copied_package_reads_its_bundled_inputs(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     elsewhere.mkdir()
     env = dict(os.environ, PYTHONPATH=str(site))
-    for query in (["examples"], ["psi", "--input", "z2", "-n", "6", "--no-cache",
-                                 "--format", "json"]):
+    for query in (["examples"],
+                  ["psi", "--input", "z2", "-n", "6", "--no-cache", "--format", "json"],
+                  ["fv", "--input", "z2", "--chain", "(1, e_a) + (a, e_b) - (b, e_a) - (1, e_b)",
+                   "--no-cache", "--format", "json"]):
         copied = subprocess.run(
             [sys.executable, "-c", "import sys, chainprofile.cli as c; "
              "print(c.__file__, file=sys.stderr); sys.exit(c.main(sys.argv[1:]))",

@@ -8,6 +8,10 @@ import os
 
 import pytest
 
+from test_enumeration import z3
+from test_walk_states import DISKS
+
+from chainprofile import words
 from chainprofile.cache import (
     ResultCache,
     default_cache_dir,
@@ -474,6 +478,36 @@ def test_fv_entry_verification(tmp_path):
                                cyc, s, oracle)
     other = parse_chain("2*(1, e_a)", s, oracle)
     assert not verify_fv_entry(entry, other, s, oracle)
+
+
+def test_printed_chains_are_read_without_the_tokenizer(monkeypatch):
+    # every word format_word prints, in stored witnesses, fillings and chain
+    # literals, is read from the alphabet's token table alone
+    z2, surface2 = load_example("z2"), load_example("surface2")
+    tables = [(z2, psi_table(*z2, 10), 10), (z3(), psi_table(*z3(), 8), 8)]
+    disk = parse_chain(DISKS[0][1], *surface2)
+    fill = minimal_filling(disk, *surface2)
+
+    def refuse(text, gens, index):
+        raise AssertionError(f"{text!r} reached the tokenizer")
+
+    monkeypatch.setattr(words, "_tokenized_word", refuse)
+    with pytest.raises(AssertionError, match="reached the tokenizer"):
+        parse_word("aba^-1", ("a", "b"))
+    chains = []
+    for (s, oracle), table, n in tables:
+        entry = table.to_json_dict()
+        assert verify_profile_entry(entry, "psi", n, s, oracle)
+        chains += [(chain_from_json(wit[part], s, oracle), s, oracle)
+                   for wit in entry["witnesses"] if wit for part in ("cycle", "filling")]
+    s, oracle = surface2
+    entry = {"value": norm(fill), "filling": chain_to_json(fill, s)}
+    assert verify_fv_entry(entry, disk, s, oracle)
+    chains += [(disk, s, oracle), (fill, s, oracle)]
+    assert len(chains) == 26
+    for chain, s, oracle in chains:
+        assert chain_from_json(chain_to_json(chain, s), s, oracle) == chain
+        assert parse_chain(format_chain(chain, s), s, oracle) == chain
 
 
 def test_verifier_errors_propagate(monkeypatch):

@@ -8,6 +8,8 @@ import random
 
 import pytest
 
+import word_reference
+
 import chainprofile
 from chainprofile.errors import InputError, OracleUndecidedError, ParseError
 from chainprofile.words import (
@@ -115,6 +117,67 @@ def test_format_parse_round_trip_random():
         letters = [(rng.randrange(2), rng.choice((1, -1))) for _ in range(rng.randrange(9))]
         word = free_reduce(Word(AB, tuple(letters)))
         assert parse_word(format_word(word), AB) == word
+
+
+# alphabets with prefixes of each other, digits in names, and names the
+# tokenizer cannot read as one identifier (and a repeated name)
+ALPHABETS = [("a", "b"), ("ab", "a", "b"), ("x10", "x1", "y"), ("a", "b'", "\u00e9", "a")]
+# detached and signed powers, the identity, ASCII and Arabic-Indic digits,
+# unknown names and stray characters
+PIECES = ["a", "b", "ab", "x1", "x10", "y", "c", "_", "1", "0", "10", "^", "^2", "^-1",
+          "^0", "^-0", "^007", "^+2", "^\u0663", "^-\u00b2", "^ 2", "^-", "-", "(", ")",
+          "*", ",", "'", "b'", "\u00e9", "\u00b2", "\u0663"]
+SEPARATORS = ["", "", " ", " ", "  ", "\t", "\n", "\u3000", "\x1c"]
+
+
+def _random_letters(rng, gens, maxlen):
+    """Letters that repeat often, reduced or not."""
+    return tuple((rng.randrange(len(gens)), rng.choice((1, -1)))
+                 for _ in range(rng.randrange(maxlen)))
+
+
+def _random_text(rng, gens):
+    """A printed word, a printed word with a piece spliced in, or pieces."""
+    kind = rng.randrange(3)
+    if kind < 2:
+        text = word_reference.format_word(Word(gens, _random_letters(rng, gens, 9)))
+        if kind == 0:
+            return text
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + rng.choice(SEPARATORS) + rng.choice(PIECES) + text[at:]
+    parts = [rng.choice(PIECES) for _ in range(rng.randrange(1, 6))]
+    return "".join(p + rng.choice(SEPARATORS) for p in parts)
+
+
+def _read(parse, text, gens):
+    try:
+        return parse(text, gens)
+    except ParseError as e:
+        return f"ParseError: {e}"
+
+
+def test_parse_word_reads_every_text_as_the_tokenizer_does():
+    # text as format_word prints it is read from the alphabet's table, the
+    # rest by the tokenizer; either way the word or the message is the same
+    rng = random.Random(34)
+    for gens in ALPHABETS:
+        for _ in range(3000):
+            text = _random_text(rng, gens)
+            assert _read(parse_word, text, gens) == _read(word_reference.parse_word, text, gens), \
+                (text, gens)
+    for text in ("1", "a^0", "a^-0", "a^007", "a^+2", "a^\u0663", "a^\u00b2", "a ^2", "aba^-1",
+                 "a^2^3", "1^2", "a^-1b", "b^-1 a^-1", " a\u3000b ", "a\x1cb"):
+        assert _read(parse_word, text, AB) == _read(word_reference.parse_word, text, AB), text
+
+
+def test_format_word_and_word_key_match_the_reference():
+    rng = random.Random(35)
+    for gens in ALPHABETS:
+        for _ in range(2000):
+            word = Word(gens, _random_letters(rng, gens, 12))
+            assert format_word(word) == word_reference.format_word(word)
+            assert word_key(word) == word_reference.word_key(word)
+            assert hash(word_key(word)) == hash(word_reference.word_key(word))
 
 
 # ----------------------------------------------------------------- word ops
@@ -300,6 +363,19 @@ def test_bounded_bfs_default_gate():
     assert is_trivial(o, w("a b a b")) is OracleVerdict.NONTRIVIAL
     assert is_trivial(o, w("a b a^-1 b^-1")) is OracleVerdict.NONTRIVIAL
     assert is_trivial(o, w("a b b a^-1")) is OracleVerdict.TRIVIAL
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 17: the default \"auto\" gate turns an exhausted "
+                   "search into Nontrivial without a certificate")
+def test_bounded_bfs_never_calls_a_trivial_word_nontrivial():
+    # x5 = x0^32 commutes with b, but the search exhausts the component of
+    # x5 b x5^-1 b^-1 within the radius max(2|w|, 2 maxrel) = 8 that the
+    # default gate trusts, without reaching the empty word
+    chain = ", ".join(f"x{i}^2 x{i + 1}^-1" for i in range(5))
+    p = parse_presentation(f"<x0, x1, x2, x3, x4, x5, b | {chain}, x0 b x0^-1 b^-1>")
+    word = parse_word("x5 b x5^-1 b^-1", p.generators)
+    assert is_trivial(BoundedBFSOracle(p), word) is not OracleVerdict.NONTRIVIAL
 
 
 def _row_lattice_box(rows, width, bound):
