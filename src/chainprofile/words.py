@@ -161,19 +161,13 @@ def word_key(w: Word):
 
 
 def format_word(w: Word) -> str:
-    """Each run of equal letters as `name` or `name^k`, space separated;
-    the empty word is `1`."""
-    letters, gens, n = w.letters, w.gens, len(w.letters)
-    if not n:
+    if not w.letters:
         return "1"
     parts = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or letters[i] != letters[start]:
-            g, s = letters[start]
-            k = s * (i - start)
-            parts.append(gens[g] if k == 1 else f"{gens[g]}^{k}")
-            start = i
+    for (g, s), run in itertools.groupby(w.letters):
+        k = s * len(list(run))
+        name = w.gens[g]
+        parts.append(name if k == 1 else f"{name}^{k}")
     return " ".join(parts)
 
 
@@ -222,9 +216,13 @@ def parse_word(text: str, gens: tuple[str, ...]) -> Word:
 
     Text as `format_word` prints it (space-separated `name`, `name^k` with
     an ASCII k, and `1`) is read token by token from the alphabet's table;
-    any other text goes to the tokenizer, which reads it the same way."""
+    any other text goes to the tokenizer, which reads it the same way and
+    refuses what is not a string with its TypeError.  New syntax belongs
+    in the tokenizer alone."""
     gens = tuple(gens)
     index, table = _generator_tables(gens)
+    if not isinstance(text, str):
+        return _tokenized_word(text, gens, index)
     letters: list[Letter] = []
     for tok in text.split():
         letter = table.get(tok)

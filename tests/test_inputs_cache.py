@@ -467,6 +467,29 @@ def test_linear_connectivity_agrees_with_the_component_search(monkeypatch):
     assert (verdicts.count(True), verdicts.count(False)) == (38, 174)
 
 
+@pytest.mark.parametrize("word", [5, None, ["a"]])
+def test_a_word_that_is_not_a_string_is_refused_not_raised(word):
+    # an input file's boundary word, a stored witness word and a stored
+    # filling word that are not strings reject the input or the entry
+    term = {"word": word, "base": "v", "coeff": 1}
+    with pytest.raises(InputError, match="malformed boundary term"):
+        load_input({"dim": 2, "presentation": "<a |>", "oracle": {"kind": "free"},
+                    "cells": [{"dim": 0, "id": "v"}, {"dim": 1, "id": "e", "boundary": [term]}]})
+    s, oracle = load_example("z2")
+    entry = psi_table(s, oracle, 6).to_json_dict()
+    assert verify_profile_entry(entry, "psi", 6, s, oracle)
+    for part in ("cycle", "filling"):
+        bad = copy.deepcopy(entry)
+        bad["witnesses"][4][part]["terms"][0]["word"] = word
+        assert not verify_profile_entry(bad, "psi", 6, s, oracle)
+    cyc = parse_chain("(1, e_a) + (a, e_b) - (b, e_a) - (1, e_b)", s, oracle)
+    fill = minimal_filling(cyc, s, oracle)
+    entry = {"value": norm(fill), "filling": chain_to_json(fill, s)}
+    assert verify_fv_entry(entry, cyc, s, oracle)
+    entry["filling"]["terms"][0]["word"] = word
+    assert not verify_fv_entry(entry, cyc, s, oracle)
+
+
 def test_fv_entry_verification(tmp_path):
     s, oracle = load_example("z2")
     cyc = parse_chain("(1, e_a) + (a, e_b) - (b, e_a) - (1, e_b)", s, oracle)
@@ -494,20 +517,23 @@ def test_printed_chains_are_read_without_the_tokenizer(monkeypatch):
     monkeypatch.setattr(words, "_tokenized_word", refuse)
     with pytest.raises(AssertionError, match="reached the tokenizer"):
         parse_word("aba^-1", ("a", "b"))
-    chains = []
+    sources = []  # each source's chains, none of them empty
     for (s, oracle), table, n in tables:
         entry = table.to_json_dict()
         assert verify_profile_entry(entry, "psi", n, s, oracle)
-        chains += [(chain_from_json(wit[part], s, oracle), s, oracle)
-                   for wit in entry["witnesses"] if wit for part in ("cycle", "filling")]
+        sources.append((s, oracle, [chain_from_json(wit[part], s, oracle)
+                                    for wit in entry["witnesses"] if wit
+                                    for part in ("cycle", "filling")]))
     s, oracle = surface2
     entry = {"value": norm(fill), "filling": chain_to_json(fill, s)}
     assert verify_fv_entry(entry, disk, s, oracle)
-    chains += [(disk, s, oracle), (fill, s, oracle)]
-    assert len(chains) == 26
-    for chain, s, oracle in chains:
-        assert chain_from_json(chain_to_json(chain, s), s, oracle) == chain
-        assert parse_chain(format_chain(chain, s), s, oracle) == chain
+    sources.append((s, oracle, [disk, fill]))
+    for s, oracle, chains in sources:
+        assert chains
+        for chain in chains:
+            assert chain.terms
+            assert chain_from_json(chain_to_json(chain, s), s, oracle) == chain
+            assert parse_chain(format_chain(chain, s), s, oracle) == chain
 
 
 def test_verifier_errors_propagate(monkeypatch):

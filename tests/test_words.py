@@ -170,6 +170,17 @@ def test_parse_word_reads_every_text_as_the_tokenizer_does():
         assert _read(parse_word, text, AB) == _read(word_reference.parse_word, text, AB), text
 
 
+@pytest.mark.parametrize("text", [5, None, ["a"], ("a",), b"a", b"a b^-1"])
+def test_a_word_that_is_not_a_string_raises_the_tokenizer_s_type_error(text):
+    # the callers that read stored and input words turn TypeError into
+    # their own refusals, so no other exception may leave parse_word
+    with pytest.raises(TypeError) as expected:
+        word_reference.parse_word(text, AB)
+    with pytest.raises(TypeError) as got:
+        parse_word(text, AB)
+    assert str(got.value) == str(expected.value)
+
+
 def test_format_word_and_word_key_match_the_reference():
     rng = random.Random(35)
     for gens in ALPHABETS:
