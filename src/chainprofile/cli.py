@@ -33,14 +33,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .cache import (
-    ResultCache,
-    default_cache_dir,
-    fv_key,
-    profile_key,
-    verify_fv_entry,
-    verify_profile_entry,
-)
+from .cache import ResultCache, default_cache_dir, fv_key, profile_key
 from .enumeration import connected_chains_up_to_action, connected_cycles_up_to_action
 from .errors import ChainProfileError
 from .inputs import (
@@ -58,17 +51,13 @@ from .profiles import (
     chain2_bound,
     disk_combination,
     finite_profile,
-    minimal_filling,
+    fv_entry,
     phi_table,
     psi_table,
+    verify_fv_entry,
+    verify_profile_entry,
 )
-from .skeleton import (
-    chain_from_json,
-    chain_to_json,
-    norm,
-    skeleton_fingerprint,
-    validate,
-)
+from .skeleton import chain_from_json, chain_to_json, skeleton_fingerprint, validate
 
 
 @functools.lru_cache(maxsize=8)
@@ -236,15 +225,11 @@ def cmd_fv(args) -> int:
     s, oracle = _load(args)
     target = parse_chain(args.chain, s, oracle)
     budget = _budget(args)
-
-    def compute():
-        filling = minimal_filling(target, s, oracle, budget=budget)
-        return {"value": norm(filling), "filling": chain_to_json(filling, s)}
-
     entry = _cached(
         args, fv_key(skeleton_fingerprint(s, oracle), chain_to_json(target, s),
                      budget),
-        lambda e: verify_fv_entry(e, target, s, oracle), compute)
+        lambda e: verify_fv_entry(e, target, s, oracle),
+        lambda: fv_entry(target, s, oracle, budget))
     if args.format == "json":
         print(_json_text(entry))
     elif args.format == "csv":

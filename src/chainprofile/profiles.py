@@ -48,6 +48,17 @@ time for a 1-cycle.  Finite presentations backed by a multiplication
 table use the exact finite sweep instead; the two routes, and the reload of
 their cached tables, refuse each other's oracles (`_check_route`).
 
+Stored answers.  The cache keeps what `fv_entry` and the profile routes
+write, and reuses it only after `verify_fv_entry` or `verify_profile_entry`
+re-checks each witness.  A filling that passes proves FV(cycle) <= value.
+Inside Lyndon's gate, with an oracle for the presented group itself (not a
+finite table, which may be a quotient), the filling is unique, so a
+passing fv witness is exact there.  A passing psi witness of size k is a
+connected (q-1)-cycle of norm at most k with a filling of norm values[k]:
+inside the gate that proves psi(k) >= values[k].  That no connected cycle
+does better, and every minimality outside the gate, rests on the run that
+wrote the entry.
+
 The exact finite sweep.  The cover of a finite presentation is finite, and
 norm and FV are invariant under G x {+-1}: left translation by the table
 and z -> -z.  The cycles of norm at most n are listed one per orbit, the
@@ -801,8 +812,57 @@ def _finite_witness(wit, s, oracle):
     return sum(map(abs, cyc.values())), sum(map(abs, fill.values()))
 
 
-# each profile route's re-check of one stored witness, which the cache asks
-_WITNESS_CHECKS = {"psi": _psi_witness, "finite": _finite_witness}
+# ------------------------------------------------------------ stored answers
+
+# what a malformed or inconsistent entry raises while it is checked; any
+# other exception is a bug in the checks and propagates
+_BAD_ENTRY = (ChainProfileError, KeyError, TypeError, ValueError)
+
+
+def fv_entry(cycle: Chain, s, oracle, budget: Budget) -> dict:
+    """The stored answer of an fv query: a least filling and its norm."""
+    filling = minimal_filling(cycle, s, oracle, budget=budget)
+    return {"value": norm(filling), "filling": chain_to_json(filling, s)}
+
+
+def verify_fv_entry(entry, target, s, oracle) -> bool:
+    """Whether a stored fv answer holds a filling of target of norm value."""
+    try:
+        fill = chain_from_json(entry["filling"], s, oracle)
+        _check_filling(fill, target, s, oracle)
+        return _is_int(entry["value"]) and norm(fill) == entry["value"]
+    except _BAD_ENTRY:
+        return False
+
+
+def verify_profile_entry(entry, kind: str, n: int, s, oracle) -> bool:
+    """Checks on a stored profile before reuse: its route admits the oracle,
+    the witness for size 0 is empty, and the route's check passes the
+    witness for size k with a cycle of norm <= k and a filling of values[k]."""
+    check = {"psi": _psi_witness, "finite": _finite_witness}.get(kind)
+    if check is None:
+        return False
+    try:
+        _check_route(kind, oracle)
+        values = entry["values"]
+        witnesses = entry["witnesses"]
+        if (not isinstance(values, list) or len(values) != n + 1
+                or len(witnesses) != n + 1 or witnesses[0] is not None):
+            return False
+        _check_delta(values)
+        for k in range(1, n + 1):
+            wit = witnesses[k]
+            if wit is None:
+                if values[k] != 0:
+                    return False
+                continue
+            if wit != witnesses[k - 1]:  # a record's witness repeats over its sizes
+                norms = check(wit, s, oracle)
+            if norms[0] > k or norms[1] != values[k]:
+                return False
+        return True
+    except _BAD_ENTRY:
+        return False
 
 
 # ------------------------------------------------------------ combined bounds
