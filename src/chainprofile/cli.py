@@ -85,9 +85,7 @@ _JSON_LEAVES = {
 
 
 def _json_key(key) -> str:
-    """A dict key as `json` writes it: keys that are not str become text."""
-    if isinstance(key, str):
-        return key
+    """A dict key that is not a str, as `json` writes it."""
     if isinstance(key, (int, float)) or key is None:
         return _json_text(key)
     raise TypeError(f"keys must be str, int, float, bool or None, "
@@ -97,7 +95,8 @@ def _json_key(key) -> str:
 def _json_text(o, indent: str = "\n") -> str:
     """The text of `json.dumps(o, indent=2, sort_keys=True)` for a tree of
     JSON values, one join per container; indent is the newline and
-    indentation of o's own level."""
+    indentation of o's own level.  Leaves are of the exact built-in types,
+    as the package builds them and `json` reads them: a subclass is refused."""
     leaf = _JSON_LEAVES.get(type(o))
     if leaf is not None:
         return leaf(o)
@@ -114,13 +113,6 @@ def _json_text(o, indent: str = "\n") -> str:
         return ("{" + inner + ("," + inner).join(
             [encode_basestring_ascii(k if type(k) is str else _json_key(k)) + ": "
              + _json_text(v, inner) for k, v in sorted(o.items())]) + indent + "}")
-    # subclasses of the leaf types, tested in json's order
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return json.dumps(o)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 

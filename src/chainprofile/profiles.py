@@ -393,6 +393,8 @@ def psi_table(s, oracle, n: int, budget: Budget | None = None,
     budget = budget or Budget()
     if not _is_count(n, 0):
         raise InputError(f"profile length must be an integer >= 0, got {n!r}")
+    if not _is_count(workers, 1):
+        raise InputError(f"workers must be an integer >= 1, got {workers!r}")
     dim = s.q - 1
     orbits = cycle_orbits(s, oracle, dim, n, node_cap=budget.node_cap) if n else {}
     flat = [(k, rep, translates, labels) for k in sorted(orbits)
@@ -439,8 +441,8 @@ def _psi_witness(wit, s, oracle):
     """(cycle norm, filling norm) of a stored psi witness that holds what
     psi_table writes, a connected (q-1)-cycle and a filling of it; raises
     ChainProfileError when it does not."""
-    cyc = chain_from_json(wit["cycle"], s, oracle)
-    fill = chain_from_json(wit["filling"], s, oracle)
+    cyc = _stored_chain(wit["cycle"], s, oracle)
+    fill = _stored_chain(wit["filling"], s, oracle)
     _check_filling(fill, cyc, s, oracle)
     if cyc.dim != s.q - 1 or not is_connected(cyc, s, oracle):
         raise ChainProfileError("psi witness cycle is not a connected (q-1)-cycle")
@@ -806,6 +808,7 @@ def _finite_chain(terms, dim, s, oracle) -> dict:
 
 def _finite_witness(wit, s, oracle):
     """(cycle norm, filling norm) of a stored finite witness, as _psi_witness."""
+    _exactly(_FINITE_TERM, *wit["cycle"], *wit["filling"])
     cyc = _finite_chain(wit["cycle"], s.q - 1, s, oracle)
     fill = _finite_chain(wit["filling"], s.q, s, oracle)
     _check_finite_filling(fill, cyc, s, oracle)
@@ -818,6 +821,26 @@ def _finite_witness(wit, s, oracle):
 # other exception is a bug in the checks and propagates
 _BAD_ENTRY = (ChainProfileError, KeyError, TypeError, ValueError)
 
+# the fields each stored dict is written with; one that holds any other
+# field is refused, so nothing the checks do not read comes back as an answer
+_FV, _WITNESS, _CHAIN = {"value", "filling"}, {"cycle", "filling"}, {"dim", "terms"}
+_TERM, _FINITE_TERM = {"word", "base", "coeff"}, {"element", "base", "coeff"}
+
+
+def _exactly(fields: set, *stored) -> None:
+    """Refuse (ChainProfileError) a stored item that is not a dict of
+    exactly these fields."""
+    for d in stored:
+        if type(d) is not dict or d.keys() != fields:
+            raise ChainProfileError(f"stored entry is not a dict of the fields {sorted(fields)}")
+
+
+def _stored_chain(data, s, oracle) -> Chain:
+    """The chain `chain_to_json` wrote as data, holding its fields only."""
+    _exactly(_CHAIN, data)
+    _exactly(_TERM, *data["terms"])
+    return chain_from_json(data, s, oracle)
+
 
 def fv_entry(cycle: Chain, s, oracle, budget: Budget) -> dict:
     """The stored answer of an fv query: a least filling and its norm."""
@@ -828,7 +851,8 @@ def fv_entry(cycle: Chain, s, oracle, budget: Budget) -> dict:
 def verify_fv_entry(entry, target, s, oracle) -> bool:
     """Whether a stored fv answer holds a filling of target of norm value."""
     try:
-        fill = chain_from_json(entry["filling"], s, oracle)
+        _exactly(_FV, entry)
+        fill = _stored_chain(entry["filling"], s, oracle)
         _check_filling(fill, target, s, oracle)
         return _is_int(entry["value"]) and norm(fill) == entry["value"]
     except _BAD_ENTRY:
@@ -857,6 +881,7 @@ def verify_profile_entry(entry, kind: str, n: int, s, oracle) -> bool:
                     return False
                 continue
             if wit != witnesses[k - 1]:  # a record's witness repeats over its sizes
+                _exactly(_WITNESS, wit)
                 norms = check(wit, s, oracle)
             if norms[0] > k or norms[1] != values[k]:
                 return False

@@ -133,6 +133,21 @@ def test_a_0_chain_that_does_not_sum_to_0_is_refused_at_once(capsys):
     assert (code, out) == (0, "filling volume 2\nfilling: -(1, e_a) - (a, e_b)\n")
 
 
+def test_a_cycle_with_nothing_above_it_is_refused(tmp_path, capsys):
+    code, out, err = run(capsys, "fv", "--input", "z2", "--chain", "(1, f0)", "--no-cache")
+    assert (code, out, err) == (
+        2, "", "error: cycles of dimension 2 have no fillings in a 2-dimensional complex\n")
+    # no relator, so no 2-cells, over Z/2, where a loop of two a-edges closes
+    path = tmp_path / "free-z2.json"
+    path.write_text(json.dumps({
+        "dim": 2, "presentation": "<a |>",
+        "oracle": {"kind": "finite-table", "elements": ["e", "a"],
+                   "table": [[0, 1], [1, 0]], "generator_map": {"a": 1}}}))
+    code, out, err = run(capsys, "fv", "--input", str(path), "--chain", "(1, e_a) + (a, e_a)",
+                         "--no-cache")
+    assert (code, out, err) == (2, "", "error: no cells available one dimension up\n")
+
+
 def test_tampered_cache_is_recomputed(tmp_path, capsys):
     args = ("fv", "--input", "z2", "--chain", SQUARE, "--cache", str(tmp_path),
             "--format", "json")
@@ -227,6 +242,46 @@ def test_boolean_numbers_in_the_cache_are_recomputed(tmp_path, capsys, query, fo
     assert "recomputing" in err
     assert "true" not in entry_file.read_text()
     assert entry_file.read_text() == stored  # evicted and written again
+
+
+FV_QUERY = ("fv", "--input", "z2", "--chain", SQUARE)
+PSI_QUERY = ("psi", "--input", "z2", "-n", "4")
+FINITE_QUERY = ("finite-profile", "--input", "zmod2", "-n", "4")
+
+
+def _extra(d, field="extra"):
+    assert field not in d
+    d[field] = True
+
+
+# a field its writer never writes, at each level of each kind of entry; the
+# check does not read it, so only refusing it keeps it out of the answer
+@pytest.mark.parametrize("query, forge", [
+    (FV_QUERY, lambda v: _extra(v, "injected")),
+    (FV_QUERY, lambda v: _extra(v["filling"])),
+    (FV_QUERY, lambda v: _extra(v["filling"]["terms"][0])),
+    (PSI_QUERY, lambda v: _extra(v["witnesses"][4])),
+    (PSI_QUERY, lambda v: _extra(v["witnesses"][4]["cycle"])),
+    (PSI_QUERY, lambda v: _extra(v["witnesses"][4]["filling"]["terms"][0])),
+    (FINITE_QUERY, lambda v: _extra(v["witnesses"][2])),
+    (FINITE_QUERY, lambda v: _extra(v["witnesses"][2]["cycle"][0])),
+    (FINITE_QUERY, lambda v: _extra(v["witnesses"][2]["filling"][0]))],
+    ids=["fv", "fv-filling", "fv-term", "psi-witness", "psi-chain", "psi-term",
+         "finite-witness", "finite-cycle-term", "finite-filling-term"])
+def test_a_field_no_check_reads_is_recomputed(tmp_path, capsys, query, forge):
+    for fmt in ("json", "human"):
+        args = (*query, "--cache", str(tmp_path / fmt), "--format", fmt)
+        code, first, _ = run(capsys, *args)
+        assert code == 0
+        (entry_file,) = (tmp_path / fmt).glob("*.json")
+        stored = entry_file.read_text()
+        data = json.loads(stored)
+        forge(data["value"])
+        entry_file.write_text(json.dumps(data))
+        code, second, err = run(capsys, *args)
+        assert (code, second) == (0, first)
+        assert err == "cached result failed verification; recomputing\n"
+        assert entry_file.read_text() == stored  # evicted and written again
 
 
 def test_a_planted_psi_entry_does_not_admit_a_finite_table(tmp_path, capsys):

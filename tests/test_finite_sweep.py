@@ -18,6 +18,7 @@ from chainprofile.profiles import (
     Budget,
     _finite_cycles,
     _finite_fillings,
+    _finite_unit_boundary,
     finite_profile,
 )
 
@@ -61,7 +62,15 @@ def s3():
     return load_input(_group_input(*TABLES["s3"]))
 
 
-GROUPS = {"zmod2": lambda: load_example("zmod2"), "klein": klein, "s3": s3}
+def cancelling():
+    """Z/2 presented as <a, b | a^2, b, a b a^-1 b^-1>, b the identity: the
+    two lifts of e_a in the commutator's boundary cancel."""
+    return load_input(_group_input([0, 1], lambda p, q: (p + q) % 2, {"a": 1, "b": 0},
+                                   "<a, b | a^2, b, a b a^-1 b^-1>"))
+
+
+GROUPS = {"zmod2": lambda: load_example("zmod2"), "klein": klein, "s3": s3,
+          "cancelling": cancelling}
 
 
 def _witness_cycle(cycles, fv, k):
@@ -94,7 +103,7 @@ def _model_orbits(model_cycles, table):
     return orbits
 
 
-@pytest.mark.parametrize("group, n", [("zmod2", 6), ("klein", 6), ("s3", 5)])
+@pytest.mark.parametrize("group, n", [("zmod2", 6), ("klein", 6), ("s3", 5), ("cancelling", 4)])
 def test_sweep_matches_exhaustive_model(group, n):
     s, oracle = GROUPS[group]()
     cycles, nodes = _finite_cycles(s, oracle, n, Budget().node_cap)
@@ -115,6 +124,14 @@ def test_sweep_matches_exhaustive_model(group, n):
         assert wit["cycle"] == [{"element": oracle.elements[e],
                                  "base": s.cell_id(1, base), "coeff": c}
                                 for (e, base), c in key]
+
+
+def test_cancelling_lifts_leave_a_cell_boundary():
+    s, oracle = cancelling()
+    bnds = [_finite_unit_boundary(s, oracle, 2, 0, base) for base in range(s.n_cells(2))]
+    # a^2, b, and the commutator with its two lifts of e_a gone
+    assert [sorted(b.values()) for b in bnds] == [[1, 1], [1], [-1, 1]]
+    assert finite_profile(s, oracle, 4).values == [0, 1, 2, 3, 4]
 
 
 def _relabelled(group, seed):

@@ -230,6 +230,14 @@ def test_worker_count_does_not_change_results():
     assert one.witnesses == two.witnesses
 
 
+@pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2"])
+def test_worker_count_must_be_an_integer_of_at_least_1(workers):
+    s, oracle = z2()
+    with pytest.raises(InputError, match=f"^workers must be an integer >= 1, got "
+                                         f"{workers!r}$"):
+        psi_table(s, oracle, 6, workers=workers)
+
+
 def test_worker_count_does_not_change_searched_results():
     # two relators put the grid outside the rewriting gate, so the forked
     # workers run the filling search
